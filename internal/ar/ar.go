@@ -474,8 +474,9 @@ func (m *Model) sampleQueryColumn(sess *nn.Session, sc *EstimateScratch, con Con
 		wv := sc.w[:card]
 		con.Fill(rows[ri], wv)
 		// Fold the admission weights in and build the prefix sums
-		// in one pass; the running total accumulates in exactly the
-		// order the pre-fusion code used, so masses are bit-equal.
+		// in one pass; the running total accumulates in code order,
+		// as a separate weighting pass then a prefix-sum pass would,
+		// so masses are bit-equal to the two-pass form.
 		cdf := sc.cdf[:card]
 		var mass float64
 		for k := 0; k < card; k++ {

@@ -88,10 +88,8 @@ func (bs *batchScratch) factoredCon(fc ar.FactoredConstraint) ar.Constraint {
 }
 
 // getBatchScratch checks a constraint scratch out of the pool (or builds a
-// fresh one). Callers must return it with putBatchScratch — but only after
-// every consumer of its arenas is done: a fused estimate hands the pending
-// slices to the fusion leader, so the scratch goes back to the pool only
-// after the leader signals completion.
+// fresh one). Callers must return it with putBatchScratch once the estimate
+// that reads its arenas has returned.
 func (m *Model) getBatchScratch() *batchScratch {
 	m.poolMu.Lock()
 	var bs *batchScratch

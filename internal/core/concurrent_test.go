@@ -9,6 +9,7 @@ import (
 
 	"iam/internal/query"
 	"iam/internal/testutil"
+	"iam/internal/vecmath"
 )
 
 // TestEstimateBitIdenticalAcrossWorkers: the same workload must produce
@@ -208,5 +209,35 @@ func TestMassCacheLRUEviction(t *testing.T) {
 	}
 	if v, ok := c.get(k3); !ok || len(v) != 1 || math.Float64bits(v[0]) != math.Float64bits(3) {
 		t.Fatalf("k3 lookup = %v, %v", v, ok)
+	}
+}
+
+// TestEstimateBatchAllocBudget is the CI-gated allocation budget for the
+// serving hot path: after warm-up (pooled worker, pooled constraint arenas,
+// warm mass cache), one EstimateBatch over the benchmark workload must stay
+// within a small fixed number of heap allocations — the returned estimate
+// slice plus change — instead of the ~175/op the boxing-per-constraint path
+// used to cost.
+func TestEstimateBatchAllocBudget(t *testing.T) {
+	prev := vecmath.Parallelism(1)
+	defer vecmath.Parallelism(prev)
+
+	cfg := fastCfg()
+	cfg.MassCacheSize = 256
+	cfg.Workers = 1
+	m, _ := trainTWI(t, cfg)
+	w := testutil.Workload(t, m.table, query.GenConfig{NumQueries: 32, Seed: 43})
+
+	if _, err := m.EstimateBatch(w.Queries); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(10, func() {
+		if _, err := m.EstimateBatch(w.Queries); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 32
+	if n > budget {
+		t.Fatalf("steady-state EstimateBatch allocates %v per op, budget %d", n, budget)
 	}
 }

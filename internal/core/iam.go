@@ -93,15 +93,6 @@ type Config struct {
 	// Monte-Carlo/CDF mass computation entirely. 0 (the default) disables
 	// caching.
 	MassCacheSize int
-	// StepFusion coalesces concurrent EstimateBatch calls into shared
-	// progressive-sampling runs: a generation leader concatenates every
-	// in-flight caller's queries and runs them as one batch, so queries
-	// from different requests that share a wildcard pattern share one
-	// network forward per sampling step. Fusion never changes answers —
-	// every query draws from its own seed-derived stream and the sampler
-	// is row-pure, so estimates stay bit-identical to unfused runs. Off by
-	// default; the serving layer switches it on via SetStepFusion.
-	StepFusion bool
 	// TrainWorkers caps how many goroutines one joint-training mini-batch
 	// fans its shards across (each shard runs forward/backward on its own
 	// pooled session and gradient buffer; see train.go). 0 or 1 (the
@@ -269,16 +260,6 @@ type Model struct {
 	poolMu   sync.Mutex
 	workers  []*estWorker    // iam:guardedby poolMu
 	bscratch []*batchScratch // iam:guardedby poolMu
-
-	// fuseMu guards the step-fusion queue. The fusion leader holds the
-	// model's read lock for the whole fused run and takes fuseMu only for
-	// queue handoffs, never while sampling, so a writer waiting on mu is
-	// never blocked behind fuseMu.
-	//
-	// iam:lockorder Model.mu > Model.fuseMu
-	fuseMu     sync.Mutex
-	fuseJobs   []*fuseJob // iam:guardedby fuseMu
-	fuseLeader bool       // iam:guardedby fuseMu
 
 	// cacheMu guards the LRU cache of per-interval GMM range-mass vectors
 	// (§5.2 bias-correction weights), keyed by column and query interval.
@@ -642,6 +623,30 @@ func (m *Model) EstimateBatch(qs []*query.Query) ([]float64, error) {
 //
 // iam:deterministic
 func (m *Model) EstimateBatchSeeded(qs []*query.Query, qseeds []int64) ([]float64, error) {
+	return m.estimateBatch(qs, qseeds, nil)
+}
+
+// EstimateBatchVarSeeded is EstimateBatchSeeded extended with the per-query
+// Monte-Carlo variance of each estimate: vars[i] is the sample variance of
+// the mean over query i's progressive-sampling paths (Var(paths)/S), the
+// squared standard error the sharded ensemble's early-termination CI feeds
+// on. Queries answered by exhaustive enumeration are exact and report
+// variance 0. Estimates are bit-identical to EstimateBatchSeeded — the
+// variance is a read-only second pass over the same path probabilities.
+//
+// iam:deterministic
+func (m *Model) EstimateBatchVarSeeded(qs []*query.Query, qseeds []int64) (ests, vars []float64, err error) {
+	vars = make([]float64, len(qs))
+	if ests, err = m.estimateBatch(qs, qseeds, vars); err != nil {
+		return nil, nil, err
+	}
+	return ests, vars, nil
+}
+
+// estimateBatch is the one seeded estimate body behind both entry points. A
+// non-nil vars (len(qs), zeroed) receives each query's sampling variance;
+// exhaustively enumerated queries leave theirs at 0.
+func (m *Model) estimateBatch(qs []*query.Query, qseeds []int64, vars []float64) ([]float64, error) {
 	if qseeds != nil && len(qseeds) != len(qs) {
 		return nil, fmt.Errorf("core: %d seeds for %d queries", len(qseeds), len(qs))
 	}
@@ -685,86 +690,10 @@ func (m *Model) EstimateBatchSeeded(qs []*query.Query, qseeds []int64) ([]float6
 	if len(bs.pending) == 0 {
 		return out, nil
 	}
-
-	if m.cfg.StepFusion {
-		// The fusion leader reads bs.pending until every job in the
-		// generation completes; the deferred putBatchScratch runs only
-		// after estimateFused returns, which is after our job's done
-		// channel closed — the arenas cannot be recycled under the leader.
-		ests, err := m.estimateFused(bs.pending, bs.seeds)
-		if err != nil {
-			return nil, err
-		}
-		for j, v := range ests {
-			out[bs.slots[j]] = v
-		}
-		return out, nil
-	}
-
-	if err := m.runPending(bs.pending, bs.seeds, bs.slots, out, nil); err != nil {
+	if err := m.runPending(bs.pending, bs.seeds, bs.slots, out, vars); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// EstimateBatchVarSeeded is EstimateBatchSeeded extended with the per-query
-// Monte-Carlo variance of each estimate: vars[i] is the sample variance of
-// the mean over query i's progressive-sampling paths (Var(paths)/S), the
-// squared standard error the sharded ensemble's early-termination CI feeds
-// on. Queries answered by exhaustive enumeration are exact and report
-// variance 0. Estimates are bit-identical to EstimateBatchSeeded — the
-// variance is a read-only second pass over the same path probabilities —
-// but this path never routes through step fusion (fused generations don't
-// carry variances), so it holds for callers that leave StepFusion off, which
-// the ensemble's per-shard models do.
-//
-// iam:deterministic
-func (m *Model) EstimateBatchVarSeeded(qs []*query.Query, qseeds []int64) (ests, vars []float64, err error) {
-	if qseeds != nil && len(qseeds) != len(qs) {
-		return nil, nil, fmt.Errorf("core: %d seeds for %d queries", len(qseeds), len(qs))
-	}
-	m.mu.RLock()
-	if m.massDirty {
-		m.mu.RUnlock()
-		m.mu.Lock()
-		m.refreshMassEstimatorsLocked()
-		m.mu.Unlock()
-		m.mu.RLock()
-	}
-	defer m.mu.RUnlock()
-
-	out := make([]float64, len(qs))
-	vout := make([]float64, len(qs))
-	nCols := len(m.arm.Cards)
-	bs := m.getBatchScratch()
-	defer m.putBatchScratch(bs)
-	bs.prep(len(qs), nCols)
-	for i, q := range qs {
-		cons := bs.consRow(i, nCols)
-		if err := m.buildConstraintsInto(q, bs, cons); err != nil {
-			return nil, nil, err
-		}
-		if m.cfg.ExhaustiveLimit > 0 {
-			if est, ok := m.arm.EstimateExhaustive(cons, m.cfg.ExhaustiveLimit); ok {
-				out[i] = est
-				continue
-			}
-		}
-		bs.pending = append(bs.pending, cons)
-		if qseeds != nil {
-			bs.seeds = append(bs.seeds, qseeds[i])
-		} else {
-			bs.seeds = append(bs.seeds, querySeed(m.cfg.Seed, i))
-		}
-		bs.slots = append(bs.slots, i)
-	}
-	if len(bs.pending) == 0 {
-		return out, vout, nil
-	}
-	if err := m.runPending(bs.pending, bs.seeds, bs.slots, out, vout); err != nil {
-		return nil, nil, err
-	}
-	return out, vout, nil
 }
 
 // runPending estimates the sampled queries and scatters results into out:

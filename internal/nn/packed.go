@@ -99,8 +99,8 @@ func (n *ResMADE) NewSamplingPlan(live []bool) *SamplingPlan {
 // only column col, until the next Forward or ForwardSampling.
 //
 // The forward is row-pure: row r's logits depend only on rows[r], never on
-// the rest of the batch — the property step fusion and the batch-composition
-// determinism tests rely on.
+// the rest of the batch — the property the serving batcher and the
+// batch-composition determinism tests rely on.
 //
 // iam:noalloc
 func (s *Session) ForwardSampling(rows [][]int, plan *SamplingPlan, col int) {

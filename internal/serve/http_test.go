@@ -142,6 +142,48 @@ func TestHTTPHealthAndStatsLifecycle(t *testing.T) {
 	}
 }
 
+// saturate fills a MaxBatch 1, MaxInFlight 1, QueueDepth 1 server whose
+// primary is slow: one request holds the in-flight slot, one waits in the
+// batcher for it, one fills the queue. The requests go in one at a time,
+// each only once the previous one is observed where it belongs — submitted
+// together, a second request can find the first still queued and be
+// rejected itself, leaving room for the probe. The returned channel yields
+// once per finished request.
+func saturate(t *testing.T, s *Server) <-chan struct{} {
+	t.Helper()
+	handler := s.Handler()
+	done := make(chan struct{}, 3)
+	for i, queued := range []int{0, 0, 1} {
+		go func() {
+			r := httptest.NewRequest("POST", "/estimate", strings.NewReader(`{"query": "latitude <= 40"}`))
+			handler.ServeHTTP(httptest.NewRecorder(), r)
+			done <- struct{}{}
+		}()
+		awaitStats(t, s, uint64(i+1), queued)
+	}
+	return done
+}
+
+// awaitStats polls until the server has admitted accepted requests, holds
+// its in-flight slot and has queued requests waiting. Each awaited state
+// lasts as long as the slow primary runs, so a poll that misses it for the
+// whole deadline means admission did not behave as configured.
+func awaitStats(t *testing.T, s *Server, accepted uint64, queued int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := s.Stats()
+		if st.Accepted == accepted && st.InFlight == 1 && st.QueueLen == queued {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server never reached accepted %d, in flight 1, queue %d: got accepted %d, rejected %d, in flight %d, queue %d/%d",
+				accepted, queued, st.Accepted, st.Rejected, st.InFlight, st.QueueLen, st.QueueCap)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestHTTPOverloadSetsRetryAfter(t *testing.T) {
 	_, tbl := testModel(t)
 	// A server whose queue drains slowly: single batch slot, slow primary —
@@ -160,17 +202,9 @@ func TestHTTPOverloadSetsRetryAfter(t *testing.T) {
 	handler := s.Handler()
 
 	// Saturate: one request occupies the dispatcher for 700ms, one waits on
-	// the in-flight slot, one fills the queue. The probe below lands while
-	// all three are still stuck, so rejection is deterministic.
-	done := make(chan struct{})
-	for i := 0; i < 3; i++ {
-		go func() {
-			r := httptest.NewRequest("POST", "/estimate", strings.NewReader(`{"query": "latitude <= 40"}`))
-			handler.ServeHTTP(httptest.NewRecorder(), r)
-			done <- struct{}{}
-		}()
-	}
-	time.Sleep(100 * time.Millisecond)
+	// the in-flight slot, one fills the queue. The probe below lands only
+	// once all three are observed stuck, so rejection is deterministic.
+	done := saturate(t, s)
 	r := httptest.NewRequest("POST", "/estimate", strings.NewReader(`{"query": "latitude <= 40"}`))
 	rec := httptest.NewRecorder()
 	handler.ServeHTTP(rec, r)
@@ -209,16 +243,8 @@ func TestHTTPOverloadRetryAfterMatchesStats(t *testing.T) {
 
 	// Saturate exactly as TestHTTPOverloadSetsRetryAfter does: one request
 	// holds the dispatcher for 700ms, one waits on the in-flight slot, one
-	// fills the queue; the probe lands while all three are stuck.
-	done := make(chan struct{})
-	for i := 0; i < 3; i++ {
-		go func() {
-			r := httptest.NewRequest("POST", "/estimate", strings.NewReader(`{"query": "latitude <= 40"}`))
-			handler.ServeHTTP(httptest.NewRecorder(), r)
-			done <- struct{}{}
-		}()
-	}
-	time.Sleep(100 * time.Millisecond)
+	// fills the queue; the probe lands once all three are observed stuck.
+	done := saturate(t, s)
 	r := httptest.NewRequest("POST", "/estimate", strings.NewReader(`{"query": "latitude <= 40"}`))
 	rec := httptest.NewRecorder()
 	handler.ServeHTTP(rec, r)

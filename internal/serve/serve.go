@@ -90,12 +90,6 @@ type Config struct {
 	// RollbackMinCalls is how many primary-tier calls the rate must be
 	// based on before rollback can fire. Default 20.
 	RollbackMinCalls uint64
-	// NoStepFusion disables cross-query step fusion on served models. By
-	// default (false) every installed version runs with fusion on, so
-	// concurrent dispatch batches coalesce into shared progressive-sampling
-	// runs inside the model; answers are bit-identical either way — the
-	// knob exists for performance triage, not correctness.
-	NoStepFusion bool
 	// Seed feeds the fallback tiers' deterministic sample.
 	Seed int64
 	// SavePath, when set, makes Close flush the currently served model
@@ -204,7 +198,7 @@ type Server struct {
 // histogram) and starts its batcher.
 func New(cfg Config, t *dataset.Table, m *core.Model) (*Server, error) {
 	s := newServer(cfg, t)
-	v, err := newVersion(1, t, m, s.cfg.Seed, s.cfg.TierTimeout, !s.cfg.NoStepFusion)
+	v, err := newVersion(1, t, m, s.cfg.Seed, s.cfg.TierTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +213,7 @@ func New(cfg Config, t *dataset.Table, m *core.Model) (*Server, error) {
 // handled inside the ensemble itself (see internal/shard).
 func NewEnsemble(cfg Config, t *dataset.Table, e *shard.Ensemble) (*Server, error) {
 	s := newServer(cfg, t)
-	v, err := newVersion(1, t, e, s.cfg.Seed, s.cfg.TierTimeout, !s.cfg.NoStepFusion)
+	v, err := newVersion(1, t, e, s.cfg.Seed, s.cfg.TierTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -506,7 +500,7 @@ func (s *Server) observeLatency(d time.Duration) {
 func (s *Server) Swap(m *core.Model) (int, error) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	v, err := newVersion(s.nextID+1, s.table, m, s.cfg.Seed, s.cfg.TierTimeout, !s.cfg.NoStepFusion)
+	v, err := newVersion(s.nextID+1, s.table, m, s.cfg.Seed, s.cfg.TierTimeout)
 	if err != nil {
 		return 0, err
 	}
@@ -522,7 +516,7 @@ func (s *Server) Swap(m *core.Model) (int, error) {
 func (s *Server) SwapEnsemble(e *shard.Ensemble) (int, error) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	v, err := newVersion(s.nextID+1, s.table, e, s.cfg.Seed, s.cfg.TierTimeout, !s.cfg.NoStepFusion)
+	v, err := newVersion(s.nextID+1, s.table, e, s.cfg.Seed, s.cfg.TierTimeout)
 	if err != nil {
 		return 0, err
 	}

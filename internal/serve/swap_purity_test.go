@@ -12,15 +12,15 @@ import (
 	"iam/internal/testutil"
 )
 
-// TestFusedSwapVersionPurity is the -race stress for step fusion under hot
-// swaps: two models with different parameters alternate as the served
-// version while concurrent clients keep several dispatch batches in flight,
-// so fused generations inside each model coalesce queries from different
-// batches — all while versions swap mid-storm. The invariant: every
-// batch-path answer is bit-identical to the solo baseline of the model its
-// version wraps. A fused generation that ever mixed model versions (or let
-// batch composition perturb a draw) would break the bitwise match.
-func TestFusedSwapVersionPurity(t *testing.T) {
+// TestSwapVersionPurity is the -race stress for batching under hot swaps:
+// two models with different parameters alternate as the served version
+// while concurrent clients keep several dispatch batches in flight, so
+// concurrent batches run inside each model while versions swap mid-storm.
+// The invariant: every batch-path answer is bit-identical to the solo
+// baseline of the model its version wraps. A batch that ever mixed model
+// versions (or let batch composition perturb a draw) would break the
+// bitwise match.
+func TestSwapVersionPurity(t *testing.T) {
 	mA, tbl := testModel(t)
 	cfgB := fixtureCfg()
 	cfgB.Seed = 8
@@ -30,8 +30,7 @@ func TestFusedSwapVersionPurity(t *testing.T) {
 	}
 	w := testutil.Workload(t, tbl, query.GenConfig{NumQueries: 8, Seed: 104})
 
-	// Per-model bitwise baselines, computed directly on each model (a fused
-	// run with one caller equals the unfused run; core pins that).
+	// Per-model bitwise baselines, computed directly on each model.
 	baseline := func(m *core.Model) []float64 {
 		ests := make([]float64, len(w.Queries))
 		for i, q := range w.Queries {
@@ -45,9 +44,8 @@ func TestFusedSwapVersionPurity(t *testing.T) {
 	}
 	baseA, baseB := baseline(mA), baseline(mB)
 
-	// Fusion is on by default (NoStepFusion zero value). Small batches and
-	// several in-flight slots force concurrent dispatches into the same
-	// model, which is what makes generations actually fuse.
+	// Small batches and several in-flight slots force concurrent dispatches
+	// into the same model.
 	s, err := New(Config{BatchWindow: time.Millisecond, MaxBatch: 4, MaxInFlight: 3}, tbl, mA)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +132,7 @@ func TestFusedSwapVersionPurity(t *testing.T) {
 			t.Fatalf("answer from unrecorded version %d", o.version)
 		}
 		if math.Float64bits(o.sel) != math.Float64bits(base[o.qi]) {
-			t.Fatalf("version %d query %d: fused answer %v != model baseline %v — fusion mixed versions or perturbed a draw",
+			t.Fatalf("version %d query %d: answer %v != model baseline %v — a batch mixed versions or perturbed a draw",
 				o.version, o.qi, o.sel, base[o.qi])
 		}
 	}

@@ -24,7 +24,6 @@ type served interface {
 	QuerySeed(q *query.Query) int64
 	// EstimateBatchSeeded estimates with caller-pinned per-query seeds.
 	EstimateBatchSeeded(qs []*query.Query, qseeds []int64) ([]float64, error)
-	SetStepFusion(on bool)
 	ReleaseWorkers()
 	Save(w io.Writer) error
 }
@@ -75,13 +74,8 @@ func (s *seededModel) EstimateBatch(qs []*query.Query) ([]float64, error) {
 	return s.m.EstimateBatchSeeded(qs, seeds)
 }
 
-// newVersion builds the standard production cascade pair around m and
-// applies the server's step-fusion setting to it. Fusion lives in the model,
-// not the version: two versions wrap two distinct model instances with
-// independent fusion queues, and dispatch loads one version per batch — so a
-// fused generation can only ever combine queries aimed at the same model.
-func newVersion(id int, t *dataset.Table, m served, seed int64, timeout time.Duration, stepFusion bool) (*version, error) {
-	m.SetStepFusion(stepFusion)
+// newVersion builds the standard production cascade pair around m.
+func newVersion(id int, t *dataset.Table, m served, seed int64, timeout time.Duration) (*version, error) {
 	samp, err := sampling.New(t, fallbackSampleSize, seed+5)
 	if err != nil {
 		return nil, fmt.Errorf("serve: version %d sampling tier: %w", id, err)

@@ -143,7 +143,7 @@ func (e *Ensemble) estimateMerge(st *state, qs []*query.Query, qseeds []int64) (
 		// Degenerate ensemble: the slot views the parent table itself, so
 		// queries pass through unrebound and shard 0's seed derivation is the
 		// identity — the whole path below would only re-derive the same call.
-		ests, err := e.estimateSlot(st.slots[0], qs, qseeds)
+		ests, err := e.estimateSlot(st.slots[0], qs, qseeds, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +156,7 @@ func (e *Ensemble) estimateMerge(st *state, qs []*query.Query, qseeds []int64) (
 	ms.prep(len(qs))
 	for _, slot := range st.slots {
 		sub, seeds := ms.rebindAll(slot, qs, qseeds)
-		ests, err := e.estimateSlot(slot, sub, seeds)
+		ests, err := e.estimateSlot(slot, sub, seeds, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -190,54 +190,28 @@ func (ms *mergeScratch) rebindAll(slot *shardSlot, qs []*query.Query, qseeds []i
 // estimateSlot runs one shard's batched estimate, degrading per shard to the
 // guard-cascade fallback (when configured) if the model errors, and per
 // query if the model returns a non-physical value — a stale or mid-swap
-// shard degrades gracefully instead of failing the whole merge.
+// shard degrades gracefully instead of failing the whole merge. A non-nil
+// varOut (the early-termination path) also receives each query's
+// progressive-sampling variance. Fallback answers are deterministic
+// sample/histogram scans and report variance 0 — they tighten the interval
+// rather than widening it, which only ever keeps *more* shards in the visit
+// (the conservative direction).
 //
 // iam:detsource the model path is a pure function of (model, qs, seeds); the guard fallback (whose deadline reads the clock) fires only after the model has already failed, i.e. outside the deterministic contract
-func (e *Ensemble) estimateSlot(slot *shardSlot, qs []*query.Query, seeds []int64) ([]float64, error) {
-	ests, err := slot.model.EstimateBatchSeeded(qs, seeds)
+func (e *Ensemble) estimateSlot(slot *shardSlot, qs []*query.Query, seeds []int64, varOut []float64) ([]float64, error) {
+	var ests, vars []float64
+	var err error
+	if varOut == nil {
+		ests, err = slot.model.EstimateBatchSeeded(qs, seeds)
+	} else {
+		ests, vars, err = slot.model.EstimateBatchVarSeeded(qs, seeds)
+	}
 	if err != nil {
 		if slot.fallback == nil {
 			return nil, err
 		}
+		clear(varOut)
 		return slot.fallback.EstimateBatch(qs)
-	}
-	for i, v := range ests {
-		if guard.Valid(v) {
-			continue
-		}
-		if slot.fallback == nil {
-			return nil, fmt.Errorf("shard: shard model returned invalid selectivity %v", v)
-		}
-		fixed, ferr := slot.fallback.Estimate(qs[i])
-		if ferr != nil {
-			return nil, ferr
-		}
-		ests[i] = fixed
-	}
-	return ests, nil
-}
-
-// estimateSlotVar is estimateSlot for the early-termination path: it also
-// returns each query's progressive-sampling variance. Fallback answers are
-// deterministic sample/histogram scans and report variance 0 — they tighten
-// the interval rather than widening it, which only ever keeps *more* shards
-// in the visit (the conservative direction).
-//
-// iam:detsource the model path is a pure function of (model, qs, seeds); the guard fallback (whose deadline reads the clock) fires only after the model has already failed, i.e. outside the deterministic contract
-func (e *Ensemble) estimateSlotVar(slot *shardSlot, qs []*query.Query, seeds []int64, varOut []float64) ([]float64, error) {
-	ests, vars, err := slot.model.EstimateBatchVarSeeded(qs, seeds)
-	if err != nil {
-		if slot.fallback == nil {
-			return nil, err
-		}
-		fb, ferr := slot.fallback.EstimateBatch(qs)
-		if ferr != nil {
-			return nil, ferr
-		}
-		for i := range varOut[:len(qs)] {
-			varOut[i] = 0
-		}
-		return fb, nil
 	}
 	copy(varOut, vars)
 	for i, v := range ests {
@@ -252,7 +226,9 @@ func (e *Ensemble) estimateSlotVar(slot *shardSlot, qs []*query.Query, seeds []i
 			return nil, ferr
 		}
 		ests[i] = fixed
-		varOut[i] = 0
+		if varOut != nil {
+			varOut[i] = 0
+		}
 	}
 	return ests, nil
 }
@@ -295,7 +271,7 @@ func (e *Ensemble) estimateEarlyStop(st *state, qs []*query.Query, qseeds []int6
 		}
 		slot := st.slots[si]
 		sub, seeds := ms.rebindActive(slot, qs, qseeds, active)
-		ests, err := e.estimateSlotVar(slot, sub, seeds, varBuf)
+		ests, err := e.estimateSlot(slot, sub, seeds, varBuf)
 		if err != nil {
 			return nil, err
 		}

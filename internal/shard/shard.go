@@ -119,8 +119,8 @@ type state struct {
 // Ensemble is a row-sharded IAM estimator. It implements
 // estimator.Estimator, estimator.BatchEstimator and estimator.Sizer, and
 // mirrors the core.Model serving surface (QuerySeed, EstimateBatchSeeded,
-// SetStepFusion, ReleaseWorkers, Save) so the serving layer can install an
-// ensemble wherever a single model fits.
+// ReleaseWorkers, Save) so the serving layer can install an ensemble
+// wherever a single model fits.
 type Ensemble struct {
 	table *dataset.Table
 	cfg   Config
@@ -129,10 +129,6 @@ type Ensemble struct {
 	// st is the current immutable state; estimates Load it once and work on
 	// that snapshot, so a concurrent ReplaceShard never tears a batch.
 	st atomic.Pointer[state]
-
-	// fusion remembers the serving layer's step-fusion setting so a
-	// hot-swapped shard model inherits it.
-	fusion atomic.Bool
 
 	// scratchMu guards the pool of merge scratches. It is a leaf lock: held
 	// only inside getScratch/putScratch, never across a model call.
@@ -353,7 +349,6 @@ func (e *Ensemble) ReplaceShard(si int, m *core.Model) error {
 		if m.Table() != prev.table {
 			return fmt.Errorf("shard: replacement for shard %d is bound to a different table", si)
 		}
-		m.SetStepFusion(e.fusion.Load())
 		slots := make([]*shardSlot, len(old.slots))
 		copy(slots, old.slots)
 		slots[si] = &shardSlot{
@@ -384,17 +379,6 @@ func (e *Ensemble) ShardModel(si int) *core.Model {
 // model would.
 func (e *Ensemble) QuerySeed(q *query.Query) int64 {
 	return e.st.Load().slots[0].model.QuerySeed(q)
-}
-
-// SetStepFusion switches step fusion on every shard model (and records the
-// setting for models installed later via ReplaceShard). Fusion only affects
-// the exhaustive-merge path — the variance-carrying early-termination path
-// bypasses it — and never changes answers either way.
-func (e *Ensemble) SetStepFusion(on bool) {
-	e.fusion.Store(on)
-	for _, slot := range e.st.Load().slots {
-		slot.model.SetStepFusion(on)
-	}
 }
 
 // ReleaseWorkers drops every shard model's pooled sessions and scratch

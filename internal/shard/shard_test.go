@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -281,11 +282,22 @@ func TestEarlyStopOffIsExhaustive(t *testing.T) {
 // the wrong table (every estimate against it errors — the stale-model
 // failure a hot swap can race into) and checks the guard cascade silently
 // answers that shard's contribution, while a fallback-less ensemble
-// surfaces the error.
+// surfaces the error. It runs on the exhaustive merge and on the early-stop
+// path, whose shard visits carry variances; with the default MinShards of
+// 2, every query visits the wedged slot 1.
 func TestFallbackAnswersForBrokenShard(t *testing.T) {
+	for _, relErr := range []float64{0, 0.2} {
+		t.Run(fmt.Sprintf("earlystop=%v", relErr), func(t *testing.T) {
+			testFallbackAnswersForBrokenShard(t, relErr)
+		})
+	}
+}
+
+func testFallbackAnswersForBrokenShard(t *testing.T, relErr float64) {
 	tb := dataset.SynthTWI(2400, 11)
 	const k = 3
 	cfg := testCfg(k)
+	cfg.EarlyStopRelErr = relErr
 	cfg.Fallback = true
 	cfg.FallbackSamples = 500
 	e := trainEnsemble(t, tb, cfg)
@@ -324,7 +336,9 @@ func TestFallbackAnswersForBrokenShard(t *testing.T) {
 	}
 
 	// Same wedge without fallbacks: the error must surface, not be hidden.
-	noFB := trainEnsemble(t, tb, testCfg(k))
+	noFBCfg := testCfg(k)
+	noFBCfg.EarlyStopRelErr = relErr
+	noFB := trainEnsemble(t, tb, noFBCfg)
 	st = noFB.st.Load()
 	slots = make([]*shardSlot, len(st.slots))
 	copy(slots, st.slots)
