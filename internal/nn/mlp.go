@@ -96,7 +96,7 @@ func (m *MLP) Forward(st *MLPState, in *vecmath.Matrix) {
 	last := len(m.layers) - 1
 	for li, l := range m.layers {
 		pre := vecmath.View(st.pre[li], st.B)
-		l.forward(pre, cur)
+		l.forward(pre, cur, nil)
 		next := vecmath.View(st.x[li+1], st.B)
 		if li == last {
 			copy(next.Data, pre.Data) // linear output

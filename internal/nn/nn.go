@@ -86,14 +86,22 @@ func newMaskedLinear(in, out int, mask *vecmath.Matrix, rng *rand.Rand) *maskedL
 	return l
 }
 
-// forward computes y = x·Wᵀ + b for batch x (B×in), y (B×out).
+// forward computes y = x·Wᵀ + b for batch x (B×in), y (B×out), over the
+// output units sel lists (every unit when sel is nil); the other columns of
+// y are left as they were.
 //
 // iam:noalloc
-func (l *maskedLinear) forward(y, x *vecmath.Matrix) {
-	vecmath.MatMulABT(y, x, l.w)
+func (l *maskedLinear) forward(y, x *vecmath.Matrix, sel []int) {
+	vecmath.MatMulABTRows(y, x, l.w, sel)
 	for r := 0; r < y.Rows; r++ {
 		row := y.Row(r)
-		for i := range row {
+		if sel == nil {
+			for i := range row {
+				row[i] += l.b[i]
+			}
+			continue
+		}
+		for _, i := range sel {
 			row[i] += l.b[i]
 		}
 	}
@@ -128,6 +136,17 @@ func (l *maskedLinear) adamStep(lr float64, step int, scale float64, g *layerGra
 	// Re-apply the mask: numerical drift must never leak through dead edges.
 	for i, m := range l.mask.Data {
 		l.w.Data[i] *= m
+	}
+}
+
+// zeroMasked clears every masked weight. Weights read from outside (a saved
+// model, a restored state) pass through it, so dead edges are exactly zero
+// whatever the source — the degree-pruned sampling forward relies on that.
+func (l *maskedLinear) zeroMasked() {
+	for i, m := range l.mask.Data {
+		if m == 0 {
+			l.w.Data[i] = 0
+		}
 	}
 }
 
@@ -169,6 +188,7 @@ type ResMADE struct {
 	mEmb, vEmb []*vecmath.Matrix
 	layers     []*maskedLinear
 	outLayer   *maskedLinear
+	cuts       []unitCut // per hidden layer, for the sampling forward
 	step       int
 	// gen counts parameter generations: every mutation of the weights
 	// (optimizer step, state restore, bias edit) bumps it, so cached
@@ -197,6 +217,41 @@ func hiddenDegree(j, nCols int) int {
 		return 1
 	}
 	return j%(nCols-1) + 1
+}
+
+// unitCut orders one hidden layer's units by MADE degree (ascending, ties by
+// index), so the units of degree ≤ c — all that column c's logits read,
+// through every layer — are the prefix order[:upTo[c]] and the rest are
+// order[upTo[c]:].
+type unitCut struct {
+	order []int
+	upTo  []int // upTo[c] = number of units of degree ≤ c, for each column c
+}
+
+func newUnitCut(width, nCols int) unitCut {
+	u := unitCut{upTo: make([]int, nCols)}
+	for d := 1; d < nCols; d++ {
+		for j := 0; j < width; j++ {
+			if hiddenDegree(j, nCols) == d {
+				u.order = append(u.order, j)
+			}
+		}
+		u.upTo[d] = len(u.order)
+	}
+	return u
+}
+
+// cut splits the units of hidden layer li into those column col's logits
+// depend on (keep) and the rest (skip). Both are nil when col reads every
+// unit.
+//
+// iam:noalloc
+func (n *ResMADE) cut(li, col int) (keep, skip []int) {
+	u := &n.cuts[li]
+	if k := u.upTo[col]; k < len(u.order) {
+		return u.order[:k], u.order[k:]
+	}
+	return nil, nil
 }
 
 // NewResMADE builds the network with MADE masks for cfg.Cards.
@@ -275,6 +330,7 @@ func NewResMADE(cfg Config) (*ResMADE, error) {
 		// Residual when widths match (degrees match by construction).
 		l.hasResidue = li > 0 && width == cfg.Hidden[li-1]
 		net.layers = append(net.layers, l)
+		net.cuts = append(net.cuts, newUnitCut(width, nCols))
 		prevDim = width
 		prevDeg = deg
 	}
@@ -345,8 +401,6 @@ type Session struct {
 	x      []*vecmath.Matrix // x[0]=embedded input, x[l+1]=output of layer l
 	pre    []*vecmath.Matrix // pre-activation of each hidden layer
 	logits *vecmath.Matrix
-	dx     []*vecmath.Matrix
-	dpre   []*vecmath.Matrix
 
 	// Reusable batch-view headers over the buffers above. The matmul kernels
 	// may fan work out to goroutines, so their operands escape; aiming these
@@ -373,6 +427,8 @@ type Session struct {
 	// accumulate independently, then the trainer merges them with ReduceGrads.
 	grads *Grads
 	gtmp  []*vecmath.Matrix // per-layer out×in backward scratch (then outLayer)
+	dx    []*vecmath.Matrix // backward activation gradients, shaped like x
+	dpre  []*vecmath.Matrix // backward pre-activation gradients, shaped like pre
 	probs []float64         // softmax scratch for CrossEntropyGrad
 
 	forwardedRows int // lifetime row count across Forward calls
@@ -387,17 +443,15 @@ func (n *ResMADE) NewSession(maxBatch int) *Session {
 	}
 	for _, d := range dims {
 		s.x = append(s.x, vecmath.NewMatrix(maxBatch, d))
-		s.dx = append(s.dx, vecmath.NewMatrix(maxBatch, d))
 	}
 	for _, l := range n.layers {
 		s.pre = append(s.pre, vecmath.NewMatrix(maxBatch, l.out))
-		s.dpre = append(s.dpre, vecmath.NewMatrix(maxBatch, l.out))
 	}
 	s.logits = vecmath.NewMatrix(maxBatch, n.outDim)
 	s.xV = make([]vecmath.Matrix, len(s.x))
-	s.dxV = make([]vecmath.Matrix, len(s.dx))
+	s.dxV = make([]vecmath.Matrix, len(s.x))
 	s.preV = make([]vecmath.Matrix, len(s.pre))
-	s.dpreV = make([]vecmath.Matrix, len(s.dpre))
+	s.dpreV = make([]vecmath.Matrix, len(s.pre))
 	s.buf = make([][]int, maxBatch)
 	backing := make([]int, maxBatch*n.NumCols())
 	for i := range s.buf {
@@ -441,28 +495,73 @@ func (s *Session) Forward(rows [][]int) {
 	cur := x0
 	for li, l := range n.layers {
 		pre := vecmath.ViewInto(&s.preV[li], s.pre[li], s.B)
-		l.forward(pre, cur)
+		l.forward(pre, cur, nil)
 		next := vecmath.ViewInto(&s.xV[li+1], s.x[li+1], s.B)
-		if l.hasResidue {
-			for i, v := range pre.Data {
-				if v > 0 {
-					next.Data[i] = v + cur.Data[i]
-				} else {
-					next.Data[i] = cur.Data[i]
-				}
-			}
-		} else {
-			for i, v := range pre.Data {
-				if v > 0 {
-					next.Data[i] = v
-				} else {
-					next.Data[i] = 0
-				}
-			}
-		}
+		activate(next, pre, residue(l, cur), nil, nil)
 		cur = next
 	}
-	n.outLayer.forward(vecmath.ViewInto(&s.logitsV, s.logits, s.B), cur)
+	n.outLayer.forward(vecmath.ViewInto(&s.logitsV, s.logits, s.B), cur, nil)
+}
+
+// residue returns the residual input of layer l — its input activation cur
+// when the layer has a residual connection, nil otherwise.
+func residue(l *maskedLinear, cur *vecmath.Matrix) *vecmath.Matrix {
+	if l.hasResidue {
+		return cur
+	}
+	return nil
+}
+
+// activate writes a hidden layer's output: next = ReLU(pre) (+ res, the
+// residual input, when non-nil) for the units keep lists, and exactly 0 for
+// the units skip lists. A nil keep covers every unit.
+//
+// iam:noalloc
+func activate(next, pre, res *vecmath.Matrix, keep, skip []int) {
+	if keep == nil {
+		if res != nil {
+			for i, v := range pre.Data {
+				if v > 0 {
+					next.Data[i] = v + res.Data[i]
+				} else {
+					next.Data[i] = res.Data[i]
+				}
+			}
+			return
+		}
+		for i, v := range pre.Data {
+			if v > 0 {
+				next.Data[i] = v
+			} else {
+				next.Data[i] = 0
+			}
+		}
+		return
+	}
+	for r := 0; r < next.Rows; r++ {
+		nrow, prow := next.Row(r), pre.Row(r)
+		for _, j := range skip {
+			nrow[j] = 0
+		}
+		if res == nil {
+			for _, j := range keep {
+				if v := prow[j]; v > 0 {
+					nrow[j] = v
+				} else {
+					nrow[j] = 0
+				}
+			}
+			continue
+		}
+		rrow := res.Row(r)
+		for _, j := range keep {
+			if v := prow[j]; v > 0 {
+				nrow[j] = v + rrow[j]
+			} else {
+				nrow[j] = rrow[j]
+			}
+		}
+	}
 }
 
 // ForwardedRows returns the cumulative number of rows this session has pushed
@@ -488,6 +587,12 @@ func (s *Session) ensureGrads() *Grads {
 		s.grads = s.net.NewGrads()
 		for _, l := range s.net.allLayers() {
 			s.gtmp = append(s.gtmp, vecmath.NewMatrix(l.out, l.in))
+		}
+		for _, x := range s.x {
+			s.dx = append(s.dx, vecmath.NewMatrix(s.maxBatch, x.Cols))
+		}
+		for _, p := range s.pre {
+			s.dpre = append(s.dpre, vecmath.NewMatrix(s.maxBatch, p.Cols))
 		}
 	}
 	return s.grads

@@ -338,6 +338,35 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadZeroesMaskedWeights: a model file carrying nonzero weights on
+// masked (dead) edges loads with those edges at exactly zero, as training
+// keeps them — the degree-pruned sampling forward relies on it.
+func TestLoadZeroesMaskedWeights(t *testing.T) {
+	net := smallNet(t, []int{4, 5, 6}, 20)
+	for _, l := range net.allLayers() {
+		for i, m := range l.mask.Data {
+			if m == 0 {
+				l.w.Data[i] = -1.5
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := net.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, l := range loaded.allLayers() {
+		for i, m := range l.mask.Data {
+			if m == 0 && math.Float64bits(l.w.Data[i]) != 0 {
+				t.Fatalf("layer %d masked weight %d loaded as %v, want +0", li, i, l.w.Data[i])
+			}
+		}
+	}
+}
+
 func TestParamCountAndSize(t *testing.T) {
 	net := smallNet(t, []int{4, 4}, 19)
 	pc := net.ParamCount()

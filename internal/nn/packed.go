@@ -91,10 +91,12 @@ func (n *ResMADE) NewSamplingPlan(live []bool) *SamplingPlan {
 }
 
 // ForwardSampling runs the packed inference forward for sampling column col:
-// packed first layer via plan, dense hidden layers, and the output layer
+// packed first layer via plan, then the hidden layers, each computing only
+// the units of degree ≤ col (the rest are exactly 0), and the output layer
 // restricted to col's logit rows (identical accumulation chains to the dense
 // output layer, so the restricted logits are bit-equal to Session.Forward's
-// for the same activations). Each wildcard column's code in rows is ignored
+// for the same activations). The degree cut moves no bit: a skipped unit
+// reaches col's logits only through masked weights, which are exactly zero. Each wildcard column's code in rows is ignored
 // — the plan's precomputed Part stands in for it. Afterwards Dist serves
 // only column col, until the next Forward or ForwardSampling.
 //
@@ -138,40 +140,23 @@ func (s *Session) ForwardSampling(rows [][]int, plan *SamplingPlan, col int) {
 		}
 	}
 
+	// Column col's logits read only the hidden units of degree ≤ col, and
+	// those read only lower-layer units of degree ≤ col, so every other unit
+	// is skipped and left at exactly 0 (see DESIGN.md §12).
 	pre0 := vecmath.ViewInto(&s.preV[0], s.pre[0], b)
-	vecmath.MatMulPacked(pre0, xp, plan.w, n.layers[0].b, plan.steps)
+	keep, skip := n.cut(0, col)
+	vecmath.MatMulPacked(pre0, xp, plan.w, n.layers[0].b, plan.steps, keep)
 	cur := vecmath.ViewInto(&s.xV[1], s.x[1], b)
 	// The first layer never has a residual connection (hasResidue starts at
 	// layer 1), so this is a plain ReLU.
-	for i, v := range pre0.Data {
-		if v > 0 {
-			cur.Data[i] = v
-		} else {
-			cur.Data[i] = 0
-		}
-	}
+	activate(cur, pre0, nil, keep, skip)
 	for li := 1; li < len(n.layers); li++ {
 		l := n.layers[li]
+		keep, skip := n.cut(li, col)
 		pre := vecmath.ViewInto(&s.preV[li], s.pre[li], b)
-		l.forward(pre, cur)
+		l.forward(pre, cur, keep)
 		next := vecmath.ViewInto(&s.xV[li+1], s.x[li+1], b)
-		if l.hasResidue {
-			for i, v := range pre.Data {
-				if v > 0 {
-					next.Data[i] = v + cur.Data[i]
-				} else {
-					next.Data[i] = cur.Data[i]
-				}
-			}
-		} else {
-			for i, v := range pre.Data {
-				if v > 0 {
-					next.Data[i] = v
-				} else {
-					next.Data[i] = 0
-				}
-			}
-		}
+		activate(next, pre, residue(l, cur), keep, skip)
 		cur = next
 	}
 

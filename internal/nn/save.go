@@ -61,6 +61,7 @@ func Load(r io.Reader) (*ResMADE, error) {
 		}
 		copy(l.w.Data, snap.Weights[i])
 		copy(l.b, snap.Biases[i])
+		l.zeroMasked()
 	}
 	last := len(net.layers)
 	if len(snap.Weights[last]) != len(net.outLayer.w.Data) {
@@ -68,5 +69,6 @@ func Load(r io.Reader) (*ResMADE, error) {
 	}
 	copy(net.outLayer.w.Data, snap.Weights[last])
 	copy(net.outLayer.b, snap.Biases[last])
+	net.outLayer.zeroMasked()
 	return net, nil
 }

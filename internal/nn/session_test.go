@@ -87,3 +87,27 @@ func TestFitEarlyStop(t *testing.T) {
 		t.Fatalf("early stop broken: calls=%d losses=%d", calls, len(losses))
 	}
 }
+
+// TestInferenceSessionHoldsNoGradients: a session that only runs forwards
+// (dense and sampling) never allocates gradient or backward buffers; the
+// first Backward does.
+func TestInferenceSessionHoldsNoGradients(t *testing.T) {
+	cards := []int{4, 6, 5}
+	net := smallNet(t, cards, 57)
+	sess := net.NewSession(8)
+	rows := randRows(8, cards, rand.New(rand.NewSource(58)))
+	sess.Forward(rows)
+	plan := net.NewSamplingPlan([]bool{true, false, true})
+	for col := range cards {
+		sess.ForwardSampling(rows, plan, col)
+	}
+	if sess.grads != nil || sess.gtmp != nil || sess.dx != nil || sess.dpre != nil {
+		t.Fatal("inference-only session allocated gradient buffers")
+	}
+	sess.Forward(rows)
+	sess.ZeroGrad()
+	sess.Backward(sess.AllLogits())
+	if sess.grads == nil || len(sess.dx) != len(sess.x) || len(sess.dpre) != len(sess.pre) {
+		t.Fatal("Backward did not allocate its buffers")
+	}
+}

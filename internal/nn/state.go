@@ -80,6 +80,7 @@ func (n *ResMADE) RestoreState(st *TrainState) error {
 			return fmt.Errorf("nn: train state layer %d size mismatch", i)
 		}
 		copy(l.w.Data, st.Weights[i])
+		l.zeroMasked()
 		copy(l.b, st.Biases[i])
 		copy(l.mw.Data, st.WM[i])
 		copy(l.vw.Data, st.WV[i])

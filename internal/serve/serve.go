@@ -380,8 +380,9 @@ func (s *Server) dispatch(batch []*request) {
 	live := make([]*request, 0, len(batch))
 	for _, r := range batch {
 		if r.ctx.Err() != nil {
-			s.deadlineFB.Add(1)
-			s.answerCheap(v, r, SourceDeadline)
+			if s.answerCheap(v, r, SourceDeadline) {
+				s.deadlineFB.Add(1)
+			}
 			continue
 		}
 		live = append(live, r)
@@ -409,8 +410,11 @@ func (s *Server) dispatch(batch []*request) {
 			select {
 			case <-batchDone:
 			case <-r.ctx.Done():
-				s.deadlineFB.Add(1)
-				s.answerCheap(v, r, SourceDeadline)
+				// The batch may have answered r already, its caller then
+				// cancelling the context: count only an answer delivered here.
+				if s.answerCheap(v, r, SourceDeadline) {
+					s.deadlineFB.Add(1)
+				}
 			}
 		}(r)
 	}
@@ -457,17 +461,16 @@ func (s *Server) batchContext(live []*request) (context.Context, context.CancelF
 }
 
 // answerCheap answers r from the version's cheap fallback cascade, unless
-// it has already been answered.
-func (s *Server) answerCheap(v *version, r *request, source string) {
+// it has already been answered. Reports whether this answer was delivered.
+func (s *Server) answerCheap(v *version, r *request, source string) bool {
 	if r.answered.Load() {
-		return
+		return false
 	}
 	sel, err := v.fallback.Estimate(r.q)
 	if err != nil {
-		r.answer(Result{Err: fmt.Errorf("serve: fallback tier failed: %w", err), Source: source, Version: v.id})
-		return
+		return r.answer(Result{Err: fmt.Errorf("serve: fallback tier failed: %w", err), Source: source, Version: v.id})
 	}
-	r.answer(Result{Selectivity: sel, Source: source, Version: v.id})
+	return r.answer(Result{Selectivity: sel, Source: source, Version: v.id})
 }
 
 // observeLatency folds one model-batch latency into the EWMA and flips shed

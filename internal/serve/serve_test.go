@@ -217,6 +217,37 @@ func TestServerDeadlinePartialBatch(t *testing.T) {
 	}
 }
 
+// TestServerDeadlineFallbacksNotOvercounted: a request answered by its batch
+// whose context is cancelled right after Estimate returns (as an HTTP
+// handler's is) must not count as a deadline fallback, even when its
+// watchdog only wakes once both the batch and the cancellation are done.
+func TestServerDeadlineFallbacksNotOvercounted(t *testing.T) {
+	_, tbl := testModel(t)
+	s, err := NewInjected(Config{
+		MaxBatch:    1,
+		BatchWindow: time.Millisecond,
+	}, tbl, &faultinject.ConstEstimator{Value: 0.5}, &faultinject.ConstEstimator{Value: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := testutil.Workload(t, tbl, query.GenConfig{NumQueries: 1, Seed: 97}).Queries[0]
+	for i := 0; i < 200; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		res, err := s.Estimate(ctx, q)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Source != SourceBatch {
+			t.Fatalf("request %d answered by %q, want %q", i, res.Source, SourceBatch)
+		}
+	}
+	mustClose(t, s) // waits for every dispatch and its watchdogs
+	if st := s.Stats(); st.DeadlineFallbacks != 0 {
+		t.Fatalf("%d deadline fallbacks counted, but every request was answered by its batch", st.DeadlineFallbacks)
+	}
+}
+
 // TestServerShedMode drives the EWMA over the shed threshold with a slow
 // primary and checks the server degrades to the cheap tier instead of
 // queueing behind the model.

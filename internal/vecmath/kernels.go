@@ -127,45 +127,67 @@ func matMulATBBlock(dst, a, b *Matrix, lo, hi int) {
 // pass — this is the hottest kernel of the neural-network engine.
 //
 // iam:noalloc
-func MatMulABT(dst, a, b *Matrix) {
+func MatMulABT(dst, a, b *Matrix) { MatMulABTRows(dst, a, b, nil) }
+
+// MatMulABTRows is MatMulABT restricted to the output columns sel lists
+// (row indices of b): dst[i][j] = a_i·b_j for every j in sel, and every other
+// column of dst is left as it was. Each computed element accumulates through
+// exactly the chain MatMulABT gives it, so a selected output is bit-identical
+// to the full product's. A nil sel computes every column.
+//
+// iam:noalloc
+func MatMulABTRows(dst, a, b *Matrix, sel []int) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("vecmath: matmulABT shape mismatch")
 	}
-	nw, chunk, sem := parPlan(a.Rows, a.Cols*b.Rows)
+	m := b.Rows
+	if sel != nil {
+		m = len(sel)
+	}
+	if m == 0 {
+		return
+	}
+	nw, chunk, sem := parPlan(a.Rows, a.Cols*m)
 	if nw <= 1 {
-		matMulABTBlock(dst, a, b, 0, a.Rows)
+		matMulABTBlock(dst, a, b, sel, 0, a.Rows)
 		return
 	}
 	//lint:ignore noalloc parallel-path closure, amortized over targetChunkFlops of work per helper
-	fanOut(a.Rows, chunk, sem, func(lo, hi int) { matMulABTBlock(dst, a, b, lo, hi) })
+	fanOut(a.Rows, chunk, sem, func(lo, hi int) { matMulABTBlock(dst, a, b, sel, lo, hi) })
 }
 
-// matMulABTBlock computes rows [lo, hi) of dst = a·bᵀ. b is consumed in
-// panels of jBlockABT rows that stay cache-resident while the a rows of the
-// block stream past. The register tile is 2 a-rows × 2 b-rows × 4 lanes
+// matMulABTBlock computes rows [lo, hi) of dst = a·bᵀ, over the b rows sel
+// lists (all of them when sel is nil). b is consumed in panels of jBlockABT
+// selected rows that stay cache-resident while the a rows of the block
+// stream past. The register tile is 2 a-rows × 2 b-rows × 4 lanes
 // (sixteen accumulators): each pass over the reduction produces four output
 // elements, so every load of an a or b element feeds two chains. Each
 // individual output element still accumulates through the exact four-lane
 // chain of the untiled kernel — the tile widens reuse, never reassociates —
 // so the naive-reference bit tests hold for every tile path.
-func matMulABTBlock(dst, a, b *Matrix, lo, hi int) {
+func matMulABTBlock(dst, a, b *Matrix, sel []int, lo, hi int) {
 	c := a.Cols
 	c4 := c - c%4
-	for j0 := 0; j0 < b.Rows; j0 += jBlockABT {
-		j1 := j0 + jBlockABT
-		if j1 > b.Rows {
-			j1 = b.Rows
-		}
+	m := b.Rows
+	if sel != nil {
+		m = len(sel)
+	}
+	for t0 := 0; t0 < m; t0 += jBlockABT {
+		t1 := min(t0+jBlockABT, m)
 		i := lo
 		for ; i+1 < hi; i += 2 {
 			arow := a.Row(i)
 			crow := a.Row(i + 1)
 			drow := dst.Row(i)
 			erow := dst.Row(i + 1)
-			j := j0
-			for ; j+1 < j1; j += 2 {
+			t := t0
+			for ; t+1 < t1; t += 2 {
+				j, jn := t, t+1
+				if sel != nil {
+					j, jn = sel[t], sel[t+1]
+				}
 				b0 := b.Row(j)
-				b1 := b.Row(j + 1)
+				b1 := b.Row(jn)
 				var p0, p1, p2, p3 float64
 				var q0, q1, q2, q3 float64
 				var r0, r1, r2, r3 float64
@@ -204,11 +226,15 @@ func matMulABTBlock(dst, a, b *Matrix, lo, hi int) {
 					s += c0 * b1[k]
 				}
 				drow[j] = p
-				drow[j+1] = q
+				drow[jn] = q
 				erow[j] = r
-				erow[j+1] = s
+				erow[jn] = s
 			}
-			for ; j < j1; j++ {
+			for ; t < t1; t++ {
+				j := t
+				if sel != nil {
+					j = sel[t]
+				}
 				brow := b.Row(j)
 				var p0, p1, p2, p3 float64
 				var r0, r1, r2, r3 float64
@@ -236,10 +262,14 @@ func matMulABTBlock(dst, a, b *Matrix, lo, hi int) {
 		for ; i < hi; i++ {
 			arow := a.Row(i)
 			drow := dst.Row(i)
-			j := j0
-			for ; j+1 < j1; j += 2 {
+			t := t0
+			for ; t+1 < t1; t += 2 {
+				j, jn := t, t+1
+				if sel != nil {
+					j, jn = sel[t], sel[t+1]
+				}
 				b0 := b.Row(j)
-				b1 := b.Row(j + 1)
+				b1 := b.Row(jn)
 				var p0, p1, p2, p3 float64
 				var q0, q1, q2, q3 float64
 				for k := 0; k < c4; k += 4 {
@@ -260,9 +290,13 @@ func matMulABTBlock(dst, a, b *Matrix, lo, hi int) {
 					q += arow[k] * b1[k]
 				}
 				drow[j] = p
-				drow[j+1] = q
+				drow[jn] = q
 			}
-			for ; j < j1; j++ {
+			for ; t < t1; t++ {
+				j := t
+				if sel != nil {
+					j = sel[t]
+				}
 				brow := b.Row(j)
 				var s0, s1, s2, s3 float64
 				for k := 0; k < c4; k += 4 {

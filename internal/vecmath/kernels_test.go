@@ -137,6 +137,67 @@ func TestBlockedKernelsBitIdenticalToNaive(t *testing.T) {
 	}
 }
 
+// randSel draws a random subset of [0, m) in random order — empty, full and
+// odd-length subsets included — for the row-selecting kernels.
+func randSel(m int, rng *rand.Rand) []int {
+	perm := rng.Perm(m)
+	return perm[:rng.Intn(m+1)]
+}
+
+func filledMat(rows, cols int, v float64) *Matrix {
+	m := NewMatrix(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = v
+	}
+	return m
+}
+
+// selectedBitEqual checks a row-selecting kernel's output: the selected
+// columns of got match full bit-for-bit, and every other column still holds
+// the sentinel it was filled with.
+func selectedBitEqual(t *testing.T, name string, got, full *Matrix, sel []int, sentinel float64) {
+	t.Helper()
+	picked := make([]bool, full.Cols)
+	for _, j := range sel {
+		picked[j] = true
+	}
+	for i := 0; i < full.Rows; i++ {
+		for j := 0; j < full.Cols; j++ {
+			want := sentinel
+			if picked[j] {
+				want = full.Row(i)[j]
+			}
+			if math.Float64bits(got.Row(i)[j]) != math.Float64bits(want) {
+				t.Fatalf("%s: [%d][%d] = %v, want %v (selected %v)", name, i, j, got.Row(i)[j], want, picked[j])
+			}
+		}
+	}
+}
+
+// TestMatMulABTRowsMatchesFull: every selected output of MatMulABTRows is
+// bit-identical to the full MatMulABT product, and unselected outputs are
+// never written — the contract the degree-pruned sampling forward rests on.
+func TestMatMulABTRowsMatchesFull(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		prev := Parallelism(par)
+		rng := rand.New(rand.NewSource(13))
+		for _, sh := range kernelShapes {
+			n, k, m := sh[0], sh[1], sh[2]
+			a := randMat(n, k, rng)
+			b := randMat(m, k, rng)
+			full := NewMatrix(n, m)
+			MatMulABT(full, a, b)
+			for trial := 0; trial < 4; trial++ {
+				sel := randSel(m, rng)
+				got := filledMat(n, m, -7)
+				MatMulABTRows(got, a, b, sel)
+				selectedBitEqual(t, "MatMulABTRows", got, full, sel, -7)
+			}
+		}
+		Parallelism(prev)
+	}
+}
+
 // TestParallelKernelsConcurrent runs many large matmuls from several
 // goroutines at once: the bounded pool must neither deadlock nor mix up
 // outputs when every caller competes for the same worker budget.
@@ -211,6 +272,10 @@ func TestSerialMatMulNoAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { MatMulABT(dst, a, bt) }); n > 0 {
 		t.Fatalf("serial MatMulABT allocates %v per op", n)
+	}
+	sel := []int{79, 3, 40, 41, 0}
+	if n := testing.AllocsPerRun(20, func() { MatMulABTRows(dst, a, bt, sel) }); n > 0 {
+		t.Fatalf("serial MatMulABTRows allocates %v per op", n)
 	}
 	if n := testing.AllocsPerRun(20, func() { MatMulATB(dstATB, a, b2) }); n > 0 {
 		t.Fatalf("serial MatMulATB allocates %v per op", n)

@@ -55,10 +55,13 @@ func PackedBlockDot(w, x []float64) float64 {
 // MatMulPacked computes dst[r][o] = bias[o] + Σ_steps contribution(r, o),
 // with x holding the packed input rows (x.Cols == w.Cols == the packed
 // dimension, which may be 0 when every column is a wildcard) and w the
-// packed weight panel (one row per output). dst must be x.Rows×w.Rows.
+// packed weight panel (one row per output). dst must be x.Rows×w.Rows. Only
+// the outputs sel lists are computed — every other column of dst is left as
+// it was — and each keeps the chain it has in the full product; a nil sel
+// computes every output.
 //
 // iam:noalloc
-func MatMulPacked(dst, x, w *Matrix, bias []float64, steps []PackedStep) {
+func MatMulPacked(dst, x, w *Matrix, bias []float64, steps []PackedStep, sel []int) {
 	if x.Cols != w.Cols || dst.Rows != x.Rows || dst.Cols != w.Rows || len(bias) != w.Rows {
 		panic("vecmath: matmulPacked shape mismatch")
 	}
@@ -71,34 +74,49 @@ func MatMulPacked(dst, x, w *Matrix, bias []float64, steps []PackedStep) {
 			panic("vecmath: packed step part length mismatch")
 		}
 	}
-	nw, chunk, sem := parPlan(x.Rows, w.Cols*w.Rows+w.Rows)
+	m := w.Rows
+	if sel != nil {
+		m = len(sel)
+	}
+	if m == 0 {
+		return
+	}
+	nw, chunk, sem := parPlan(x.Rows, w.Cols*m+m)
 	if nw <= 1 {
-		matMulPackedBlock(dst, x, w, bias, steps, 0, x.Rows)
+		matMulPackedBlock(dst, x, w, bias, steps, sel, 0, x.Rows)
 		return
 	}
 	//lint:ignore noalloc parallel-path closure, amortized over targetChunkFlops of work per helper
-	fanOut(x.Rows, chunk, sem, func(lo, hi int) { matMulPackedBlock(dst, x, w, bias, steps, lo, hi) })
+	fanOut(x.Rows, chunk, sem, func(lo, hi int) { matMulPackedBlock(dst, x, w, bias, steps, sel, lo, hi) })
 }
 
-// matMulPackedBlock computes rows [lo, hi) of the packed forward. Two
-// outputs are produced per pass so each packed input element feeds two
-// four-lane accumulator chains, mirroring the MatMulABT micro-kernel.
-func matMulPackedBlock(dst, x, w *Matrix, bias []float64, steps []PackedStep, lo, hi int) {
-	out := w.Rows
+// matMulPackedBlock computes rows [lo, hi) of the packed forward, over the
+// outputs sel lists (all of them when sel is nil). Two outputs are produced
+// per pass so each packed input element feeds two four-lane accumulator
+// chains, mirroring the MatMulABT micro-kernel.
+func matMulPackedBlock(dst, x, w *Matrix, bias []float64, steps []PackedStep, sel []int, lo, hi int) {
+	m := w.Rows
+	if sel != nil {
+		m = len(sel)
+	}
 	for r := lo; r < hi; r++ {
 		xrow := x.Row(r)
 		drow := dst.Row(r)
-		o := 0
-		for ; o+1 < out; o += 2 {
+		t := 0
+		for ; t+1 < m; t += 2 {
+			o, on := t, t+1
+			if sel != nil {
+				o, on = sel[t], sel[t+1]
+			}
 			w0 := w.Row(o)
-			w1 := w.Row(o + 1)
+			w1 := w.Row(on)
 			p := bias[o]
-			q := bias[o+1]
+			q := bias[on]
 			for si := range steps {
 				if steps[si].Width == 0 {
 					part := steps[si].Part
 					p += part[o]
-					q += part[o+1]
+					q += part[on]
 					continue
 				}
 				k0 := steps[si].Off
@@ -127,9 +145,13 @@ func matMulPackedBlock(dst, x, w *Matrix, bias []float64, steps []PackedStep, lo
 				q += qs
 			}
 			drow[o] = p
-			drow[o+1] = q
+			drow[on] = q
 		}
-		for ; o < out; o++ {
+		for ; t < m; t++ {
+			o := t
+			if sel != nil {
+				o = sel[t]
+			}
 			wo := w.Row(o)
 			p := bias[o]
 			for si := range steps {

@@ -79,10 +79,38 @@ func TestMatMulPackedBitIdenticalToNaive(t *testing.T) {
 						bias[o] = rng.NormFloat64()
 					}
 					got, want := NewMatrix(rows, out), NewMatrix(rows, out)
-					MatMulPacked(got, x, w, bias, steps)
+					MatMulPacked(got, x, w, bias, steps, nil)
 					naiveMatMulPacked(want, x, w, bias, steps)
 					bitEqual(t, "MatMulPacked", got, want)
 				}
+			}
+		}
+		Parallelism(prev)
+	}
+}
+
+// TestMatMulPackedSelectedMatchesFull: a selected packed forward writes
+// exactly the listed outputs, each bit-identical to the full kernel's.
+func TestMatMulPackedSelectedMatchesFull(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		prev := Parallelism(par)
+		rng := rand.New(rand.NewSource(45))
+		for _, out := range []int{1, 2, 7, 64, 129} {
+			for trial := 0; trial < 4; trial++ {
+				steps, dim := randSchedule(5, out, uint(rng.Intn(1<<5)), rng)
+				rows := 1 + rng.Intn(97)
+				x := randMat(rows, dim, rng)
+				w := randMat(out, dim, rng)
+				bias := make([]float64, out)
+				for o := range bias {
+					bias[o] = rng.NormFloat64()
+				}
+				full := NewMatrix(rows, out)
+				MatMulPacked(full, x, w, bias, steps, nil)
+				sel := randSel(out, rng)
+				got := filledMat(rows, out, -7)
+				MatMulPacked(got, x, w, bias, steps, sel)
+				selectedBitEqual(t, "MatMulPacked selected", got, full, sel, -7)
 			}
 		}
 		Parallelism(prev)
@@ -106,7 +134,7 @@ func TestMatMulPackedAllWild(t *testing.T) {
 		bias[o] = rng.NormFloat64()
 	}
 	dst := NewMatrix(5, out)
-	MatMulPacked(dst, x, w, bias, steps)
+	MatMulPacked(dst, x, w, bias, steps, nil)
 	for o := 0; o < out; o++ {
 		want := bias[o]
 		for _, st := range steps {
@@ -134,7 +162,7 @@ func TestMatMulPackedSingleStepMatchesABT(t *testing.T) {
 		bias := make([]float64, out)
 		steps := []PackedStep{{Off: 0, Width: dim}}
 		got, want := NewMatrix(rows, out), NewMatrix(rows, out)
-		MatMulPacked(got, x, w, bias, steps)
+		MatMulPacked(got, x, w, bias, steps, nil)
 		MatMulABT(want, x, w)
 		bitEqual(t, "MatMulPacked vs MatMulABT", got, want)
 	}
@@ -177,8 +205,12 @@ func TestSerialMatMulPackedNoAlloc(t *testing.T) {
 	w := randMat(64, dim, rng)
 	bias := make([]float64, 64)
 	dst := NewMatrix(48, 64)
-	if n := testing.AllocsPerRun(20, func() { MatMulPacked(dst, x, w, bias, steps) }); n > 0 {
+	if n := testing.AllocsPerRun(20, func() { MatMulPacked(dst, x, w, bias, steps, nil) }); n > 0 {
 		t.Fatalf("serial MatMulPacked allocates %v per op", n)
+	}
+	sel := []int{63, 0, 17, 18, 5}
+	if n := testing.AllocsPerRun(20, func() { MatMulPacked(dst, x, w, bias, steps, sel) }); n > 0 {
+		t.Fatalf("serial selected MatMulPacked allocates %v per op", n)
 	}
 }
 
