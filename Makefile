@@ -11,7 +11,7 @@ BENCH_PATTERN = ^(BenchmarkEstimateBatch|BenchmarkResMADEForward256|BenchmarkMat
 TRAIN_BENCH_PATTERN = ^(BenchmarkTrainJoint|BenchmarkShardedTrain)$$
 SERVE_BENCH_PATTERN = ^BenchmarkServeLatency$$
 
-.PHONY: build test test-short lint lint-warn lint-fix lint-json lint-det lint-graph noalloc-check vet bench-json bench-json-estimate bench-json-train bench-json-serve clean
+.PHONY: build test test-short lint lint-warn lint-fix lint-json lint-det lint-graph noalloc-check bench-json bench-json-estimate bench-json-train bench-json-serve
 
 build:
 	$(GO) build ./...
@@ -22,11 +22,11 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# lint is the blocking gate: error-severity findings only, fact cache on.
+# lint is the blocking gate: error-severity findings only.
 lint:
 	$(GO) run ./cmd/iamlint ./...
 
-# lint-warn is the nightly sweep view: warn-tier findings included.
+# lint-warn includes the warn-tier findings.
 lint-warn:
 	$(GO) run ./cmd/iamlint -severity=warn ./...
 
@@ -39,8 +39,7 @@ lint-json:
 	$(GO) run ./cmd/iamlint -json -severity=warn ./...
 
 # lint-det runs just the two taint analyzers (detflow + numflow) for a fast
-# determinism/numeric-safety sweep with witness call paths. -checks bypasses
-# the fact cache, so this always re-walks the graph.
+# determinism/numeric-safety sweep with witness call paths.
 lint-det:
 	$(GO) run ./cmd/iamlint -checks=detflow,numflow ./...
 
@@ -87,11 +86,3 @@ bench-json-serve:
 		./internal/serve > .bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_serve.json < .bench.out
 	rm -f .bench.out
-
-# vet runs iamlint through the go vet driver, exercising the -vettool path.
-vet:
-	$(GO) build -o .iamlint/iamlint-vettool ./cmd/iamlint
-	$(GO) vet -vettool=$(CURDIR)/.iamlint/iamlint-vettool ./...
-
-clean:
-	rm -rf .iamlint

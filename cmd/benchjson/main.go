@@ -92,9 +92,9 @@ func main() {
 
 func run(r io.Reader, out string) error {
 	bf := benchFile{
-		Go:     runtime.Version(),
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
+		Go:       runtime.Version(),
+		GOOS:     runtime.GOOS,
+		GOARCH:   runtime.GOARCH,
 		GitSHA:   gitSHA(),
 		GitDirty: gitDirty(),
 		NumCPU:   runtime.NumCPU(),

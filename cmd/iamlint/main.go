@@ -7,34 +7,19 @@
 // Package patterns follow a subset of the go tool's syntax: "./..." (the
 // default), "<dir>/...", or plain directory / import paths. The exit code is
 // 0 when the tree is clean at the selected severity, 1 when diagnostics were
-// reported, and 2 when the source could not be loaded.
+// reported, and 2 for an unknown check, a pattern that matches no package, or
+// source that could not be loaded.
 //
 // Flags:
 //
 //	-severity error|warn  minimum severity to report (default error;
-//	                      the nightly CI sweep runs -severity=warn)
+//	                      make lint-warn runs -severity=warn)
 //	-fix                  apply mechanically safe suggested fixes in place
-//	-baseline FILE        subtract the accepted findings in FILE; stale
-//	                      entries are reported at warn severity
-//	-write-baseline FILE  accept the current findings into FILE and exit
-//	-cache auto|off|PATH  fact cache location (default auto:
-//	                      <modroot>/.iamlint/cache.json); warm runs of an
-//	                      unchanged tree skip loading entirely
-//	-strict-baseline      report stale baseline entries at error severity,
-//	                      so CI fails until the baseline file is re-trimmed
 //	-graph call|lock      dump the module's static call graph or lock-order
 //	                      graph as DOT on stdout and exit (make lint-graph)
 //	-json                 emit diagnostics as a JSON array on stdout
-//	-checks a,b           run a subset of checks (disables the cache)
+//	-checks a,b           run a subset of checks
 //	-list                 list available checks and exit
-//	-v                    print cache statistics to stderr
-//
-// iamlint also speaks the go vet -vettool protocol: when invoked by the go
-// tool with a *.cfg unit file (or -V=full / -flags), it type-checks the unit
-// from the export data the go tool provides. Run it as
-//
-//	go build -o iamlint ./cmd/iamlint
-//	go vet -vettool=$(pwd)/iamlint ./...
 //
 // Diagnostics are suppressed per line with
 //
@@ -59,24 +44,12 @@ func main() {
 }
 
 func run() int {
-	// go vet's unitchecker protocol probes tools with -V=full and -flags and
-	// then invokes them with a JSON unit-config file; detect those shapes
-	// before normal flag parsing.
-	if code, handled := maybeRunVetMode(os.Args[1:]); handled {
-		return code
-	}
-
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all; disables the cache)")
+	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := flag.Bool("list", false, "list available checks and exit")
 	severity := flag.String("severity", "error", "minimum severity to report: error or warn")
 	fix := flag.Bool("fix", false, "apply mechanically safe suggested fixes in place")
-	baselinePath := flag.String("baseline", "", "baseline file of accepted findings to subtract")
-	writeBaseline := flag.String("write-baseline", "", "write the current findings to this baseline file and exit")
-	cacheMode := flag.String("cache", "auto", "fact cache: auto, off, or an explicit path")
 	graph := flag.String("graph", "", "dump a DOT graph and exit: call (static call graph) or lock (lock-order graph)")
-	strictBaseline := flag.Bool("strict-baseline", false, "report stale baseline entries at error severity (CI mode)")
-	verbose := flag.Bool("v", false, "print cache statistics to stderr")
 	flag.Parse()
 
 	analyzers := lint.Analyzers()
@@ -100,7 +73,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "iamlint: -severity must be error or warn, got %q\n", *severity)
 		return 2
 	}
-	cacheEnabled := true
 	if *checks != "" {
 		var sel []*lint.Analyzer
 		for _, name := range strings.Split(*checks, ",") {
@@ -113,78 +85,16 @@ func run() int {
 			sel = append(sel, a)
 		}
 		analyzers = sel
-		// A subset run must not poison the full-set fact store.
-		cacheEnabled = false
-	}
-	if *fix {
-		cacheEnabled = false // files change under us; keys would go stale
-	}
-
-	loader, err := lint.NewLoader(".")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "iamlint: %v\n", err)
-		return 2
 	}
 
 	if *graph != "" {
-		pkgs, err := loader.LoadAll()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "iamlint: %v\n", err)
-			return 2
-		}
-		m := lint.BuildModuleFacts(pkgs)
-		switch *graph {
-		case "call":
-			fmt.Print(m.CallGraphDOT())
-		case "lock":
-			fmt.Print(m.LockGraphDOT())
-		default:
-			fmt.Fprintf(os.Stderr, "iamlint: -graph must be call or lock, got %q\n", *graph)
-			return 2
-		}
-		return 0
-	}
-	cachePath := ""
-	if cacheEnabled {
-		switch *cacheMode {
-		case "auto":
-			cachePath = lint.DefaultCachePath(loader.ModRoot)
-		case "off":
-		default:
-			cachePath = *cacheMode
-		}
+		return dumpGraph(*graph)
 	}
 
-	patterns := flag.Args()
-	diags, stats, err := lint.RunCached(".", patterns, analyzers, cachePath)
+	diags, err := lint.Run(".", flag.Args(), analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iamlint: %v\n", err)
 		return 2
-	}
-	if *verbose {
-		fmt.Fprintf(os.Stderr, "iamlint: %d/%d packages from cache (warm=%v)\n",
-			stats.Hits, stats.Packages, stats.Warm)
-	}
-
-	if *writeBaseline != "" {
-		if err := lint.WriteBaseline(*writeBaseline, loader.ModRoot, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "iamlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "iamlint: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-	if *baselinePath != "" {
-		entries, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "iamlint: %v\n", err)
-			return 2
-		}
-		if *strictBaseline {
-			diags = lint.ApplyBaselineStrict(loader.ModRoot, diags, entries)
-		} else {
-			diags = lint.ApplyBaseline(loader.ModRoot, diags, entries)
-		}
 	}
 
 	if *fix {
@@ -218,6 +128,32 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "iamlint: %d issue(s) reported\n", len(diags))
 		}
 		return 1
+	}
+	return 0
+}
+
+// dumpGraph prints the module's static call graph ("call") or lock-order
+// graph ("lock") as DOT.
+func dumpGraph(kind string) int {
+	loader, err := lint.NewLoader(".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "iamlint: %v\n", err)
+		return 2
+	}
+	pkgs, err := loader.LoadAll()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "iamlint: %v\n", err)
+		return 2
+	}
+	m := lint.BuildModuleFacts(pkgs)
+	switch kind {
+	case "call":
+		fmt.Print(m.CallGraphDOT())
+	case "lock":
+		fmt.Print(m.LockGraphDOT())
+	default:
+		fmt.Fprintf(os.Stderr, "iamlint: -graph must be call or lock, got %q\n", kind)
+		return 2
 	}
 	return 0
 }

@@ -21,10 +21,10 @@ import (
 // once built. In steady state (warm capacities, warm mass cache) a whole
 // batch builds with zero heap allocations.
 type batchScratch struct {
-	cons    []ar.Constraint     // nq*nCols backing, re-aimed per query
-	pending [][]ar.Constraint   // queries that need sampling this call
-	seeds   []int64             // their per-query stream seeds
-	slots   []int               // their positions in the caller's output
+	cons    []ar.Constraint   // nq*nCols backing, re-aimed per query
+	pending [][]ar.Constraint // queries that need sampling this call
+	seeds   []int64           // their per-query stream seeds
+	slots   []int             // their positions in the caller's output
 
 	rcs []ar.RangeConstraint    // arena: range constraints
 	wcs []ar.WeightConstraint   // arena: §5.2 weighted constraints

@@ -281,138 +281,209 @@ func writeTree(t *testing.T, files map[string]string) string {
 	return root
 }
 
-// TestCacheWarmAndInvalidation drives RunCached over a synthetic module:
-// cold populate, fully-warm replay, invalidation on content change, and
-// transitive invalidation when a dependency changes.
+// TestRun drives the whole lint pipeline over synthetic modules: loading,
+// per-package and interprocedural analyzers, //lint:ignore suppression and
+// pattern scoping. want lists one message substring per expected diagnostic,
+// in sorted order.
+func TestRun(t *testing.T) {
+	floatMod := map[string]string{
+		"go.mod": "module fake\n\ngo 1.21\n",
+		"a/a.go": "package a\n\nfunc Eq(x, y float64) bool { return x == y }\n\nfunc Ne(x, y float64) bool {\n\t//lint:ignore floateq test\n\treturn x != y\n}\n\nfunc work() {}\n\nfunc Start() {\n\tgo work()\n}\n",
+		"b/b.go": "package b\n\nimport \"fake/a\"\n\nfunc F(x float64) bool { return a.Eq(x, x) }\n",
+	}
+	leakMod := func(body string) map[string]string {
+		return map[string]string{
+			"go.mod": "module leakmod\n\ngo 1.21\n",
+			"w/w.go": "package w\n\nfunc work() {}\n\nfunc Start() {\n" + body + "}\n",
+		}
+	}
+	taintMod := map[string]string{
+		"go.mod": "module taintmod\n\ngo 1.21\n",
+		"h/h.go": `package h
+
+import (
+	"math"
+	"time"
+)
+
+func Stamp() int64 {
+	return time.Now().UnixNano()
+}
+
+func LogTerm(p float64) float64 {
+	return math.Log(p)
+}
+`,
+		"m/m.go": `package m
+
+import "taintmod/h"
+
+// iam:deterministic
+func Run(ps []float64) float64 {
+	_ = h.Stamp()
+	return Sum(ps)
+}
+
+// iam:numsafe
+func Sum(ps []float64) float64 {
+	var s float64
+	for _, p := range ps {
+		s += h.LogTerm(p)
+	}
+	return s
+}
+`,
+	}
+	const detsource = "// iam:detsource coarse epoch bucket, quantized to a release constant\n"
+	annMod := func(annotation string) map[string]string {
+		return map[string]string{
+			"go.mod": "module annmod\n\ngo 1.21\n",
+			"h/h.go": "package h\n\nimport \"time\"\n\n" + annotation + "func Epoch() int64 {\n\treturn time.Now().UnixNano()\n}\n",
+			"m/m.go": "package m\n\nimport \"annmod/h\"\n\n// iam:deterministic\nfunc Run() int64 {\n\treturn h.Epoch()\n}\n",
+		}
+	}
+
+	cases := []struct {
+		name      string
+		files     map[string]string
+		patterns  []string
+		analyzers []*Analyzer
+		want      []string
+		wantErr   bool
+	}{
+		{
+			// The suppressed comparison in Ne is not reported.
+			name: "floateq_suppressed", files: floatMod, patterns: []string{"./..."},
+			analyzers: []*Analyzer{AnalyzerFloatEq},
+			want:      []string{"exact float comparison"},
+		},
+		{
+			// Neither a's per-package nor its module findings leak into b.
+			name: "pattern_excludes_other_package", files: floatMod, patterns: []string{"b"},
+			analyzers: []*Analyzer{AnalyzerFloatEq, AnalyzerGoLeak},
+		},
+		{
+			name: "pattern_matches_nothing", files: floatMod, patterns: []string{"c"},
+			analyzers: []*Analyzer{AnalyzerFloatEq}, wantErr: true,
+		},
+		{
+			name: "goleak_unjoined", files: leakMod("\tgo work()\n"),
+			analyzers: []*Analyzer{AnalyzerGoLeak},
+			want:      []string{"no join point"},
+		},
+		{
+			name: "goleak_joined", files: leakMod("\tdone := make(chan struct{})\n\tgo func() {\n\t\twork()\n\t\tclose(done)\n\t}()\n\t<-done\n"),
+			analyzers: []*Analyzer{AnalyzerGoLeak},
+		},
+		{
+			name: "detflow_cross_package", files: taintMod,
+			analyzers: []*Analyzer{AnalyzerDetFlow},
+			want:      []string{"taintmod/m.Run → taintmod/h.Stamp: time.Now"},
+		},
+		{
+			name: "numflow_cross_package", files: taintMod,
+			analyzers: []*Analyzer{AnalyzerNumFlow},
+			want:      []string{"passes unguarded argument"},
+		},
+		{
+			// An iam:detsource in the callee's package sanitizes the path.
+			name: "detflow_detsource", files: annMod(detsource),
+			analyzers: []*Analyzer{AnalyzerDetFlow},
+		},
+		{
+			// The same code without the annotation is reported again.
+			name: "detflow_detsource_removed", files: annMod(""),
+			analyzers: []*Analyzer{AnalyzerDetFlow},
+			want:      []string{"reaches nondeterminism [time]"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root := writeTree(t, tc.files)
+			diags, err := Run(root, tc.patterns, tc.analyzers)
+			if tc.wantErr {
+				if err == nil {
+					t.Fatalf("Run succeeded with %d diagnostics, want a pattern error", len(diags))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(diags) != len(tc.want) {
+				t.Fatalf("got %d diagnostics, want %d:\n%s", len(diags), len(tc.want), format(diags))
+			}
+			for i, d := range diags {
+				if !strings.Contains(d.Message, tc.want[i]) {
+					t.Errorf("diagnostic %d = %s, want message containing %q", i, d, tc.want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestCacheWarmAndInvalidation checks that Run keeps no state between calls:
+// a repeated run reports the same findings, and edits to a package or to a
+// package it imports are seen by the next run.
 func TestCacheWarmAndInvalidation(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"go.mod": "module fake\n\ngo 1.21\n",
 		"a/a.go": "package a\n\nfunc Eq(x, y float64) bool { return x == y }\n",
 		"b/b.go": "package b\n\nimport \"fake/a\"\n\nfunc F(x float64) bool { return a.Eq(x, x) }\n",
 	})
-	cachePath := filepath.Join(root, ".iamlint", "cache.json")
 	analyzers := []*Analyzer{AnalyzerFloatEq}
+	run := func() []Diagnostic {
+		t.Helper()
+		diags, err := Run(root, []string{"./..."}, analyzers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return diags
+	}
 
-	diags, stats, err := RunCached(root, []string{"./..."}, analyzers, cachePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Warm {
-		t.Error("first run reported warm")
-	}
+	diags := run()
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "exact float comparison") {
-		t.Fatalf("cold run diagnostics = %s", format(diags))
+		t.Fatalf("first run diagnostics = %s", format(diags))
+	}
+	if again := run(); format(again) != format(diags) {
+		t.Errorf("repeated run differs:\nfirst:\n%ssecond:\n%s", format(diags), format(again))
 	}
 
-	diags2, stats2, err := RunCached(root, []string{"./..."}, analyzers, cachePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats2.Warm || stats2.Hits != stats2.Packages {
-		t.Errorf("second run not fully warm: %+v", stats2)
-	}
-	if format(diags2) != format(diags) {
-		t.Errorf("warm replay differs from cold run:\ncold:\n%swarm:\n%s", format(diags), format(diags2))
-	}
-
-	// Touching b's content invalidates b but leaves a cached.
+	// Adding a comparison to b is reported alongside a's.
 	if err := os.WriteFile(filepath.Join(root, "b", "b.go"),
-		[]byte("package b\n\nimport \"fake/a\"\n\nfunc G(x float64) bool { return a.Eq(x, x+1) }\n"), 0o644); err != nil {
+		[]byte("package b\n\nimport \"fake/a\"\n\nfunc G(x float64) bool { return a.Eq(x, x+1) || x == 1 }\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, stats3, err := RunCached(root, []string{"./..."}, analyzers, cachePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats3.Warm || stats3.Hits != 1 {
-		t.Errorf("after editing b: warm=%v hits=%d, want warm=false hits=1", stats3.Warm, stats3.Hits)
+	if diags := run(); len(diags) != 2 {
+		t.Errorf("after editing b: got %d diagnostics, want 2:\n%s", len(diags), format(diags))
 	}
 
-	// Touching a invalidates a AND its importer b.
+	// Removing a's comparison leaves only b's.
 	if err := os.WriteFile(filepath.Join(root, "a", "a.go"),
-		[]byte("package a\n\nfunc Eq(x, y float64) bool { return x != y }\n"), 0o644); err != nil {
+		[]byte("package a\n\nfunc Eq(x, y float64) bool { return x < y }\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, stats4, err := RunCached(root, []string{"./..."}, analyzers, cachePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats4.Warm || stats4.Hits != 0 {
-		t.Errorf("after editing a: warm=%v hits=%d, want warm=false hits=0 (b depends on a)", stats4.Warm, stats4.Hits)
+	diags = run()
+	if len(diags) != 1 || !strings.HasSuffix(filepath.ToSlash(diags[0].File), "b/b.go") {
+		t.Errorf("after editing a: got %s, want one finding in b/b.go", format(diags))
 	}
 }
 
-// TestCacheSuppressionsNotReplayed: suppressed findings must be filtered
-// before storage so warm replays match cold runs exactly.
+// TestCacheSuppressionsNotReplayed checks that a suppressed finding stays
+// unreported on every run, not only the first.
 func TestCacheSuppressionsNotReplayed(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"go.mod": "module fake\n\ngo 1.21\n",
 		"a/a.go": "package a\n\nfunc Eq(x, y float64) bool {\n\t//lint:ignore floateq test\n\treturn x == y\n}\n",
 	})
-	cachePath := filepath.Join(root, ".iamlint", "cache.json")
 	for run := 0; run < 2; run++ {
-		diags, _, err := RunCached(root, []string{"./..."}, []*Analyzer{AnalyzerFloatEq}, cachePath)
+		diags, err := Run(root, []string{"./..."}, []*Analyzer{AnalyzerFloatEq})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(diags) != 0 {
 			t.Errorf("run %d: suppressed finding leaked: %s", run, format(diags))
 		}
-	}
-}
-
-// TestBaselineRoundTrip covers subtraction, absorption of repeats, and the
-// stale-entry warning.
-func TestBaselineRoundTrip(t *testing.T) {
-	modRoot := t.TempDir()
-	path := filepath.Join(modRoot, "baseline.json")
-	d1 := Diagnostic{Check: "floateq", Severity: SeverityError, File: filepath.Join(modRoot, "x.go"), Line: 3, Column: 1, Message: "exact float comparison (==)"}
-	d2 := Diagnostic{Check: "errwrap", Severity: SeverityError, File: filepath.Join(modRoot, "y.go"), Line: 9, Column: 1, Message: "error silently discarded"}
-
-	if err := WriteBaseline(path, modRoot, []Diagnostic{d1}); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Check != "floateq" || entries[0].File != "x.go" {
-		t.Fatalf("baseline round trip: %+v", entries)
-	}
-
-	// d1 is accepted (even when it moved lines), d2 passes through.
-	moved := d1
-	moved.Line = 99
-	out := ApplyBaseline(modRoot, []Diagnostic{moved, d2}, entries)
-	if len(out) != 1 || out[0].Check != "errwrap" {
-		t.Fatalf("ApplyBaseline = %s", format(out))
-	}
-
-	// With the finding gone, the entry is stale and reported at warn.
-	out = ApplyBaseline(modRoot, []Diagnostic{d2}, entries)
-	if len(out) != 2 {
-		t.Fatalf("stale baseline: got %d diagnostics, want 2:\n%s", len(out), format(out))
-	}
-	foundStale := false
-	for _, d := range out {
-		if d.Check == "baseline" {
-			foundStale = true
-			if d.Severity != SeverityWarn {
-				t.Error("stale entry not reported at warn severity")
-			}
-			if !strings.Contains(d.Message, "stale baseline entry") {
-				t.Errorf("stale message = %q", d.Message)
-			}
-		}
-	}
-	if !foundStale {
-		t.Errorf("no stale-entry diagnostic:\n%s", format(out))
-	}
-
-	// LoadBaseline on a missing file is an empty baseline, not an error.
-	none, err := LoadBaseline(filepath.Join(modRoot, "nope.json"))
-	if err != nil || none != nil {
-		t.Errorf("missing baseline: entries=%v err=%v", none, err)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 //
 //   - comparing against a literal/constant zero is a warn: exact-zero tests
 //     are sometimes deliberate (sparsity skips in kernels, 0/1 mask checks)
-//     and the nightly -severity=warn sweep keeps them visible;
+//     and the -severity=warn report keeps them visible;
 //   - any other float equality, and any switch on a float tag, is an error.
 //
 // Where the comparison is genuinely intended, suppress it with

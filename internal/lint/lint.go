@@ -22,10 +22,9 @@
 // extend those summaries with taint facts to enforce the iam:deterministic
 // and iam:numsafe contracts with witness call paths.
 //
-// Diagnostics carry a severity (error or warn), may carry a mechanically
-// safe suggested fix (applied by `iamlint -fix`), can be accepted into a
-// committed baseline file, and are cached per package keyed on content
-// hashes so warm runs skip analysis entirely (cache.go).
+// Diagnostics carry a severity (error or warn) and may carry a mechanically
+// safe suggested fix (applied by `iamlint -fix`). Run is the one driver:
+// load the module, analyze, report.
 //
 // Diagnostics can be suppressed per line with a comment of the form
 //
@@ -42,6 +41,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -49,7 +49,7 @@ import (
 
 // Severity classifies how a diagnostic affects the build: error-severity
 // findings fail the lint run, warn-severity findings are reported only when
-// asked for (iamlint -severity=warn; the nightly CI sweep) and never block.
+// asked for (iamlint -severity=warn; CI's JSON artifact) and never block.
 type Severity string
 
 const (
@@ -91,11 +91,8 @@ type Package struct {
 	Types   *types.Package
 	Info    *types.Info
 	// Src maps each file's full path to its source bytes, shared by the
-	// suppression scanner, the fact cache's content hashing and -fix.
+	// suppression scanner and -fix.
 	Src map[string][]byte
-	// Imports lists the module-internal import paths of this package, used
-	// by the fact cache to build transitive content-hash keys.
-	Imports []string
 }
 
 // Position resolves a token.Pos against the package's file set.
@@ -194,6 +191,40 @@ func runPackage(p *Package, analyzers []*Analyzer) []Diagnostic {
 	return out
 }
 
+// Run lints the packages of dir's module that match patterns (every package
+// when patterns is empty). The whole module is loaded once: per-package
+// analyzers run on the matched packages, and interprocedural analyzers run
+// over the whole module's facts with their findings kept only where they
+// fall inside a matched package.
+func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
+	l, err := NewLoader(dir)
+	if err != nil {
+		return nil, err
+	}
+	all, err := l.LoadAll()
+	if err != nil {
+		return nil, err
+	}
+	targets, err := l.match(all, patterns)
+	if err != nil {
+		return nil, err
+	}
+	out := runPerPackage(targets, analyzers)
+	if hasModuleAnalyzers(analyzers) {
+		dirs := map[string]bool{}
+		for _, p := range targets {
+			dirs[p.Dir] = true
+		}
+		for _, d := range RunModuleAnalyzers(all, BuildModuleFacts(all), analyzers) {
+			if dirs[filepath.Dir(d.File)] {
+				out = append(out, d)
+			}
+		}
+	}
+	SortDiagnostics(out)
+	return out, nil
+}
+
 // RunAnalyzers applies the given analyzers to every package concurrently
 // (one worker per CPU), applies //lint:ignore suppressions, and returns the
 // surviving diagnostics sorted by position. Interprocedural analyzers in
@@ -256,8 +287,8 @@ func hasModuleAnalyzers(analyzers []*Analyzer) bool {
 
 // RunModuleAnalyzers applies the interprocedural analyzers to the module
 // fact database. The packages are only needed for //lint:ignore suppression
-// scanning; facts may have been replayed from the cache. The result is NOT
-// sorted — callers merge it with per-package diagnostics first.
+// scanning. The result is NOT sorted — callers merge it with per-package
+// diagnostics first.
 func RunModuleAnalyzers(pkgs []*Package, m *ModuleFacts, analyzers []*Analyzer) []Diagnostic {
 	sups := make([]*suppressions, len(pkgs))
 	for i, p := range pkgs {

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -101,10 +100,10 @@ func readModulePath(path string) (string, error) {
 	return "", fmt.Errorf("lint: no module directive in %s", path)
 }
 
-// ModuleDirs lists every directory under root that contains non-test Go
+// moduleDirs lists every directory under root that contains non-test Go
 // files, in sorted order, skipping hidden directories and testdata trees
 // (mirroring the go tool's rules).
-func ModuleDirs(root string) ([]string, error) {
+func moduleDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -117,11 +116,11 @@ func ModuleDirs(root string) ([]string, error) {
 		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 			return filepath.SkipDir
 		}
-		has, err := hasGoFiles(path)
+		names, err := sourceFileNames(path)
 		if err != nil {
 			return err
 		}
-		if has {
+		if len(names) > 0 {
 			dirs = append(dirs, path)
 		}
 		return nil
@@ -209,7 +208,7 @@ func sourceFileNames(dir string) ([]string, error) {
 
 // LoadAll walks the module tree and loads every package in it.
 func (l *Loader) LoadAll() ([]*Package, error) {
-	dirs, err := ModuleDirs(l.ModRoot)
+	dirs, err := moduleDirs(l.ModRoot)
 	if err != nil {
 		return nil, err
 	}
@@ -235,14 +234,20 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	return l.match(all, patterns)
+}
+
+// match keeps the packages of pkgs that match any of patterns (all of them
+// when patterns is empty); a pattern that matches nothing is an error.
+func (l *Loader) match(pkgs []*Package, patterns []string) ([]*Package, error) {
 	if len(patterns) == 0 {
-		return all, nil
+		return pkgs, nil
 	}
 	var out []*Package
 	seen := map[string]bool{}
 	for _, pat := range patterns {
 		matched := false
-		for _, p := range all {
+		for _, p := range pkgs {
 			if l.matches(p, pat) {
 				matched = true
 				if !seen[p.PkgPath] {
@@ -281,19 +286,6 @@ func (l *Loader) importPathFor(dir string) string {
 		return l.ModPath
 	}
 	return l.ModPath + "/" + filepath.ToSlash(rel)
-}
-
-func hasGoFiles(dir string) (bool, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false, err
-	}
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // LoadDir parses and type-checks the single package in dir under the given
@@ -361,33 +353,9 @@ func (l *Loader) LoadDir(dir, pkgPath string) (*Package, error) {
 		Types:   tpkg,
 		Info:    info,
 		Src:     src,
-		Imports: moduleImports(l.ModPath, files),
 	}
 	l.pkgs[pkgPath] = p
 	return p, nil
-}
-
-// moduleImports extracts the module-internal import paths of files, sorted
-// and deduplicated.
-func moduleImports(modPath string, files []*ast.File) []string {
-	seen := map[string]bool{}
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if path == modPath || strings.HasPrefix(path, modPath+"/") {
-				seen[path] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for path := range seen {
-		out = append(out, path)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // importPkg resolves one import path: module-internal paths are loaded from

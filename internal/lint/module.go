@@ -53,21 +53,15 @@ func BuildModuleFacts(pkgs []*Package) *ModuleFacts {
 	}
 	close(next)
 	wg.Wait()
-	return NewModuleFacts(out)
-}
-
-// NewModuleFacts indexes already-built package summaries (e.g. replayed from
-// the fact cache).
-func NewModuleFacts(pkgs []*PkgFacts) *ModuleFacts {
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].PkgPath < pkgs[j].PkgPath })
+	sort.Slice(out, func(i, j int) bool { return out[i].PkgPath < out[j].PkgPath })
 	m := &ModuleFacts{
-		Pkgs:      pkgs,
+		Pkgs:      out,
 		funcs:     map[string]*FuncFacts{},
 		acqMemo:   map[string][]string{},
 		allocMemo: map[string]*AllocFact{},
 		sigMemo:   map[string][]string{},
 	}
-	for _, pf := range pkgs {
+	for _, pf := range out {
 		for _, ff := range pf.Funcs {
 			m.funcs[ff.ID] = ff
 		}

@@ -170,52 +170,3 @@ func Bump() {
 		t.Fatalf("diagnostics remain after fix:\n%s", format(diags))
 	}
 }
-
-// TestModuleDiagsCached checks that module-analyzer findings replay from the
-// fact cache on a warm run and are recomputed when a file changes.
-func TestModuleDiagsCached(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"go.mod": "module leakmod\n\ngo 1.21\n",
-		"w/w.go": "package w\n\nfunc work() {}\n\nfunc Start() {\n\tgo work()\n}\n",
-	})
-	cachePath := filepath.Join(root, ".iamlint", "cache.json")
-	analyzers := []*Analyzer{AnalyzerGoLeak}
-
-	diags, stats, err := RunCached(root, []string{"./..."}, analyzers, cachePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Warm {
-		t.Error("first run reported warm")
-	}
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "no join point") {
-		t.Fatalf("cold run diagnostics = %s", format(diags))
-	}
-
-	diags2, stats2, err := RunCached(root, []string{"./..."}, analyzers, cachePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats2.Warm {
-		t.Errorf("second run not warm: %+v", stats2)
-	}
-	if format(diags2) != format(diags) {
-		t.Errorf("warm diags = %s, want %s", format(diags2), format(diags))
-	}
-
-	// Joining the goroutine must invalidate the module verdict.
-	joined := "package w\n\nfunc work() {}\n\nfunc Start() {\n\tdone := make(chan struct{})\n\tgo func() {\n\t\twork()\n\t\tclose(done)\n\t}()\n\t<-done\n}\n"
-	if err := os.WriteFile(filepath.Join(root, "w", "w.go"), []byte(joined), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	diags3, stats3, err := RunCached(root, []string{"./..."}, analyzers, cachePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats3.Warm {
-		t.Error("run after edit reported warm")
-	}
-	if len(diags3) != 0 {
-		t.Fatalf("diagnostics after join = %s", format(diags3))
-	}
-}

@@ -23,7 +23,8 @@ import (
 //
 // A literal `Seed:` field in a composite literal (common in examples and
 // demos) is reported at warn severity: fine for a demo, but CLIs should plumb
-// it from a flag so the nightly sweep keeps them visible without blocking.
+// it from a flag; the -severity=warn report keeps them visible without
+// blocking.
 
 type seedOrigin int
 

@@ -11,18 +11,16 @@ import (
 // summary.go extracts the per-package fact summaries that power the v3
 // interprocedural analyzers (lockorder, goleak, atomicver, noalloc). Each
 // function — and each function literal, as a separate unit — is reduced to a
-// JSON-serializable FuncFacts record: the static calls it makes (with the
-// lock set held at each call site), the locks it acquires (with the set held
-// at acquisition), the goroutines it spawns, the struct-field writes it
-// performs, the allocation sites a types-based heuristic can see, and the
-// join signals it emits (WaitGroup.Done, channel send/close/receive,
-// ctx.Done selects).
+// FuncFacts record: the static calls it makes (with the lock set held at each
+// call site), the locks it acquires (with the set held at acquisition), the
+// goroutines it spawns, the struct-field writes it performs, the allocation
+// sites a types-based heuristic can see, and the join signals it emits
+// (WaitGroup.Done, channel send/close/receive, ctx.Done selects).
 //
 // Summaries deliberately contain no token.Pos or types.Object values:
 // positions are (file, line, col) triples and every object reference is
-// canonicalized to a string class, so a summary round-trips through the
-// fact cache (cache.go) and a warm run can feed the module-level pass
-// without re-parsing the package that produced it.
+// canonicalized to a string class, so the module-level pass can join facts
+// from different packages by plain string comparison.
 //
 // Class canonicalization:
 //
@@ -44,11 +42,11 @@ const (
 	numsafeDirective       = "iam:numsafe"
 )
 
-// Pos is a cache-stable source position.
+// Pos is a resolved source position.
 type Pos struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+	File string
+	Line int
+	Col  int
 }
 
 func posOf(p *Package, pos token.Pos) Pos {
@@ -58,26 +56,26 @@ func posOf(p *Package, pos token.Pos) Pos {
 
 // CallFact is one statically resolved call site.
 type CallFact struct {
-	Callee string   `json:"callee"`
-	Pos    Pos      `json:"pos"`
-	Held   []string `json:"held,omitempty"` // lock classes held at the call
+	Callee string
+	Pos    Pos
+	Held   []string // lock classes held at the call
 	// Args records the numeric-guard state of float-typed arguments at this
 	// call site, for numflow's interprocedural must-positive propagation.
-	Args []CallArg `json:"args,omitempty"`
+	Args []CallArg
 }
 
 // CallArg is the numeric-flow view of one float-typed call argument.
 type CallArg struct {
 	// Index is the argument's position, which is also the callee's value
 	// parameter index (variadic tails are not recorded).
-	Index int `json:"index"`
+	Index int
 	// Param is the index of the *caller's* parameter the argument forwards
 	// unchanged, or -1 when the argument is any other expression.
-	Param int `json:"param"`
+	Param int
 	// State is the guardState bit set the caller's must-analysis proved for
 	// the argument at the call site (see taint.go).
-	State int    `json:"state,omitempty"`
-	Expr  string `json:"expr,omitempty"`
+	State int
+	Expr  string
 }
 
 // NondetFact is one nondeterminism source observed in a unit body: a
@@ -86,142 +84,142 @@ type CallArg struct {
 // "fpreduce", significant only in spawned units) an order-dependent
 // floating-point accumulation into state shared with other goroutines.
 type NondetFact struct {
-	Kind   string `json:"kind"`
-	Detail string `json:"detail"`
-	Pos    Pos    `json:"pos"`
+	Kind   string
+	Detail string
+	Pos    Pos
 }
 
 // NumSink is one numeric-safety sink (math.Log/Exp/Sqrt operand, float
 // divisor) that the intraprocedural must-analysis could NOT prove guarded.
 // Guarded sinks are never recorded.
 type NumSink struct {
-	Op      string `json:"op"`      // "math.Log", "math.Sqrt", "math.Exp", "division"
-	Operand string `json:"operand"` // source text of the unguarded operand
+	Op      string // "math.Log", "math.Sqrt", "math.Exp", "division"
+	Operand string // source text of the unguarded operand
 	// Param is the enclosing unit's value-parameter index the operand
 	// resolves to, or -1. Param sinks are not local findings: they become
 	// must-positive obligations checked at call sites.
-	Param int `json:"param"`
+	Param int
 	// Callee, when set, names the unit whose return value feeds the operand;
 	// the sink is discharged if that unit's summary says ReturnsValidated.
-	Callee string `json:"callee,omitempty"`
-	Pos    Pos    `json:"pos"`
+	Callee string
+	Pos    Pos
 }
 
 // AcquireFact is one mutex acquisition.
 type AcquireFact struct {
-	Class string   `json:"class"`
-	Expr  string   `json:"expr"` // source text of the mutex expression
-	RLock bool     `json:"rlock,omitempty"`
-	Pos   Pos      `json:"pos"`
-	Held  []string `json:"held,omitempty"` // classes already held
+	Class string
+	Expr  string // source text of the mutex expression
+	RLock bool
+	Pos   Pos
+	Held  []string // classes already held
 	// HeldSame lists the expression texts of already-held locks of the same
 	// class: an identical text is a guaranteed self-deadlock.
-	HeldSame []string `json:"heldSame,omitempty"`
+	HeldSame []string
 }
 
 // SpawnFact is one `go` statement.
 type SpawnFact struct {
-	Pos Pos `json:"pos"`
+	Pos Pos
 	// Callees names the spawned unit: the function literal's unit ID or the
 	// statically resolved callee. Empty when the call is dynamic.
-	Callees      []string `json:"callees,omitempty"`
-	Detached     bool     `json:"detached,omitempty"`
-	DetachReason string   `json:"detachReason,omitempty"`
+	Callees      []string
+	Detached     bool
+	DetachReason string
 }
 
 // WriteFact is one struct-field write (assignment or ++/--).
 type WriteFact struct {
-	Type  string `json:"type"` // owning struct class "pkg.T"
-	Field string `json:"field"`
-	Pos   Pos    `json:"pos"`
-	Fresh bool   `json:"fresh,omitempty"` // base constructed in this function
+	Type  string // owning struct class "pkg.T"
+	Field string
+	Pos   Pos
+	Fresh bool // base constructed in this function
 	// HeldSiblings lists mutex fields of Type whose class was held at the
 	// write — evidence for a mechanical iam:guardedby annotation fix.
-	HeldSiblings []string `json:"heldSiblings,omitempty"`
+	HeldSiblings []string
 }
 
 // AllocFact is one heuristic allocation site.
 type AllocFact struct {
-	What string `json:"what"`
-	Pos  Pos    `json:"pos"`
+	What string
+	Pos  Pos
 }
 
 // FuncFacts is the summary of one function or function-literal unit.
 type FuncFacts struct {
-	ID      string `json:"id"`
-	Pos     Pos    `json:"pos"`
-	EndLine int    `json:"endLine"`
-	NoAlloc bool   `json:"noalloc,omitempty"`
+	ID      string
+	Pos     Pos
+	EndLine int
+	NoAlloc bool
 
 	// Deterministic marks an iam:deterministic contract root: no path from
 	// this unit may reach a nondeterminism source except through a declared
 	// iam:detsource sanitizer.
-	Deterministic bool `json:"deterministic,omitempty"`
+	Deterministic bool
 	// DetSource marks an iam:detsource sanitizer (with its mandatory reason):
 	// detflow's taint walk stops here.
-	DetSource bool   `json:"detSource,omitempty"`
-	DetReason string `json:"detReason,omitempty"`
+	DetSource bool
+	DetReason string
 	// NumSafe marks an iam:numsafe contract root for numflow.
-	NumSafe bool `json:"numSafe,omitempty"`
+	NumSafe bool
 	// ReturnsValidated: every return path provably yields a positive value
 	// (positive constant, clamp above a positive constant, guarded variable),
 	// so callers may treat the result as validated.
-	ReturnsValidated bool `json:"returnsValidated,omitempty"`
+	ReturnsValidated bool
 
-	Calls    []CallFact    `json:"calls,omitempty"`
-	Acquires []AcquireFact `json:"acquires,omitempty"`
-	Spawns   []SpawnFact   `json:"spawns,omitempty"`
-	Writes   []WriteFact   `json:"writes,omitempty"`
-	Allocs   []AllocFact   `json:"allocs,omitempty"`
-	Nondets  []NondetFact  `json:"nondets,omitempty"`
-	NumSinks []NumSink     `json:"numSinks,omitempty"`
+	Calls    []CallFact
+	Acquires []AcquireFact
+	Spawns   []SpawnFact
+	Writes   []WriteFact
+	Allocs   []AllocFact
+	Nondets  []NondetFact
+	NumSinks []NumSink
 
 	// Signals are the join signals this body emits when run as a goroutine:
 	// "wg:C" (WaitGroup C Done), "send:C" (send/close on channel C),
 	// "recv:C" (receive on channel C), "ctx" (selects on a Done channel),
 	// "param" (signals through a caller-owned parameter).
-	Signals []string `json:"signals,omitempty"`
+	Signals []string
 	// Join-side facts, unioned module-wide by goleak: WaitGroup classes
 	// Wait()ed on, channel classes received from, channel classes closed.
-	Waits  []string `json:"waits,omitempty"`
-	Recvs  []string `json:"recvs,omitempty"`
-	Closes []string `json:"closes,omitempty"`
+	Waits  []string
+	Recvs  []string
+	Closes []string
 }
 
 // OrderFact is one `iam:lockorder A > B` declaration: A may be held while
 // acquiring B, never the reverse.
 type OrderFact struct {
-	Before string `json:"before"`
-	After  string `json:"after"`
-	Pos    Pos    `json:"pos"`
+	Before string
+	After  string
+	Pos    Pos
 }
 
 // FieldFact describes one field of an atomic.Pointer-published struct that
 // is declared in the same package, carrying what a mechanical annotation fix
 // needs.
 type FieldFact struct {
-	Type      string `json:"type"`
-	Field     string `json:"field"`
-	Pos       Pos    `json:"pos"`
-	EndOffset int    `json:"endOffset"` // byte offset just after the field type
+	Type      string
+	Field     string
+	Pos       Pos
+	EndOffset int // byte offset just after the field type
 	// HasComment blocks the fix: appending to an existing trailing comment
 	// is not mechanically safe.
-	HasComment bool     `json:"hasComment,omitempty"`
-	Mutexes    []string `json:"mutexes,omitempty"` // sibling mutex field names
+	HasComment bool
+	Mutexes    []string // sibling mutex field names
 }
 
 // PkgFacts is one package's full summary.
 type PkgFacts struct {
-	PkgPath string       `json:"pkgPath"`
-	Funcs   []*FuncFacts `json:"funcs,omitempty"`
-	Orders  []OrderFact  `json:"orders,omitempty"`
+	PkgPath string
+	Funcs   []*FuncFacts
+	Orders  []OrderFact
 	// Published lists struct classes stored in an atomic.Pointer[T] field or
 	// variable of this package.
-	Published []string `json:"published,omitempty"`
+	Published []string
 	// Guarded maps field classes to their guarding mutex class, taken from
 	// the same field annotations the guardedby analyzer enforces.
-	Guarded map[string]string `json:"guarded,omitempty"`
-	Fields  []FieldFact       `json:"fields,omitempty"`
+	Guarded map[string]string
+	Fields  []FieldFact
 }
 
 // classOfNamed is the canonical class of a named type.

@@ -15,13 +15,13 @@ import (
 // accumulators. Scratches are pooled on the ensemble and reused, so a warm
 // estimate allocates only what the per-shard model calls allocate.
 type mergeScratch struct {
-	qvals  []query.Query   // rebound query storage, one slot per batch query
-	qptrs  []*query.Query  // sub-batch view: qptrs[j] = &qvals[j]
-	seeds  []int64         // per-sub-batch-position sampling seeds
-	active []int           // early stop: batch indices still visiting shards
-	acc    []float64       // Σ w_s · est_s per query
-	varAcc []float64       // Σ w_s² · var_s per query
-	wSum   []float64       // Σ w_s per query (over visited shards)
+	qvals  []query.Query  // rebound query storage, one slot per batch query
+	qptrs  []*query.Query // sub-batch view: qptrs[j] = &qvals[j]
+	seeds  []int64        // per-sub-batch-position sampling seeds
+	active []int          // early stop: batch indices still visiting shards
+	acc    []float64      // Σ w_s · est_s per query
+	varAcc []float64      // Σ w_s² · var_s per query
+	wSum   []float64      // Σ w_s per query (over visited shards)
 }
 
 func (ms *mergeScratch) prep(nq int) {
