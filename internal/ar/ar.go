@@ -383,18 +383,15 @@ func (m *Model) sampleColumnDense(sess *nn.Session, sc *EstimateScratch, consLis
 
 // sampleColumnPacked advances column c in groups of queries sharing a
 // constrained-prefix signature (the columns already sampled live). Each
-// group gets one packed restricted forward over its compacted sample rows;
-// a group whose prefix is empty degenerates to a single broadcast row —
-// every sample feeds identical MASK inputs, so one forwarded row answers
-// for all of them (this collapses the first constrained column of every
-// query to one row of FLOPs). Forwards are row-pure and each query keeps
-// its own rng stream, so grouping never perturbs any query's draws.
+// group gets one packed restricted forward over its distinct live rows (see
+// groupRows): samples whose live-prefix codes agree share one forwarded row,
+// so a group whose prefix is empty forwards a single row. Forwards are
+// row-pure and each query keeps its own rng stream, so neither grouping nor
+// deduplication perturbs any query's draws.
 //
 // iam:numsafe
 // iam:noalloc
 func (m *Model) sampleColumnPacked(sess *nn.Session, sc *EstimateScratch, consList [][]Constraint, numSamples, c int) {
-	probs := sc.probs
-	rows := sc.rows
 	subQs := sc.subQs[:0]
 	for qi, cons := range consList {
 		sc.claimed[qi] = false
@@ -410,8 +407,6 @@ func (m *Model) sampleColumnPacked(sess *nn.Session, sc *EstimateScratch, consLi
 		}
 		sig := sc.sigs[qi0]
 		plan := sc.planFor(m.Net, sig, len(m.Cards))
-		broadcast := plan.PackedDim() == 0
-		subRows := sc.subRows[:0]
 		groupQs := sc.groupQs[:0]
 		for _, qi := range subQs[gi:] {
 			if sc.claimed[qi] || sc.sigs[qi] != sig {
@@ -420,28 +415,9 @@ func (m *Model) sampleColumnPacked(sess *nn.Session, sc *EstimateScratch, consLi
 			sc.claimed[qi] = true
 			//lint:ignore noalloc sc.groupQs is pre-sized to nq by ensure; append reuses retained capacity
 			groupQs = append(groupQs, qi)
-			for s := 0; s < numSamples; s++ {
-				ri := qi*numSamples + s
-				if probs[ri] == 0 {
-					sc.subPos[ri] = -1
-					continue
-				}
-				if broadcast {
-					// All live inputs are MASK constants: row 0 stands in
-					// for every sample of the group.
-					sc.subPos[ri] = 0
-					if len(subRows) == 0 {
-						//lint:ignore noalloc sc.subRows is pre-sized by ensure; append reuses retained capacity
-						subRows = append(subRows, rows[ri])
-					}
-					continue
-				}
-				sc.subPos[ri] = len(subRows)
-				//lint:ignore noalloc sc.subRows is pre-sized to nq·numSamples by ensure; append reuses retained capacity
-				subRows = append(subRows, rows[ri])
-			}
 		}
-		sc.subRows, sc.groupQs = subRows, groupQs // retain any growth
+		sc.groupQs = groupQs
+		subRows := sc.groupRows(sig, c, numSamples)
 		if len(subRows) == 0 {
 			continue
 		}
@@ -452,9 +428,98 @@ func (m *Model) sampleColumnPacked(sess *nn.Session, sc *EstimateScratch, consLi
 	}
 }
 
+// prefixDedup lets the live samples of a group share forwarded rows.
+// Package-level so the tests can pin dedup on against off bit for bit;
+// production never flips it.
+var prefixDedup = true
+
+// groupRows builds the forwarded sub-batch of the group in sc.groupQs for
+// column c and points sc.subPos into it: -1 for a dead sample, else the row
+// forwarded for the group's first live sample with the same codes on the
+// live columns < c (the bits of sig). Those codes are all the packed
+// forward reads, and every other entry of a group row is the MASK token, so
+// rows matching there are equal as a whole and one forward answers for all
+// of them. Dead samples are never forwarded.
+//
+// iam:noalloc
+func (sc *EstimateScratch) groupRows(sig [4]uint64, c, numSamples int) [][]int {
+	live := sc.liveCols[:0]
+	for k := 0; k < c; k++ {
+		if sig[k>>6]&(1<<uint(k&63)) != 0 {
+			//lint:ignore noalloc sc.liveCols is pre-sized to nCols by ensure; append reuses retained capacity
+			live = append(live, k)
+		}
+	}
+	sc.liveCols = live
+	table := sc.dedup[:dedupSize(len(sc.groupQs)*numSamples)]
+	clear(table)
+	mask := uint64(len(table) - 1)
+	subRows := sc.subRows[:0]
+	for _, qi := range sc.groupQs {
+		for s := 0; s < numSamples; s++ {
+			ri := qi*numSamples + s
+			if sc.probs[ri] == 0 {
+				sc.subPos[ri] = -1
+				continue
+			}
+			row := sc.rows[ri]
+			pos := len(subRows)
+			if prefixDedup {
+				// Linear probing; a slot holds a forwarded row index + 1.
+				for h := prefixHash(row, live) & mask; ; h = (h + 1) & mask {
+					j := int(table[h]) - 1
+					if j < 0 {
+						table[h] = int32(pos + 1)
+						break
+					}
+					if samePrefix(subRows[j], row, live) {
+						pos = j
+						break
+					}
+				}
+			}
+			sc.subPos[ri] = pos
+			if pos == len(subRows) {
+				//lint:ignore noalloc sc.subRows is pre-sized to nq·numSamples by ensure; append reuses retained capacity
+				subRows = append(subRows, row)
+			}
+		}
+	}
+	sc.subRows = subRows
+	return subRows
+}
+
+// prefixHash mixes row's codes on cols into a dedup-table hash.
+//
+// iam:noalloc
+func prefixHash(row, cols []int) uint64 {
+	h := uint64(0x9E3779B97F4A7C15)
+	for _, c := range cols {
+		h = (h ^ uint64(row[c])) * 0xBF58476D1CE4E5B9
+	}
+	return h ^ h>>31
+}
+
+// samePrefix reports whether rows a and b hold the same codes on cols.
+//
+// iam:noalloc
+func samePrefix(a, b, cols []int) bool {
+	for _, c := range cols {
+		if a[c] != b[c] {
+			return false
+		}
+	}
+	return true
+}
+
 // sampleQueryColumn runs one query's per-sample draw loop for column c
 // against the logits of the last forward (dense or packed — sc.subPos maps
-// each live sample to its forwarded row either way).
+// each live sample to its forwarded row either way). The weighted
+// conditional's prefix sums and mass depend only on the forwarded row
+// (Dist) and the sampled prefix (Fill reads codes < c only), both shared by
+// every sample mapped to that row, so they are built once per distinct row
+// and memoised; each sample then costs one uniform and one pick, still drawn
+// in sample order from the query's stream.
 //
 // iam:numsafe
 // iam:noalloc
@@ -463,27 +528,38 @@ func (m *Model) sampleQueryColumn(sess *nn.Session, sc *EstimateScratch, con Con
 	probs := sc.probs
 	rows := sc.rows
 	rng := sc.rngs[qi]
+	epoch := sc.nextEpoch()
+	slots := 0
 	for s := 0; s < numSamples; s++ {
 		ri := qi*numSamples + s
 		if probs[ri] == 0 {
 			continue
 		}
-		d := sc.dist[:card]
-		//lint:ignore noalloc Dist's column-mismatch panic is a cold fmt.Sprintf; its steady path is alloc-free
-		sess.Dist(sc.subPos[ri], c, d)
-		wv := sc.w[:card]
-		con.Fill(rows[ri], wv)
-		// Fold the admission weights in and build the prefix sums
-		// in one pass; the running total accumulates in code order,
-		// as a separate weighting pass then a prefix-sum pass would,
-		// so masses are bit-equal to the two-pass form.
-		cdf := sc.cdf[:card]
-		var mass float64
-		for k := 0; k < card; k++ {
-			d[k] *= wv[k]
-			mass += d[k]
-			cdf[k] = mass
+		pos := sc.subPos[ri]
+		if sc.memoStamp[pos] != epoch {
+			sc.memoStamp[pos] = epoch
+			sc.memoSlot[pos] = int32(slots)
+			d := sc.dist[:card]
+			//lint:ignore noalloc Dist's column-mismatch panic is a cold fmt.Sprintf; its steady path is alloc-free
+			sess.Dist(pos, c, d)
+			wv := sc.w[:card]
+			con.Fill(rows[ri], wv)
+			// Fold the admission weights in and build the prefix sums
+			// in one pass; the running total accumulates in code order,
+			// as a separate weighting pass then a prefix-sum pass would,
+			// so masses are bit-equal to the two-pass form.
+			cdf := sc.memoCDF[slots*card : (slots+1)*card]
+			var mass float64
+			for k := 0; k < card; k++ {
+				d[k] *= wv[k]
+				mass += d[k]
+				cdf[k] = mass
+			}
+			sc.memoMass[slots] = mass
+			slots++
 		}
+		slot := int(sc.memoSlot[pos])
+		mass := sc.memoMass[slot]
 		probs[ri] *= mass
 		if mass <= 0 || probs[ri] == 0 {
 			probs[ri] = 0
@@ -491,35 +567,31 @@ func (m *Model) sampleQueryColumn(sess *nn.Session, sc *EstimateScratch, con Con
 			continue
 		}
 		// Sample the next coordinate ∝ corrected conditional.
-		rows[ri][c] = pickCategorical(d, cdf, rng.Float64()*mass)
+		rows[ri][c] = pickCategorical(sc.memoCDF[slot*card:(slot+1)*card], rng.Float64()*mass)
 	}
 }
 
 // bsearchMinCard is the domain size above which the categorical draw switches
-// from a linear cumulative scan to binary search over the prefix sums.
+// from a linear scan to binary search over the prefix sums.
 const bsearchMinCard = 64
 
-// pickCategorical returns the index k drawn by threshold u over the weighted
-// distribution d with prefix sums cdf (cdf[k] = d[0]+…+d[k] accumulated left
-// to right): the first k with u < cdf[k], or len(d)-1 when rounding pushes u
-// to or past the total mass. Small domains scan linearly; larger ones binary
-// search the prefix sums. Both paths pick identical indices because the scan
-// compares u against the same accumulation chain cdf stores.
+// pickCategorical returns the index k drawn by threshold u from the prefix
+// sums cdf of a weighted distribution (cdf[k] = d[0]+…+d[k] accumulated
+// left to right): the first k with u < cdf[k], or len(cdf)-1 when rounding
+// pushes u to or past the total mass. Small domains scan linearly; larger
+// ones binary search. Both pick the index a running sum of d would: cdf[k]
+// is that running sum, added in the same order.
 //
 // iam:noalloc
-func pickCategorical(d, cdf []float64, u float64) int {
-	card := len(d)
+func pickCategorical(cdf []float64, u float64) int {
+	card := len(cdf)
 	if card <= bsearchMinCard {
-		var acc float64
-		pick := card - 1
-		for k := 0; k < card; k++ {
-			acc += d[k]
-			if u < acc {
-				pick = k
-				break
+		for k := 0; k < card-1; k++ {
+			if u < cdf[k] {
+				return k
 			}
 		}
-		return pick
+		return card - 1
 	}
 	// Branch-light upper bound: count prefix sums ≤ u, clamped to card-1.
 	lo, n := 0, card

@@ -1,14 +1,49 @@
 package ar
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
 
+// distinctPrefixRows counts, from the final sample rows of a run, the rows
+// the deduplicating packed sampler must forward: per column c, the distinct
+// (constrained-prefix signature, codes on that prefix) pairs over the
+// samples still live at c. A sample was live at c exactly when its query
+// constrains c and row[c] left the MASK token — a pick, or the 0 written
+// where it died; a sample dead before c keeps MASK there.
+func distinctPrefixRows(m *Model, consList [][]Constraint, rows [][]int, ns int) int {
+	n := 0
+	for c := range m.Cards {
+		seen := map[string]bool{}
+		for qi, cons := range consList {
+			if cons[c] == nil {
+				continue
+			}
+			for s := 0; s < ns; s++ {
+				row := rows[qi*ns+s]
+				if row[c] == m.Net.MaskToken(c) {
+					continue
+				}
+				key := ""
+				for k := 0; k < c; k++ {
+					if cons[k] != nil {
+						key += fmt.Sprintf("%d:%d,", k, row[k])
+					}
+				}
+				seen[key] = true
+			}
+		}
+		n += len(seen)
+	}
+	return n
+}
+
 // TestPackedGroupingSharesForwards pins the packed sampler's forward
-// accounting: columns with an empty constrained prefix broadcast one row for
-// the whole batch, and queries sharing a prefix signature share one forward
-// per column.
+// accounting: each column forwards one row per distinct (prefix signature,
+// prefix codes) pair, shared across the samples and queries that hold it.
+// Columns with an empty constrained prefix therefore forward one row for
+// the whole batch.
 func TestPackedGroupingSharesForwards(t *testing.T) {
 	m := freshModel(t, []int{4, 4, 5})
 	ns := 16
@@ -24,13 +59,17 @@ func TestPackedGroupingSharesForwards(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sess.ForwardedRows() - before
-	// Column 0: queries 0,1 share the empty prefix — one broadcast row.
-	// Column 1: query 2's prefix is still empty (it skipped column 0) — one
-	// broadcast row. Column 2: queries 0,1 share prefix {0} (2·ns rows in
-	// one forward), query 2 has prefix {1} (ns rows in another).
-	want := 1 + 1 + 2*ns + ns
+	// Column 0: queries 0,1 share the empty prefix — one row. Column 1:
+	// query 2's prefix is still empty (it skipped column 0) — one row.
+	// Column 2: queries 0,1 share signature {0} and forward one row per
+	// distinct column-0 code among their samples; query 2 (signature {1})
+	// one per distinct column-1 code.
+	want := distinctPrefixRows(m, consList, sc.rows, ns)
 	if got != want {
 		t.Fatalf("forwarded %d rows, want %d (prefix groups must share forwards)", got, want)
+	}
+	if want > 1+1+4+3 {
+		t.Fatalf("%d distinct prefixes exceed the 9 the domains allow", want)
 	}
 }
 

@@ -16,10 +16,9 @@ type EstimateScratch struct {
 	backing []int        // contiguous storage behind rows
 	probs   []float64    // per-sample running path probability
 	subPos  []int        // sample index → row index in the forwarded sub-batch (-1 = dead)
-	dist    []float64    // per-code conditional, reused across samples
-	w       []float64    // per-code admission weights, reused across samples
-	cdf     []float64    // prefix sums of dist for the binary-search draw
-	subRows [][]int      // live rows of the current column's sub-batch
+	dist    []float64    // per-code conditional, reused across memo builds
+	w       []float64    // per-code admission weights, reused across memo builds
+	subRows [][]int      // forwarded rows of the current column's sub-batch
 	subQs   []int        // query indices constraining the current column
 	out     []float64    // per-query estimates returned to the caller
 	varOut  []float64    // per-query variance of the mean (see Variances)
@@ -39,6 +38,21 @@ type EstimateScratch struct {
 	planNet *nn.ResMADE
 	planGen int64
 	plans   map[[4]uint64]*nn.SamplingPlan
+
+	// Prefix-dedup state. dedup is the open-addressing table that maps a
+	// sample's codes on the group's live columns (liveCols) to its forwarded
+	// row (stored +1, 0 = empty). The memo holds, per distinct forwarded row
+	// of the current query, the prefix sums of the weighted conditional
+	// (memoCDF) and its mass; memoSlot maps a forwarded row to its memo
+	// slot, valid only while memoStamp matches epoch, so moving on to the
+	// next query clears nothing.
+	dedup     []int32
+	liveCols  []int
+	memoStamp []uint32
+	memoSlot  []int32
+	memoCDF   []float64
+	memoMass  []float64
+	epoch     uint32
 }
 
 // NewEstimateScratch returns an empty scratch; buffers are sized lazily by
@@ -72,11 +86,9 @@ func (sc *EstimateScratch) ensure(nq, numSamples, nCols, maxCard int) {
 	if cap(sc.dist) < maxCard {
 		sc.dist = make([]float64, maxCard)
 		sc.w = make([]float64, maxCard)
-		sc.cdf = make([]float64, maxCard)
 	}
 	sc.dist = sc.dist[:maxCard]
 	sc.w = sc.w[:maxCard]
-	sc.cdf = sc.cdf[:maxCard]
 	if cap(sc.subRows) < total {
 		sc.subRows = make([][]int, 0, total)
 	}
@@ -113,6 +125,49 @@ func (sc *EstimateScratch) ensure(nq, numSamples, nCols, maxCard int) {
 		sc.live = make([]bool, nCols)
 	}
 	sc.live = sc.live[:nCols]
+	if n := dedupSize(total); cap(sc.dedup) < n {
+		sc.dedup = make([]int32, n)
+	}
+	if cap(sc.liveCols) < nCols {
+		sc.liveCols = make([]int, 0, nCols)
+	}
+	if cap(sc.memoStamp) < total {
+		// Fresh stamps are 0 and epoch never is, so no slot reads as filled.
+		sc.memoStamp = make([]uint32, total)
+		sc.memoSlot = make([]int32, total)
+	}
+	sc.memoStamp = sc.memoStamp[:total]
+	sc.memoSlot = sc.memoSlot[:total]
+	if cap(sc.memoCDF) < numSamples*maxCard {
+		sc.memoCDF = make([]float64, numSamples*maxCard)
+	}
+	if cap(sc.memoMass) < numSamples {
+		sc.memoMass = make([]float64, numSamples)
+	}
+}
+
+// dedupSize is the dedup table length for n keys: the smallest power of two
+// ≥ 2n, so the table stays at most half full and linear probes stay short.
+func dedupSize(n int) int {
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	return size
+}
+
+// nextEpoch starts a fresh memo generation: every memoSlot entry filled
+// under an earlier epoch reads as empty. On wraparound the stamps are
+// cleared once, so a stale stamp can never alias a live epoch.
+//
+// iam:noalloc
+func (sc *EstimateScratch) nextEpoch() uint32 {
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.memoStamp[:cap(sc.memoStamp)])
+		sc.epoch = 1
+	}
+	return sc.epoch
 }
 
 // planFor returns the cached SamplingPlan for one constrained-prefix

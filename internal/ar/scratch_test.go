@@ -29,27 +29,44 @@ func TestDeadSamplesNotForwarded(t *testing.T) {
 	consDead := []Constraint{EmptyConstraint{}, RangeConstraint{1, 3}, RangeConstraint{0, 4}}
 
 	sess := m.Net.NewSession(2 * ns)
+	sc := NewEstimateScratch()
+
+	// Alone, the dead query forwards only column 0's single empty-prefix
+	// row: all its samples die there and are never forwarded again.
 	before := sess.ForwardedRows()
-	rng := rand.New(rand.NewSource(9))
-	if _, err := m.EstimateBatch(sess, [][]Constraint{consLive, consDead}, ns, rng); err != nil {
+	if _, err := m.EstimateBatchScratch(sess, sc, [][]Constraint{consDead}, ns, []int64{9}); err != nil {
+		t.Fatal(err)
+	}
+	if got := sess.ForwardedRows() - before; got != 1 {
+		t.Fatalf("dead query alone forwarded %d rows, want 1 (dead samples must be skipped)", got)
+	}
+
+	// Beside a live query, the batch forwards exactly the live query's
+	// distinct prefixes: the dead samples add no row at columns 1 and 2.
+	consList := [][]Constraint{consLive, consDead}
+	before = sess.ForwardedRows()
+	if _, err := m.EstimateBatchScratch(sess, sc, consList, ns, []int64{9, 10}); err != nil {
 		t.Fatal(err)
 	}
 	got := sess.ForwardedRows() - before
-	// Column 0 has an empty constrained prefix, so the packed sampler
-	// broadcasts: one forwarded row answers for both queries' 2·ns samples.
-	// The dead query's samples all collapse there, so columns 1 and 2
-	// forward only the live query's ns rows each: 1 + ns + ns. The property
-	// under test — dead samples never re-forwarded — shows up as the
-	// missing dead-query rows at columns 1 and 2.
-	want := 1 + 2*ns
+	for s := 0; s < ns; s++ {
+		if row := sc.rows[ns+s]; row[1] != m.Net.MaskToken(1) || row[2] != m.Net.MaskToken(2) {
+			t.Fatalf("dead sample %d was sampled past column 0: %v", s, row)
+		}
+	}
+	want := distinctPrefixRows(m, consList, sc.rows, ns)
+	if wantLive := distinctPrefixRows(m, consList[:1], sc.rows, ns); want != wantLive {
+		t.Fatalf("dead query contributes %d distinct prefixes", want-wantLive)
+	}
 	if got != want {
 		t.Fatalf("forwarded %d rows, want %d (dead samples must be skipped)", got, want)
 	}
 }
 
-// TestPickCategoricalBsearchMatchesLinear proves the binary-search draw picks
-// the same index as the linear cumulative scan for every threshold, including
-// zero-mass plateaus and thresholds at or past the total mass.
+// TestPickCategoricalBsearchMatchesLinear proves the draw over the prefix
+// sums — a scan for small domains, binary search past bsearchMinCard — picks
+// the same index as a running sum of the weights for every threshold,
+// including zero-mass plateaus and thresholds at or past the total mass.
 func TestPickCategoricalBsearchMatchesLinear(t *testing.T) {
 	linear := func(d []float64, u float64) int {
 		var acc float64
@@ -64,7 +81,7 @@ func TestPickCategoricalBsearchMatchesLinear(t *testing.T) {
 		return pick
 	}
 	rng := rand.New(rand.NewSource(17))
-	for _, card := range []int{65, 100, 513} {
+	for _, card := range []int{1, 5, 64, 65, 100, 513} {
 		d := make([]float64, card)
 		cdf := make([]float64, card)
 		var mass float64
@@ -79,12 +96,12 @@ func TestPickCategoricalBsearchMatchesLinear(t *testing.T) {
 		}
 		for trial := 0; trial < 2000; trial++ {
 			u := rng.Float64() * mass
-			if got, want := pickCategorical(d, cdf, u), linear(d, u); got != want {
+			if got, want := pickCategorical(cdf, u), linear(d, u); got != want {
 				t.Fatalf("card %d: pickCategorical(u=%v) = %d, linear scan picks %d", card, u, got, want)
 			}
 		}
 		for _, u := range []float64{0, cdf[card-1], cdf[card-1] * 1.0000001} {
-			if got, want := pickCategorical(d, cdf, u), linear(d, u); got != want {
+			if got, want := pickCategorical(cdf, u), linear(d, u); got != want {
 				t.Fatalf("card %d: edge u=%v: bsearch %d vs linear %d", card, u, got, want)
 			}
 		}
@@ -169,7 +186,10 @@ func TestScratchBatchCompositionIndependent(t *testing.T) {
 }
 
 // TestEstimateBatchScratchNoAlloc pins the tentpole property: after warm-up,
-// the scratch estimate path performs zero heap allocations per call.
+// the scratch estimate path performs zero heap allocations per call. The
+// batch spans three signature groups at column 2 and its samples collide on
+// a handful of prefixes, so the dedup table and the per-(query, row) memo
+// are on the measured path.
 func TestEstimateBatchScratchNoAlloc(t *testing.T) {
 	prev := vecmath.Parallelism(1)
 	defer vecmath.Parallelism(prev)
@@ -182,13 +202,22 @@ func TestEstimateBatchScratchNoAlloc(t *testing.T) {
 	consList := [][]Constraint{
 		{RangeConstraint{1, 2}, WeightConstraint{W: wts}, nil},
 		{nil, RangeConstraint{3, 12}, RangeConstraint{0, 4}},
+		{RangeConstraint{0, 3}, nil, RangeConstraint{1, 3}},
+		{RangeConstraint{0, 1}, RangeConstraint{2, 5}, RangeConstraint{0, 2}},
+		{RangeConstraint{2, 3}, nil, WeightConstraint{W: wts[:5]}},
 	}
-	seeds := []int64{11, 12}
-	ns := 32
-	sess := m.Net.NewSession(2 * ns)
+	seeds := []int64{11, 12, 13, 14, 15}
+	ns := 64
+	sess := m.Net.NewSession(len(consList) * ns)
 	sc := NewEstimateScratch()
+	before := sess.ForwardedRows()
 	if _, err := m.EstimateBatchScratch(sess, sc, consList, ns, seeds); err != nil {
 		t.Fatal(err)
+	}
+	// Heavy collisions: 11 constrained (query, column) pairs of 64 samples
+	// each, over prefixes of at most 4·16 codes.
+	if fwd := sess.ForwardedRows() - before; fwd*4 > 11*ns {
+		t.Fatalf("forwarded %d rows; the batch should collide on far fewer prefixes", fwd)
 	}
 	n := testing.AllocsPerRun(10, func() {
 		if _, err := m.EstimateBatchScratch(sess, sc, consList, ns, seeds); err != nil {

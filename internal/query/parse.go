@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -39,7 +40,7 @@ func splitAnd(s string) []string {
 	var out []string
 	rest := s
 	for {
-		idx := indexFold(rest, " and ")
+		idx := indexAnd(rest)
 		if idx < 0 {
 			out = append(out, strings.TrimSpace(rest))
 			return out
@@ -49,8 +50,17 @@ func splitAnd(s string) []string {
 	}
 }
 
-func indexFold(s, sub string) int {
-	return strings.Index(strings.ToLower(s), sub)
+// indexAnd returns the byte offset in s of the first " and " in any ASCII
+// letter case, or -1. It matches on s's own bytes: lower-casing s first
+// would shift the offsets wherever a rune's lower case has another UTF-8
+// length.
+func indexAnd(s string) int {
+	for i := 0; i+5 <= len(s); i++ {
+		if s[i] == ' ' && s[i+4] == ' ' && strings.EqualFold(s[i+1:i+4], "and") {
+			return i
+		}
+	}
+	return -1
 }
 
 var opTable = []struct {
@@ -78,6 +88,11 @@ func parsePredicate(s string) (Predicate, error) {
 		v, err := strconv.ParseFloat(valStr, 64)
 		if err != nil {
 			return Predicate{}, fmt.Errorf("query: value in %q: %w", s, err)
+		}
+		if math.IsNaN(v) {
+			// NaN compares false with every bound, so the predicate would
+			// silently constrain nothing.
+			return Predicate{}, fmt.Errorf("query: value in %q is NaN", s)
 		}
 		return Predicate{Col: col, Op: o.op, Value: v}, nil
 	}

@@ -55,6 +55,7 @@ func TestParseErrors(t *testing.T) {
 		"<= 3",          // missing column
 		"val <=",        // missing value
 		"val <= 3 AND ", // trailing AND
+		"val <= NaN",    // NaN would constrain nothing
 	}
 	for _, s := range cases {
 		if _, err := Parse(tb, s); err == nil {

@@ -199,13 +199,15 @@ func (q *Query) String() string {
 		//lint:ignore floateq point predicate detection on exact user-supplied bounds
 		case r.Lo == r.Hi && r.LoInc && r.HiInc:
 			parts = append(parts, fmt.Sprintf("%s = %v", name, r.Lo))
-		case math.IsInf(r.Lo, -1) && !math.IsInf(r.Hi, 1):
+		// A one-sided form drops the infinite bound, so it only stands in
+		// for an inclusive one (the bound AddPredicate sets).
+		case math.IsInf(r.Lo, -1) && r.LoInc && !math.IsInf(r.Hi, 1):
 			op := "<="
 			if !r.HiInc {
 				op = "<"
 			}
 			parts = append(parts, fmt.Sprintf("%s %s %v", name, op, r.Hi))
-		case !math.IsInf(r.Lo, -1) && math.IsInf(r.Hi, 1):
+		case !math.IsInf(r.Lo, -1) && math.IsInf(r.Hi, 1) && r.HiInc:
 			op := ">="
 			if !r.LoInc {
 				op = ">"
