@@ -9,9 +9,9 @@
 package ar
 
 import (
+	"bytes"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"iam/internal/dataset"
 	"iam/internal/nn"
@@ -179,43 +179,6 @@ func maxCard(cards []int) int {
 	return mx
 }
 
-// Estimate runs unbiased progressive sampling for a single query whose
-// per-column constraints are cons (nil = unqueried, wildcard-skipped). sess
-// must accommodate numSamples rows.
-//
-// iam:deterministic
-func (m *Model) Estimate(sess *nn.Session, cons []Constraint, numSamples int, rng *rand.Rand) (float64, error) {
-	res, err := m.EstimateBatch(sess, [][]Constraint{cons}, numSamples, rng)
-	if err != nil {
-		return 0, err
-	}
-	return res[0], nil
-}
-
-// EstimateBatch estimates a batch of queries at once (paper §5.3, Table 7):
-// the per-query sample sets are stacked into one matrix so every AR column
-// needs a single network forward for the whole batch. sess must accommodate
-// len(consList)·numSamples rows. All queries draw from the one shared rng in
-// a fixed order; EstimateBatchScratch is the reusable-buffer variant with
-// per-query streams.
-//
-// iam:deterministic
-func (m *Model) EstimateBatch(sess *nn.Session, consList [][]Constraint, numSamples int, rng *rand.Rand) ([]float64, error) {
-	nq := len(consList)
-	if err := m.checkArity(consList); err != nil {
-		return nil, err
-	}
-	sc := NewEstimateScratch()
-	sc.ensure(nq, numSamples, len(m.Cards), maxCard(m.Cards))
-	for qi := range sc.rngs {
-		sc.rngs[qi] = rng
-	}
-	res := m.estimateBatchInto(sess, sc, consList, numSamples)
-	out := make([]float64, nq)
-	copy(out, res)
-	return out, nil
-}
-
 // checkArity validates that every constraint list covers each AR column
 // exactly once. Kept out of estimateBatchInto so the sampling core stays
 // allocation-free (the error construction is the only heap traffic).
@@ -229,11 +192,14 @@ func (m *Model) checkArity(consList [][]Constraint) error {
 	return nil
 }
 
-// EstimateBatchScratch is EstimateBatch on caller-owned scratch buffers with
-// one deterministic RNG stream per query: query i draws only from a generator
-// reseeded to seeds[i], so its estimate is a pure function of (model, query,
-// seed) — independent of batch composition, worker count, or execution order.
-// The returned slice aliases sc and is valid until the next call on sc.
+// EstimateBatchScratch runs unbiased progressive sampling (paper §3, §5.3)
+// for a batch of queries whose per-column constraints are consList (nil =
+// unqueried, wildcard-skipped), on caller-owned scratch buffers. Query i
+// draws only from a generator reseeded to seeds[i], so its estimate is a pure
+// function of (model, query, seed) — independent of batch composition,
+// worker count, or execution order. sess must accommodate
+// len(consList)·numSamples rows. The returned slice aliases sc and is valid
+// until the next call on sc; so are Variances and Paths.
 //
 // iam:deterministic
 // iam:numsafe
@@ -249,27 +215,17 @@ func (m *Model) EstimateBatchScratch(sess *nn.Session, sc *EstimateScratch, cons
 	return m.estimateBatchInto(sess, sc, consList, numSamples), nil
 }
 
-// packedSampling routes the sampling core through the packed forwards
-// (nn.ForwardSampling over per-prefix SamplingPlans). Package-level so the
-// property tests can pin the dense fallback; production never flips it.
-var packedSampling = true
-
-// maxPackedCols bounds the packed path to what a [4]uint64 prefix signature
-// can address; wider schemas fall back to the dense sampler.
-const maxPackedCols = 256
-
-// estimateBatchInto is the progressive-sampling core shared by EstimateBatch
-// and EstimateBatchScratch. sc must already be sized by ensure and have
-// sc.rngs populated; consList must already be arity-checked (checkArity).
-// It performs no heap allocation beyond what Constraint implementations
-// allocate (the built-in ones allocate nothing) and the amortized packed-plan
-// builds (once per new query prefix per parameter generation).
+// estimateBatchInto is the progressive-sampling core behind
+// EstimateBatchScratch. sc must already be sized by ensure and seeded;
+// consList must already be arity-checked (checkArity). It performs no heap
+// allocation beyond what Constraint implementations allocate (the built-in
+// ones allocate nothing) and the amortized packed-plan builds (once per new
+// query prefix per parameter generation).
 //
-// Per column the work goes to the packed sampler — one restricted forward
-// per group of queries sharing a constrained-prefix signature — or to the
-// dense fallback for schemas too wide for a signature. Each query's draws
-// happen in the same (column, sample) order with its own rng stream either
-// way, so estimates stay pure functions of (model, query, seed).
+// Each column's work goes to the packed sampler — one restricted forward per
+// group of queries sharing a constrained-prefix signature. Each query draws
+// in (column, sample) order from its own rng stream, so estimates stay pure
+// functions of (model, query, seed).
 //
 // iam:numsafe
 // iam:noalloc
@@ -287,26 +243,16 @@ func (m *Model) estimateBatchInto(sess *nn.Session, sc *EstimateScratch, consLis
 	for i := range probs {
 		probs[i] = 1
 	}
-
-	packed := packedSampling && nCols <= maxPackedCols
-	if packed {
-		for qi := range sc.sigs[:nq] {
-			sc.sigs[qi] = [4]uint64{}
-		}
-	}
+	clear(sc.sigs)
 
 	for c := 0; c < nCols; c++ {
-		if packed {
-			m.sampleColumnPacked(sess, sc, consList, numSamples, c)
-			// The prefix signature of column c+1 gains every query's bit for
-			// c — constrained columns are live once sampled, dead or not.
-			for qi, cons := range consList {
-				if cons[c] != nil {
-					sc.sigs[qi][c>>6] |= 1 << uint(c&63)
-				}
+		m.sampleColumnPacked(sess, sc, consList, numSamples, c)
+		// The prefix signature of column c+1 gains every query's bit for
+		// c — constrained columns are live once sampled, dead or not.
+		for qi, cons := range consList {
+			if cons[c] != nil {
+				sc.sig(qi)[c>>3] |= 1 << uint(c&7)
 			}
-		} else {
-			m.sampleColumnDense(sess, sc, consList, numSamples, c)
 		}
 	}
 
@@ -337,50 +283,6 @@ func (m *Model) estimateBatchInto(sess *nn.Session, sc *EstimateScratch, consLis
 	return out
 }
 
-// sampleColumnDense advances column c for every query constraining it with
-// one dense forward over the stacked live sample rows (wildcard-skipping,
-// §5.3, with dead-sample compaction). This is the pre-packing sampler, kept
-// as the fallback for schemas wider than maxPackedCols.
-//
-// iam:numsafe
-// iam:noalloc
-func (m *Model) sampleColumnDense(sess *nn.Session, sc *EstimateScratch, consList [][]Constraint, numSamples, c int) {
-	probs := sc.probs
-	rows := sc.rows
-	// Sub-batch: only the sample rows of queries that constrain this
-	// column need a network forward, and of those only the live rows — a
-	// sample whose path probability has collapsed to zero contributes
-	// nothing downstream, so forwarding it would be pure waste. subPos
-	// records each live row's position in the compacted sub-batch.
-	subRows := sc.subRows[:0]
-	subQs := sc.subQs[:0]
-	for qi, cons := range consList {
-		if cons[c] == nil {
-			continue
-		}
-		//lint:ignore noalloc sc.subQs is pre-sized to nq by ensure; append reuses retained capacity
-		subQs = append(subQs, qi)
-		for s := 0; s < numSamples; s++ {
-			ri := qi*numSamples + s
-			if probs[ri] == 0 {
-				sc.subPos[ri] = -1
-				continue
-			}
-			sc.subPos[ri] = len(subRows)
-			//lint:ignore noalloc sc.subRows is pre-sized to nq·numSamples by ensure; append reuses retained capacity
-			subRows = append(subRows, rows[ri])
-		}
-	}
-	sc.subRows, sc.subQs = subRows, subQs // retain any growth
-	if len(subRows) == 0 {
-		return
-	}
-	sess.Forward(subRows)
-	for _, qi := range subQs {
-		m.sampleQueryColumn(sess, sc, consList[qi][c], qi, c, numSamples)
-	}
-}
-
 // sampleColumnPacked advances column c in groups of queries sharing a
 // constrained-prefix signature (the columns already sampled live). Each
 // group gets one packed restricted forward over its distinct live rows (see
@@ -405,11 +307,11 @@ func (m *Model) sampleColumnPacked(sess *nn.Session, sc *EstimateScratch, consLi
 		if sc.claimed[qi0] {
 			continue
 		}
-		sig := sc.sigs[qi0]
+		sig := sc.sig(qi0)
 		plan := sc.planFor(m.Net, sig, len(m.Cards))
 		groupQs := sc.groupQs[:0]
 		for _, qi := range subQs[gi:] {
-			if sc.claimed[qi] || sc.sigs[qi] != sig {
+			if sc.claimed[qi] || !bytes.Equal(sc.sig(qi), sig) {
 				continue
 			}
 			sc.claimed[qi] = true
@@ -442,10 +344,10 @@ var prefixDedup = true
 // of them. Dead samples are never forwarded.
 //
 // iam:noalloc
-func (sc *EstimateScratch) groupRows(sig [4]uint64, c, numSamples int) [][]int {
+func (sc *EstimateScratch) groupRows(sig []byte, c, numSamples int) [][]int {
 	live := sc.liveCols[:0]
 	for k := 0; k < c; k++ {
-		if sig[k>>6]&(1<<uint(k&63)) != 0 {
+		if sig[k>>3]&(1<<uint(k&7)) != 0 {
 			//lint:ignore noalloc sc.liveCols is pre-sized to nCols by ensure; append reuses retained capacity
 			live = append(live, k)
 		}
@@ -513,8 +415,8 @@ func samePrefix(a, b, cols []int) bool {
 }
 
 // sampleQueryColumn runs one query's per-sample draw loop for column c
-// against the logits of the last forward (dense or packed — sc.subPos maps
-// each live sample to its forwarded row either way). The weighted
+// against the logits of the last packed forward (sc.subPos maps each live
+// sample to its forwarded row). The weighted
 // conditional's prefix sums and mass depend only on the forwarded row
 // (Dist) and the sampled prefix (Fill reads codes < c only), both shared by
 // every sample mapped to that row, so they are built once per distinct row
@@ -603,106 +505,4 @@ func pickCategorical(cdf []float64, u float64) int {
 		n -= half
 	}
 	return lo
-}
-
-// SampleRecord captures one progressive-sampling run for gradient-based
-// query-driven training (UAE): the final sampled rows, the per-column range
-// masses each row accumulated, and the per-row path probabilities.
-type SampleRecord struct {
-	NumSamples int
-	Rows       [][]int     // len nq·numSamples; final sampled codes
-	Mass       [][]float64 // Mass[i][c] = admitted mass at column c (NaN = column skipped)
-	Probs      []float64   // Π over queried columns of Mass[i][c]
-	Est        []float64   // per-query estimates (mean of Probs)
-}
-
-// EstimateBatchRecord is EstimateBatch with full recording. The returned
-// rows can be re-forwarded to reconstruct every step's logits exactly (MADE
-// masks guarantee column c's logits depend only on columns < c, which hold
-// the same sampled values they had during the run).
-func (m *Model) EstimateBatchRecord(sess *nn.Session, consList [][]Constraint, numSamples int, rng *rand.Rand) *SampleRecord {
-	nCols := len(m.Cards)
-	nq := len(consList)
-	total := nq * numSamples
-
-	rec := &SampleRecord{NumSamples: numSamples}
-	rec.Rows = make([][]int, total)
-	rec.Mass = make([][]float64, total)
-	rec.Probs = make([]float64, total)
-	rowBacking := make([]int, total*nCols)
-	massBacking := make([]float64, total*nCols)
-	for i := range rec.Rows {
-		rec.Rows[i] = rowBacking[i*nCols : (i+1)*nCols]
-		rec.Mass[i] = massBacking[i*nCols : (i+1)*nCols]
-		for c := range rec.Rows[i] {
-			rec.Rows[i][c] = m.Net.MaskToken(c)
-			rec.Mass[i][c] = math.NaN()
-		}
-		rec.Probs[i] = 1
-	}
-
-	queried := make([]bool, nCols)
-	for _, cons := range consList {
-		for c, con := range cons {
-			if con != nil {
-				queried[c] = true
-			}
-		}
-	}
-
-	dist := make([]float64, maxCard(m.Cards))
-	w := make([]float64, maxCard(m.Cards))
-	for c := 0; c < nCols; c++ {
-		if !queried[c] {
-			continue
-		}
-		sess.Forward(rec.Rows)
-		card := m.Cards[c]
-		for qi, cons := range consList {
-			con := cons[c]
-			for s := 0; s < numSamples; s++ {
-				ri := qi*numSamples + s
-				if con == nil || rec.Probs[ri] == 0 {
-					continue
-				}
-				d := dist[:card]
-				sess.Dist(ri, c, d)
-				wv := w[:card]
-				con.Fill(rec.Rows[ri], wv)
-				var mass float64
-				for k := 0; k < card; k++ {
-					d[k] *= wv[k]
-					mass += d[k]
-				}
-				rec.Mass[ri][c] = mass
-				rec.Probs[ri] *= mass
-				if mass <= 0 || rec.Probs[ri] == 0 {
-					rec.Probs[ri] = 0
-					rec.Rows[ri][c] = 0
-					continue
-				}
-				u := rng.Float64() * mass
-				var acc float64
-				pick := card - 1
-				for k := 0; k < card; k++ {
-					acc += d[k]
-					if u < acc {
-						pick = k
-						break
-					}
-				}
-				rec.Rows[ri][c] = pick
-			}
-		}
-	}
-
-	rec.Est = make([]float64, nq)
-	for qi := 0; qi < nq; qi++ {
-		var s float64
-		for i := qi * numSamples; i < (qi+1)*numSamples; i++ {
-			s += rec.Probs[i]
-		}
-		rec.Est[qi] = vecmath.Clamp(s/float64(numSamples), 0, 1)
-	}
-	return rec
 }

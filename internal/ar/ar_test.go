@@ -35,14 +35,15 @@ func trainedModel(t *testing.T) (*Model, [][]int) {
 	return m, rows
 }
 
-// est runs Estimate and fails the test on error.
-func est(t *testing.T, m *Model, sess *nn.Session, cons []Constraint, s int, rng *rand.Rand) float64 {
+// est runs one query through EstimateBatchScratch with the given seed and
+// fails the test on error.
+func est(t *testing.T, m *Model, sess *nn.Session, cons []Constraint, s int, seed int64) float64 {
 	t.Helper()
-	v, err := m.Estimate(sess, cons, s, rng)
+	v, err := m.EstimateBatchScratch(sess, NewEstimateScratch(), [][]Constraint{cons}, s, []int64{seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v
+	return v[0]
 }
 
 func mustSpec(t *testing.T, card, base int) dataset.FactorSpec {
@@ -95,8 +96,7 @@ func TestProgressiveSamplingMatchesExactEnumeration(t *testing.T) {
 		RangeConstraint{2, 4},
 	}
 	sess := m.Net.NewSession(4000)
-	rng := rand.New(rand.NewSource(4))
-	got := est(t, m, sess, cons, 4000, rng)
+	got := est(t, m, sess, cons, 4000, 4)
 	if math.Abs(got-exact) > 0.02+0.05*exact {
 		t.Fatalf("progressive sampling %v vs exact %v", got, exact)
 	}
@@ -117,8 +117,7 @@ func TestProgressiveSamplingUnbiasedAcrossSeeds(t *testing.T) {
 	var sum float64
 	const reps = 60
 	for i := 0; i < reps; i++ {
-		rng := rand.New(rand.NewSource(int64(100 + i)))
-		sum += est(t, m, sess, cons, 64, rng)
+		sum += est(t, m, sess, cons, 64, int64(100+i))
 	}
 	mean := sum / reps
 	if math.Abs(mean-exact) > 0.02+0.05*exact {
@@ -131,8 +130,7 @@ func TestWildcardSkippedColumn(t *testing.T) {
 	// Query constrains only column 1; column 0 and 2 are wildcards.
 	cons := []Constraint{nil, RangeConstraint{0, 1}, nil}
 	sess := m.Net.NewSession(2000)
-	rng := rand.New(rand.NewSource(5))
-	got := est(t, m, sess, cons, 2000, rng)
+	got := est(t, m, sess, cons, 2000, 5)
 
 	// Data frequency of b ∈ {0,1}.
 	count := 0
@@ -151,8 +149,7 @@ func TestEmptyConstraintGivesZero(t *testing.T) {
 	m, _ := trainedModel(t)
 	cons := []Constraint{EmptyConstraint{}, nil, nil}
 	sess := m.Net.NewSession(100)
-	rng := rand.New(rand.NewSource(6))
-	if got := est(t, m, sess, cons, 100, rng); got != 0 {
+	if got := est(t, m, sess, cons, 100, 6); got != 0 {
 		t.Fatalf("empty constraint estimate = %v, want 0", got)
 	}
 }
@@ -166,15 +163,13 @@ func TestEstimateBatchMatchesSingles(t *testing.T) {
 	}
 	const s = 1500
 	sess := m.Net.NewSession(len(consList) * s)
-	rng := rand.New(rand.NewSource(7))
-	batch, err := m.EstimateBatch(sess, consList, s, rng)
+	batch, err := m.EstimateBatchScratch(sess, NewEstimateScratch(), consList, s, []int64{7, 8, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for i, cons := range consList {
-		rng2 := rand.New(rand.NewSource(int64(70 + i)))
-		single := est(t, m, sess, cons, s, rng2)
+		single := est(t, m, sess, cons, s, int64(70+i))
 		if math.Abs(batch[i]-single) > 0.03+0.1*single {
 			t.Fatalf("query %d: batch %v vs single %v", i, batch[i], single)
 		}
@@ -191,8 +186,8 @@ func TestWeightConstraint(t *testing.T) {
 	consW := []Constraint{WeightConstraint{ones}, RangeConstraint{0, 3}, RangeConstraint{0, 4}}
 	consR := []Constraint{RangeConstraint{0, 3}, RangeConstraint{0, 3}, RangeConstraint{0, 4}}
 	sess := m.Net.NewSession(3000)
-	a := est(t, m, sess, consW, 3000, rand.New(rand.NewSource(8)))
-	b := est(t, m, sess, consR, 3000, rand.New(rand.NewSource(9)))
+	a := est(t, m, sess, consW, 3000, 8)
+	b := est(t, m, sess, consR, 3000, 9)
 	if math.Abs(a-b) > 0.05 {
 		t.Fatalf("weight-of-ones %v vs full range %v", a, b)
 	}
@@ -303,14 +298,14 @@ func TestFactoredSamplingMatchesUnfactored(t *testing.T) {
 
 	sessRaw := mRaw.Net.NewSession(2000)
 	gotRaw := est(t, mRaw, sessRaw,
-		[]Constraint{nil, RangeConstraint{lo, hi}}, 2000, rand.New(rand.NewSource(15)))
+		[]Constraint{nil, RangeConstraint{lo, hi}}, 2000, 15)
 	sessFac := mFac.Net.NewSession(2000)
 	gotFac := est(t, mFac, sessFac,
 		[]Constraint{
 			nil,
 			FactoredConstraint{Spec: spec, Part: 0, FirstCol: 1, Lo: lo, Hi: hi},
 			FactoredConstraint{Spec: spec, Part: 1, FirstCol: 1, Lo: lo, Hi: hi},
-		}, 2000, rand.New(rand.NewSource(16)))
+		}, 2000, 16)
 
 	if math.Abs(gotRaw-want) > 0.08 {
 		t.Fatalf("raw model estimate %v vs data %v", gotRaw, want)

@@ -84,10 +84,9 @@ func randomQuery(rng *rand.Rand, m *Model, fc FactoredConstraint, live int) []Co
 	return cons
 }
 
-// runBoth runs one batch through both estimate entry points and returns
-// the per-query-seed estimates, their variances, the shared-rng estimates
-// and the rows forwarded.
-func runBoth(t *testing.T, m *Model, sess *nn.Session, consList [][]Constraint, ns int, seed int64) (est, vars, shared []float64, fwd int) {
+// runBoth runs one batch through the seeded estimate path and returns the
+// per-query-seed estimates, their variances and the rows forwarded.
+func runBoth(t *testing.T, m *Model, sess *nn.Session, consList [][]Constraint, ns int, seed int64) (est, vars []float64, fwd int) {
 	t.Helper()
 	seeds := make([]int64, len(consList))
 	for i := range seeds {
@@ -102,16 +101,12 @@ func runBoth(t *testing.T, m *Model, sess *nn.Session, consList [][]Constraint, 
 	fwd = sess.ForwardedRows() - before
 	est = append([]float64(nil), e...)
 	vars = append([]float64(nil), sc.Variances()...)
-	shared, err = m.EstimateBatch(sess, consList, ns, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return est, vars, shared, fwd
+	return est, vars, fwd
 }
 
 // TestPrefixDedupBitIdentical pins prefix deduplication as invisible in the
-// answers: with dedup on and off, every estimate and variance of both
-// estimate entry points has the same bits — over every wildcard pattern of
+// answers: with dedup on and off, every estimate and variance has the same
+// bits — over every wildcard pattern of
 // a 4-column model, random mixed batches with several signature groups,
 // every constraint kind, and samples dying mid-way.
 func TestPrefixDedupBitIdentical(t *testing.T) {
@@ -141,15 +136,15 @@ func TestPrefixDedupBitIdentical(t *testing.T) {
 	for bi, batch := range batches {
 		seed := int64(1000 + 100*bi)
 		prefixDedup = true
-		est, vars, shared, on := runBoth(t, m, sess, batch, ns, seed)
+		est, vars, on := runBoth(t, m, sess, batch, ns, seed)
 		prefixDedup = false
-		wantEst, wantVars, wantShared, off := runBoth(t, m, sess, batch, ns, seed)
+		wantEst, wantVars, off := runBoth(t, m, sess, batch, ns, seed)
 		fwdOn, fwdOff = fwdOn+on, fwdOff+off
 		for qi := range batch {
-			for _, p := range [][2]float64{{est[qi], wantEst[qi]}, {vars[qi], wantVars[qi]}, {shared[qi], wantShared[qi]}} {
+			for _, p := range [][2]float64{{est[qi], wantEst[qi]}, {vars[qi], wantVars[qi]}} {
 				if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
-					t.Fatalf("batch %d query %d: dedup on %v, off %v (estimate, variance, shared-rng estimate: %v/%v, %v/%v, %v/%v)",
-						bi, qi, p[0], p[1], est[qi], wantEst[qi], vars[qi], wantVars[qi], shared[qi], wantShared[qi])
+					t.Fatalf("batch %d query %d: dedup on %v, off %v (estimate, variance: %v/%v, %v/%v)",
+						bi, qi, p[0], p[1], est[qi], wantEst[qi], vars[qi], wantVars[qi])
 				}
 			}
 		}

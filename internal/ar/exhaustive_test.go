@@ -2,7 +2,6 @@ package ar
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -76,7 +75,7 @@ func TestExhaustiveAgreesWithSampling(t *testing.T) {
 		t.Fatal("infeasible")
 	}
 	sess := m.Net.NewSession(4000)
-	sampled := est(t, m, sess, cons, 4000, rand.New(rand.NewSource(9)))
+	sampled := est(t, m, sess, cons, 4000, 9)
 	if math.Abs(exact-sampled) > 0.02+0.05*exact {
 		t.Fatalf("exhaustive %v vs sampled %v", exact, sampled)
 	}

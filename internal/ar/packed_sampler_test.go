@@ -75,7 +75,7 @@ func TestPackedGroupingSharesForwards(t *testing.T) {
 
 // TestPackedPlanCacheReusedAcrossCalls: repeating a workload on the same
 // scratch must not rebuild plans — the cache keys on (net, generation,
-// prefix signature), all unchanged between calls.
+// prefix signature bytes), all unchanged between calls.
 func TestPackedPlanCacheReusedAcrossCalls(t *testing.T) {
 	m := freshModel(t, []int{4, 4, 5})
 	consList := [][]Constraint{
@@ -91,43 +91,91 @@ func TestPackedPlanCacheReusedAcrossCalls(t *testing.T) {
 	if nPlans == 0 {
 		t.Fatal("packed sampler built no plans")
 	}
-	p0 := sc.plans[[4]uint64{}]
+	empty := string(make([]byte, sc.sigBytes)) // no column sampled yet
+	p0 := sc.plans[empty]
 	if _, err := m.EstimateBatchScratch(sess, sc, consList, 8, seeds); err != nil {
 		t.Fatal(err)
 	}
 	if len(sc.plans) != nPlans {
 		t.Fatalf("plan count changed across identical calls: %d -> %d", nPlans, len(sc.plans))
 	}
-	if sc.plans[[4]uint64{}] != p0 {
+	if sc.plans[empty] != p0 {
 		t.Fatal("plan for the empty prefix was rebuilt despite unchanged parameters")
 	}
 }
 
-// TestPackedMatchesDenseFallbackEstimates: the packed and dense samplers
-// draw through different logit reduction orders, so estimates are not
-// bit-equal — but on a trained model both are Monte Carlo estimates of the
-// same distribution and must agree closely at a healthy sample count.
-func TestPackedMatchesDenseFallbackEstimates(t *testing.T) {
-	m, _ := trainedModel(t)
-	cons := [][]Constraint{{RangeConstraint{0, 2}, nil, RangeConstraint{1, 3}}}
-	sess := m.Net.NewSession(2048)
-	sc := NewEstimateScratch()
-	seeds := []int64{77}
-
-	packedEst, err := m.EstimateBatchScratch(sess, sc, cons, 2048, seeds)
-	if err != nil {
-		t.Fatal(err)
+// TestSamplerMatchesEnumeration checks the sampler against an exact
+// oracle: on a trained 3-column model and on the 4-column model with a
+// factored column, every estimate at S=2048 must lie within four of its own
+// standard errors of exact enumeration (EstimateExhaustive), and of the
+// brute-force exactModelProb where every column carries a plain range.
+func TestSamplerMatchesEnumeration(t *testing.T) {
+	const ns = 2048
+	trained, _ := trainedModel(t)
+	wide, fc := dedupModel(t)
+	factored := func(lo, hi int) (Constraint, Constraint) {
+		f0, f1 := fc, fc
+		f0.Part, f0.Lo, f0.Hi = 0, lo, hi
+		f1.Part, f1.Lo, f1.Hi = 1, lo, hi
+		return f0, f1
 	}
-	p := packedEst[0]
-
-	defer func(prev bool) { packedSampling = prev }(packedSampling)
-	packedSampling = false
-	denseEst, err := m.EstimateBatchScratch(sess, sc, cons, 2048, seeds)
-	if err != nil {
-		t.Fatal(err)
+	f0, f1 := factored(4, 22)
+	g0, g1 := factored(13, 13)
+	cases := []struct {
+		m      *Model
+		cons   [][]Constraint
+		ranges [][][2]int // exactModelProb bounds per query; nil = not applicable
+	}{
+		{trained, [][]Constraint{
+			{RangeConstraint{1, 2}, RangeConstraint{0, 3}, RangeConstraint{2, 4}},
+			{RangeConstraint{0, 0}, RangeConstraint{1, 3}, RangeConstraint{0, 1}},
+			{nil, RangeConstraint{0, 1}, nil},
+			{RangeConstraint{0, 2}, nil, RangeConstraint{1, 3}},
+			{WeightConstraint{W: []float64{0.2, 1, 0.5, 0}}, nil, RangeConstraint{1, 3}},
+			{nil, WeightConstraint{W: []float64{1, 0, 0.7, 0.1}}, WeightConstraint{W: []float64{0.3, 0.3, 1, 0, 0.9}}},
+			{RangeConstraint{3, 3}, WeightConstraint{W: []float64{0.5, 0.5, 0.5, 0.5}}, RangeConstraint{0, 4}},
+			{EmptyConstraint{}, nil, RangeConstraint{0, 4}},
+		}, [][][2]int{{{1, 2}, {0, 3}, {2, 4}}, {{0, 0}, {1, 3}, {0, 1}}, nil, nil, nil, nil, nil, nil}},
+		{wide, [][]Constraint{
+			{f0, f1, nil, nil},
+			{f0, f1, RangeConstraint{1, 2}, WeightConstraint{W: []float64{1, 0, 0.4, 0.8, 0, 1, 0.2}}},
+			{g0, g1, nil, RangeConstraint{0, 3}},
+			{nil, nil, WeightConstraint{W: []float64{0.1, 0.9, 0.5, 1}}, RangeConstraint{2, 6}},
+		}, nil},
 	}
-	d := denseEst[0]
-	if math.Abs(p-d) > 0.05*math.Max(p, d)+1e-3 {
-		t.Fatalf("packed estimate %v and dense estimate %v disagree beyond Monte Carlo noise", p, d)
+	sampled := 0
+	for mi, tc := range cases {
+		sess := tc.m.Net.NewSession(len(tc.cons) * ns)
+		seeds := make([]int64, len(tc.cons))
+		for i := range seeds {
+			seeds[i] = int64(500 + 10*mi + i)
+		}
+		sc := NewEstimateScratch()
+		ests, err := tc.m.EstimateBatchScratch(sess, sc, tc.cons, ns, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, cons := range tc.cons {
+			got, se := ests[qi], math.Sqrt(sc.Variances()[qi])
+			if se > 0 {
+				sampled++
+			}
+			exact, ok := tc.m.EstimateExhaustive(cons, 1<<12)
+			if !ok {
+				t.Fatalf("model %d query %d: enumeration infeasible", mi, qi)
+			}
+			oracles := []float64{exact}
+			if tc.ranges != nil && tc.ranges[qi] != nil {
+				oracles = append(oracles, exactModelProb(tc.m, tc.ranges[qi]))
+			}
+			for _, want := range oracles {
+				if math.Abs(got-want) > 4*se+1e-9 {
+					t.Fatalf("model %d query %d: sampled %v ± %v, exact %v", mi, qi, got, se, want)
+				}
+			}
+		}
+	}
+	if sampled < 8 {
+		t.Fatalf("only %d queries carried Monte-Carlo error; the oracle check is near-vacuous", sampled)
 	}
 }

@@ -31,11 +31,8 @@ func TestEstimatesAlwaysProbabilities(t *testing.T) {
 			}
 			cons[i] = RangeConstraint{Lo: lo, Hi: hi}
 		}
-		est, err := m.Estimate(sess, cons, 128, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return est >= 0 && est <= 1
+		v := est(t, m, sess, cons, 128, rng.Int63())
+		return v >= 0 && v <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -46,8 +43,7 @@ func TestEstimatesAlwaysProbabilities(t *testing.T) {
 func TestAllWildcardIsOne(t *testing.T) {
 	m, _ := trainedModel(t)
 	sess := m.Net.NewSession(16)
-	rng := rand.New(rand.NewSource(100))
-	if got := est(t, m, sess, make([]Constraint, 3), 16, rng); got != 1 {
+	if got := est(t, m, sess, make([]Constraint, 3), 16, 100); got != 1 {
 		t.Fatalf("all-wildcard estimate %v, want exactly 1", got)
 	}
 }
@@ -60,26 +56,6 @@ func TestMonotoneUnderRangeWidening(t *testing.T) {
 	wide := exactModelProb(m, [][2]int{{0, 2}, {0, 3}, {0, 4}})
 	if narrow > wide {
 		t.Fatalf("model probability not monotone: narrow %v > wide %v", narrow, wide)
-	}
-}
-
-// TestRecordConsistentWithEstimate: EstimateBatchRecord's Est agrees with
-// EstimateBatch for the same seed. The record path (training-only) stays on
-// the dense forward, so the comparison pins the dense sampler — the packed
-// path's own equivalences live in packed_sampler_test.go.
-func TestRecordConsistentWithEstimate(t *testing.T) {
-	defer func(prev bool) { packedSampling = prev }(packedSampling)
-	packedSampling = false
-	m, _ := trainedModel(t)
-	cons := [][]Constraint{{RangeConstraint{0, 2}, nil, RangeConstraint{1, 3}}}
-	sess := m.Net.NewSession(512)
-	a, err := m.EstimateBatch(sess, cons, 512, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := m.EstimateBatchRecord(sess, cons, 512, rand.New(rand.NewSource(7)))
-	if a[0] != rec.Est[0] {
-		t.Fatalf("EstimateBatch %v != EstimateBatchRecord %v under same seed", a[0], rec.Est[0])
 	}
 }
 
@@ -102,10 +78,15 @@ func TestTrainQueryStepReducesLoss(t *testing.T) {
 		outDim += c
 	}
 	dl := vecmath.NewMatrix(2*64, outDim)
-	first := m.TrainQueryStep(sess, cons, targets, 64, 5e-3, rng, dl)
+	first, err := m.TrainQueryStep(sess, cons, targets, 64, 5e-3, rng, dl)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var last float64
 	for i := 0; i < 60; i++ {
-		last = m.TrainQueryStep(sess, cons, targets, 64, 5e-3, rng, dl)
+		if last, err = m.TrainQueryStep(sess, cons, targets, 64, 5e-3, rng, dl); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if last >= first {
 		t.Fatalf("query loss did not decrease: %v -> %v", first, last)

@@ -22,22 +22,24 @@ type EstimateScratch struct {
 	subQs   []int        // query indices constraining the current column
 	out     []float64    // per-query estimates returned to the caller
 	varOut  []float64    // per-query variance of the mean (see Variances)
-	rngs    []*rand.Rand // per-query sampling stream used by the core loop
-	owned   []*rand.Rand // reusable rand.Rand objects behind the seeded path
+	rngs    []*rand.Rand // per-query sampling streams, reseeded by seed
 
 	// Packed-sampler state: per-query constrained-prefix signatures, the
 	// per-column group-claim flags, the member list of the current group,
-	// and the plan cache. Plans key on the signature alone and invalidate
-	// wholesale when the network or its parameter generation changes — the
-	// cache survives across calls, so a worker reuses a handful of plans
-	// for its whole workload.
-	sigs    [][4]uint64
-	claimed []bool
-	groupQs []int
-	live    []bool // plan-building scratch, len nCols
-	planNet *nn.ResMADE
-	planGen int64
-	plans   map[[4]uint64]*nn.SamplingPlan
+	// and the plan cache. A signature is a bitset over the AR columns (bit
+	// c set = column c constrained and already sampled) of sigBytes bytes;
+	// sigs holds every query's back to back. Plans key on the signature
+	// bytes alone and invalidate wholesale when the network or its
+	// parameter generation changes — the cache survives across calls, so a
+	// worker reuses a handful of plans for its whole workload.
+	sigs     []byte
+	sigBytes int
+	claimed  []bool
+	groupQs  []int
+	live     []bool // plan-building scratch, len nCols
+	planNet  *nn.ResMADE
+	planGen  int64
+	plans    map[string]*nn.SamplingPlan
 
 	// Prefix-dedup state. dedup is the open-addressing table that maps a
 	// sample's codes on the group's live columns (liveCols) to its forwarded
@@ -105,14 +107,11 @@ func (sc *EstimateScratch) ensure(nq, numSamples, nCols, maxCard int) {
 		sc.varOut = make([]float64, nq)
 	}
 	sc.varOut = sc.varOut[:nq]
-	if cap(sc.rngs) < nq {
-		sc.rngs = make([]*rand.Rand, nq)
+	sc.sigBytes = (nCols + 7) / 8
+	if cap(sc.sigs) < nq*sc.sigBytes {
+		sc.sigs = make([]byte, nq*sc.sigBytes)
 	}
-	sc.rngs = sc.rngs[:nq]
-	if cap(sc.sigs) < nq {
-		sc.sigs = make([][4]uint64, nq)
-	}
-	sc.sigs = sc.sigs[:nq]
+	sc.sigs = sc.sigs[:nq*sc.sigBytes]
 	if cap(sc.claimed) < nq {
 		sc.claimed = make([]bool, nq)
 	}
@@ -170,32 +169,42 @@ func (sc *EstimateScratch) nextEpoch() uint32 {
 	return sc.epoch
 }
 
+// sig returns query qi's constrained-prefix signature, aliasing sc.sigs.
+//
+// iam:noalloc
+func (sc *EstimateScratch) sig(qi int) []byte {
+	return sc.sigs[qi*sc.sigBytes : (qi+1)*sc.sigBytes]
+}
+
 // planFor returns the cached SamplingPlan for one constrained-prefix
 // signature, building and caching it on first sight. The cache is emptied
 // whenever the network or its parameter generation differs from the last
 // call — a hot-swapped or retrained model can never serve stale panels.
+// The lookup's string(sig) conversion does not allocate; only the insert
+// copies the key.
 //
 // iam:noalloc
-func (sc *EstimateScratch) planFor(net *nn.ResMADE, sig [4]uint64, nCols int) *nn.SamplingPlan {
+func (sc *EstimateScratch) planFor(net *nn.ResMADE, sig []byte, nCols int) *nn.SamplingPlan {
 	if sc.planNet != net || sc.planGen != net.ParamGen() {
 		sc.planNet, sc.planGen = net, net.ParamGen()
 		if sc.plans == nil {
 			//lint:ignore noalloc one-time cache construction; steady state hits the map lookup below
-			sc.plans = make(map[[4]uint64]*nn.SamplingPlan)
+			sc.plans = make(map[string]*nn.SamplingPlan)
 		} else {
 			clear(sc.plans)
 		}
 	}
-	if p, ok := sc.plans[sig]; ok {
+	//lint:ignore noalloc a map index keyed by string(sig) is compiled to a non-allocating lookup
+	if p, ok := sc.plans[string(sig)]; ok {
 		return p
 	}
 	for c := 0; c < nCols; c++ {
-		sc.live[c] = sig[c>>6]&(1<<uint(c&63)) != 0
+		sc.live[c] = sig[c>>3]&(1<<uint(c&7)) != 0
 	}
 	//lint:ignore noalloc amortized cold path: one plan build per new query prefix per parameter generation
 	p := net.NewSamplingPlan(sc.live[:nCols])
 	//lint:ignore noalloc amortized cold path: map insert once per new query prefix per parameter generation
-	sc.plans[sig] = p
+	sc.plans[string(sig)] = p
 	return p
 }
 
@@ -207,16 +216,27 @@ func (sc *EstimateScratch) planFor(net *nn.ResMADE, sig [4]uint64, nCols int) *n
 // next call on sc.
 func (sc *EstimateScratch) Variances() []float64 { return sc.varOut }
 
-// seed aims the per-query RNG table at owned generators reseeded from seeds.
-// Generators are reused across calls (rand.NewSource is a ~5 KiB allocation),
-// so in steady state reseeding is allocation-free.
+// Paths returns query qi's sample paths from the last estimate run on this
+// scratch: the final sampled code rows (a wildcard or never-reached column
+// holds its MASK token; a dead path holds 0 at the column it died on) and
+// each path's probability, whose mean is the estimate. Re-forwarding the
+// rows reproduces every column's conditional up to reduction order, since
+// MADE masks make column c read only columns < c. Both slices alias sc and
+// are valid until the next call on sc.
+func (sc *EstimateScratch) Paths(qi int) (rows [][]int, probs []float64) {
+	n := len(sc.probs) / len(sc.out)
+	return sc.rows[qi*n : (qi+1)*n], sc.probs[qi*n : (qi+1)*n]
+}
+
+// seed reseeds one generator per query from seeds. Generators are reused
+// across calls (rand.NewSource is a ~5 KiB allocation), so in steady state
+// reseeding is allocation-free.
 func (sc *EstimateScratch) seed(seeds []int64) {
 	for qi, s := range seeds {
-		if qi < len(sc.owned) {
-			sc.owned[qi].Seed(s)
+		if qi < len(sc.rngs) {
+			sc.rngs[qi].Seed(s)
 		} else {
-			sc.owned = append(sc.owned, rand.New(rand.NewSource(s)))
+			sc.rngs = append(sc.rngs, rand.New(rand.NewSource(s)))
 		}
-		sc.rngs[qi] = sc.owned[qi]
 	}
 }

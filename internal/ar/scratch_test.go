@@ -119,11 +119,12 @@ func TestLargeCardSameSeedIdenticalPicks(t *testing.T) {
 		{RangeConstraint{0, 99}, nil},
 	}
 	sess := m.Net.NewSession(2 * 64)
-	a, err := m.EstimateBatch(sess, cons, 64, rand.New(rand.NewSource(23)))
+	seeds := []int64{23, 24}
+	a, err := m.EstimateBatchScratch(sess, NewEstimateScratch(), cons, 64, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.EstimateBatch(sess, cons, 64, rand.New(rand.NewSource(23)))
+	b, err := m.EstimateBatchScratch(sess, NewEstimateScratch(), cons, 64, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,30 +132,6 @@ func TestLargeCardSameSeedIdenticalPicks(t *testing.T) {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			t.Fatalf("query %d: same-seed runs differ: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-// TestScratchSingleQueryMatchesLegacy: with one query, the scratch path seeded
-// with s must reproduce the legacy path driven by rand.New(rand.NewSource(s))
-// bit-for-bit — both consume the identical uniform stream.
-func TestScratchSingleQueryMatchesLegacy(t *testing.T) {
-	m := freshModel(t, []int{4, 4, 5})
-	cons := []Constraint{RangeConstraint{1, 2}, nil, RangeConstraint{0, 3}}
-	ns := 128
-	sess := m.Net.NewSession(ns)
-
-	var seed int64 = 77
-	legacy, err := m.EstimateBatch(sess, [][]Constraint{cons}, ns, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := NewEstimateScratch()
-	got, err := m.EstimateBatchScratch(sess, sc, [][]Constraint{cons}, ns, []int64{seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(got[0]) != math.Float64bits(legacy[0]) {
-		t.Fatalf("scratch path %v differs from legacy same-seed path %v", got[0], legacy[0])
 	}
 }
 
@@ -255,5 +232,70 @@ func TestScratchReuseAcrossShapes(t *testing.T) {
 				t.Fatalf("nq=%d query %d: estimate %v out of range", nq, i, v)
 			}
 		}
+	}
+}
+
+// TestWideSchemaNoAlloc runs the sampler on a 260-column schema, wider than
+// any fixed-width prefix signature of four 64-bit words: same-seed runs must
+// be bit-identical, the steady state must not allocate, and a query
+// constraining the first, a middle and the last column must match exact
+// enumeration within four standard errors.
+func TestWideSchemaNoAlloc(t *testing.T) {
+	prev := vecmath.Parallelism(1)
+	defer vecmath.Parallelism(prev)
+
+	const nCols, ns = 260, 256
+	cards := make([]int, nCols)
+	for c := range cards {
+		cards[c] = 2
+	}
+	m, err := New(cards, []int{4, 4}, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spread := make([]Constraint, nCols)
+	spread[0] = WeightConstraint{W: []float64{0.3, 0.9}}
+	spread[130] = WeightConstraint{W: []float64{1, 0.2}}
+	spread[259] = RangeConstraint{1, 1}
+	dense := make([]Constraint, nCols)
+	for c := 60; c < nCols; c += 7 {
+		dense[c] = RangeConstraint{0, c % 2}
+	}
+	consList := [][]Constraint{spread, dense}
+	seeds := []int64{41, 42}
+	sess := m.Net.NewSession(len(consList) * ns)
+	sc := NewEstimateScratch()
+
+	first, err := m.EstimateBatchScratch(sess, sc, consList, ns, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first = append([]float64(nil), first...)
+	se := math.Sqrt(sc.Variances()[0])
+	again, err := m.EstimateBatchScratch(sess, NewEstimateScratch(), consList, ns, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi := range first {
+		if math.Float64bits(first[qi]) != math.Float64bits(again[qi]) {
+			t.Fatalf("query %d: same-seed runs differ: %v vs %v", qi, first[qi], again[qi])
+		}
+	}
+
+	exact, ok := m.EstimateExhaustive(spread, 16)
+	if !ok {
+		t.Fatal("enumeration infeasible")
+	}
+	if se == 0 || math.Abs(first[0]-exact) > 4*se+1e-9 {
+		t.Fatalf("sampled %v ± %v, exact %v", first[0], se, exact)
+	}
+
+	n := testing.AllocsPerRun(5, func() {
+		if _, err := m.EstimateBatchScratch(sess, sc, consList, ns, seeds); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 0 {
+		t.Fatalf("steady-state wide-schema estimate allocates %v per op, want 0", n)
 	}
 }

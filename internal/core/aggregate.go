@@ -6,6 +6,7 @@ import (
 
 	"iam/internal/ar"
 	"iam/internal/dataset"
+	"iam/internal/nn"
 	"iam/internal/query"
 	"iam/internal/vecmath"
 )
@@ -18,46 +19,111 @@ import (
 //
 //	AVG ≈ Σ_s p_s·v_s / Σ_s p_s,   SUM ≈ AVG · sel(q) · |T|,
 //
-// where v_s is the truncated-Gaussian mean of the sampled GMM component for
-// reduced columns, or the decoded ordinal value for encoded columns.
+// where v_s is the target's conditional mean over its admitted codes for GMM
+// and passthrough columns, or the value of the sampled code for factored
+// and alternative-reducer columns.
 
 // EstimateAvg estimates AVG(col) over the rows matching q. The estimate is
 // Rao-Blackwellized: the conditioning columns are progressively sampled,
 // but the target column's value is integrated over its full (bias-corrected)
 // conditional distribution rather than sampled, removing one layer of Monte
-// Carlo variance.
+// Carlo variance. It samples with the stream Estimate(q) uses, so the answer
+// is a pure function of (model, query).
 func (m *Model) EstimateAvg(q *query.Query, col string) (float64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.refreshMassEstimatorsLocked()
+	avg, _, err := m.estimateAvg(q, col)
+	return avg, err
+}
+
+// EstimateSum estimates SUM(col) over the rows matching q: the average times
+// the selectivity drawn from the same sample paths, times the table size.
+func (m *Model) EstimateSum(q *query.Query, col string) (float64, error) {
+	avg, sel, err := m.estimateAvg(q, col)
+	if err != nil {
+		return 0, err
+	}
+	return avg * sel * float64(m.table.NumRows()), nil
+}
+
+// estimateAvg returns AVG(col | q) together with the selectivity estimated
+// from the same progressive-sampling paths: Σ_s p_s·v_s / Σ_s p_s over the
+// paths s with probability p_s and value estimate v_s. It runs on a pooled
+// worker under the read lock.
+func (m *Model) estimateAvg(q *query.Query, col string) (avg, sel float64, err error) {
+	m.rlockFresh()
+	defer m.mu.RUnlock()
 
 	ci := m.table.ColumnIndex(col)
 	if ci < 0 {
-		return 0, fmt.Errorf("core: unknown column %q", col)
+		return 0, 0, fmt.Errorf("core: unknown column %q", col)
 	}
-	c := m.table.Columns[ci]
-	if c.Kind != dataset.Continuous {
-		return 0, fmt.Errorf("core: AVG target %q is categorical", col)
+	if m.table.Columns[ci].Kind != dataset.Continuous {
+		return 0, 0, fmt.Errorf("core: AVG target %q is categorical", col)
 	}
 	info := &m.cols[ci]
-
 	cons, err := m.buildConstraints(q)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	iv := query.Everything()
 	if q.Ranges[ci] != nil {
 		iv = *q.Ranges[ci]
 	}
-
-	need := m.cfg.NumSamples
-	if need > m.sessCap {
-		m.sessCap = need
-		m.sess = m.arm.Net.NewSession(need)
+	// Factored and alternative-reducer targets have no per-code value to
+	// integrate, so the sampler must draw them: admit every code.
+	switch {
+	case cons[info.arFirst] != nil:
+	case info.kind == kindReduced:
+		ones := make([]float64, m.arm.Cards[info.arFirst])
+		for i := range ones {
+			ones[i] = 1
+		}
+		cons[info.arFirst] = ar.WeightConstraint{W: ones}
+	case info.kind == kindFactored:
+		for p := 0; p < info.arCount; p++ {
+			cons[info.arFirst+p] = ar.FactoredConstraint{
+				Spec: info.factor, Part: p, FirstCol: info.arFirst,
+				Lo: 0, Hi: info.enc.Card - 1,
+			}
+		}
 	}
-	rec := m.arm.EstimateBatchRecord(m.sess, [][]ar.Constraint{cons}, m.cfg.NumSamples, m.estRNG)
 
-	// Per-component value estimates and admission weights for the target.
+	w := m.getWorker(m.cfg.NumSamples)
+	defer m.putWorker(w)
+	ests, err := m.arm.EstimateBatchScratch(w.sess, w.scratch, [][]ar.Constraint{cons},
+		m.cfg.NumSamples, []int64{querySeed(m.cfg.Seed, 0)})
+	if err != nil {
+		return 0, 0, err
+	}
+	rows, probs := w.scratch.Paths(0)
+	value := func(s int) (float64, bool) { return m.sampleValue(info, rows[s], iv) }
+	if info.kind == kindGMM || info.kind == kindPassthrough {
+		if value, err = m.integratedValue(w.sess, q, ci, iv, rows); err != nil {
+			return 0, 0, err
+		}
+	}
+	var num, den float64
+	for s, p := range probs {
+		if p == 0 {
+			continue
+		}
+		if v, ok := value(s); ok {
+			num += p * v
+			den += p
+		}
+	}
+	if den == 0 {
+		return 0, 0, fmt.Errorf("core: no matching tuples sampled for AVG")
+	}
+	return num / den, ests[0], nil
+}
+
+// integratedValue returns the Rao-Blackwellized value estimate of path s for
+// a GMM or passthrough target: the target's conditional mean over its
+// admitted codes, read from a re-forward of the final rows (MADE masks make
+// the target column's conditional depend only on earlier, already sampled
+// columns).
+func (m *Model) integratedValue(sess *nn.Session, q *query.Query, ci int, iv query.Interval, rows [][]int) (func(s int) (float64, bool), error) {
+	info := &m.cols[ci]
 	card := m.arm.Cards[info.arFirst]
 	vals := make([]float64, card)
 	wts := make([]float64, card)
@@ -89,155 +155,59 @@ func (m *Model) EstimateAvg(q *query.Query, col string) (float64, error) {
 			var err error
 			loCode, hiCode, ok, err = m.codeRange(ci, q.Ranges[ci])
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
 			if !ok {
-				return 0, fmt.Errorf("core: AVG over an empty range")
+				return nil, fmt.Errorf("core: AVG over an empty range")
 			}
 		}
 		for k := loCode; k <= hiCode; k++ {
 			vals[k] = info.enc.DecodeFloat(k)
 			wts[k] = 1
 		}
-	case kindReduced, kindFactored:
-		return m.estimateAvgSampledLocked(q, ci, iv, cons, rec)
 	}
 
-	// Re-forward the final rows; MADE masks make the target column's
-	// conditional depend only on earlier (already sampled) columns.
-	m.sess.Forward(rec.Rows)
+	sess.Forward(rows)
 	dist := make([]float64, card)
-	var num, den float64
-	for s := 0; s < m.cfg.NumSamples; s++ {
-		p := rec.Probs[s]
-		if p == 0 {
-			continue
-		}
-		m.sess.Dist(s, info.arFirst, dist)
+	return func(s int) (float64, bool) {
+		sess.Dist(s, info.arFirst, dist)
 		var vSum, wSum float64
 		for k := 0; k < card; k++ {
 			a := dist[k] * wts[k]
 			vSum += a * vals[k]
 			wSum += a
 		}
-		if wSum <= 0 {
-			continue
-		}
-		num += p * vSum / wSum
-		den += p
-	}
-	if den == 0 {
-		return 0, fmt.Errorf("core: no matching tuples sampled for AVG")
-	}
-	return num / den, nil
-}
-
-// estimateAvgSampledLocked is the fallback AVG path for factored and
-// alternative-reducer columns: the target column is explicitly sampled and
-// per-sample value estimates are averaged.
-func (m *Model) estimateAvgSampledLocked(q *query.Query, ci int, iv query.Interval, cons []ar.Constraint, rec *ar.SampleRecord) (float64, error) {
-	info := &m.cols[ci]
-	if cons[info.arFirst] == nil {
-		// Force sampling of the target column on a fresh run.
-		cons2 := make([]ar.Constraint, len(cons))
-		copy(cons2, cons)
-		switch info.kind {
-		case kindReduced:
-			k := m.arm.Cards[info.arFirst]
-			ones := make([]float64, k)
-			for i := range ones {
-				ones[i] = 1
-			}
-			cons2[info.arFirst] = ar.WeightConstraint{W: ones}
-		case kindFactored:
-			for p := 0; p < info.arCount; p++ {
-				cons2[info.arFirst+p] = ar.FactoredConstraint{
-					Spec: info.factor, Part: p, FirstCol: info.arFirst,
-					Lo: 0, Hi: info.enc.Card - 1,
-				}
-			}
-		}
-		rec = m.arm.EstimateBatchRecord(m.sess, [][]ar.Constraint{cons2}, m.cfg.NumSamples, m.estRNG)
-	}
-	var num, den float64
-	for s := 0; s < m.cfg.NumSamples; s++ {
-		p := rec.Probs[s]
-		if p == 0 {
-			continue
-		}
-		v, ok := m.sampleValue(info, rec.Rows[s], iv)
-		if !ok {
-			continue
-		}
-		num += p * v
-		den += p
-	}
-	if den == 0 {
-		return 0, fmt.Errorf("core: no matching tuples sampled for AVG")
-	}
-	return num / den, nil
+		return vSum / wSum, wSum > 0
+	}, nil
 }
 
 // EstimateWithCI returns the selectivity estimate together with its
 // Monte-Carlo standard error across the progressive-sampling paths, letting
 // callers (e.g. an optimizer deciding whether to re-estimate with more
-// samples) judge how trustworthy a single estimate is.
+// samples) judge how trustworthy a single estimate is. The estimate is
+// bitwise Estimate(q)'s, and a query answered by exact enumeration
+// (ExhaustiveLimit) reports standard error 0.
 func (m *Model) EstimateWithCI(q *query.Query) (est, stderr float64, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.refreshMassEstimatorsLocked()
-	cons, err := m.buildConstraints(q)
+	ests, vars, err := m.EstimateBatchVarSeeded([]*query.Query{q}, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	if m.cfg.NumSamples > m.sessCap {
-		m.sessCap = m.cfg.NumSamples
-		m.sess = m.arm.Net.NewSession(m.sessCap)
-	}
-	rec := m.arm.EstimateBatchRecord(m.sess, [][]ar.Constraint{cons}, m.cfg.NumSamples, m.estRNG)
-	est = rec.Est[0]
-	variance := vecmath.Variance(rec.Probs)
-	stderr = math.Sqrt(variance / float64(len(rec.Probs)))
-	return est, stderr, nil
+	return ests[0], math.Sqrt(vars[0]), nil
 }
 
-// EstimateSum estimates SUM(col) over the rows matching q.
-func (m *Model) EstimateSum(q *query.Query, col string) (float64, error) {
-	avg, err := m.EstimateAvg(q, col)
-	if err != nil {
-		return 0, err
-	}
-	sel, err := m.Estimate(q)
-	if err != nil {
-		return 0, err
-	}
-	return avg * sel * float64(m.table.NumRows()), nil
-}
-
-// sampleValue turns a sampled AR row into a value estimate for the target
-// column, restricted to interval iv.
+// sampleValue turns a sampled AR row into a value estimate for a factored
+// or alternative-reducer target column, restricted to interval iv.
 func (m *Model) sampleValue(info *colInfo, row []int, iv query.Interval) (float64, bool) {
-	switch info.kind {
-	case kindGMM:
-		k := row[info.arFirst]
-		return truncatedNormalMean(info.gm.Means[k], info.gm.Sigmas[k], iv.Lo, iv.Hi)
-	case kindReduced:
-		// Alternative reducers expose no component moments; fall back to
-		// the midpoint of the component's mass inside the interval by
-		// sampling its RangeMass — approximate with the interval midpoint.
-		lo, hi := iv.Lo, iv.Hi
-		if math.IsInf(lo, -1) || math.IsInf(hi, 1) {
-			return 0, false
-		}
-		return (lo + hi) / 2, true
-	case kindPassthrough:
-		return info.enc.DecodeFloat(row[info.arFirst]), true
-	case kindFactored:
-		sub := make([]int, info.arCount)
-		copy(sub, row[info.arFirst:info.arFirst+info.arCount])
-		return info.enc.DecodeFloat(info.factor.Join(sub)), true
+	if info.kind == kindFactored {
+		return info.enc.DecodeFloat(info.factor.Join(row[info.arFirst : info.arFirst+info.arCount])), true
 	}
-	return 0, false
+	// Alternative reducers expose no component moments; approximate with
+	// the interval midpoint.
+	lo, hi := iv.Lo, iv.Hi
+	if math.IsInf(lo, -1) || math.IsInf(hi, 1) {
+		return 0, false
+	}
+	return (lo + hi) / 2, true
 }
 
 // truncatedNormalMean returns E[X | lo ≤ X ≤ hi] for X ~ N(mu, sigma²).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"iam/internal/dataset"
@@ -93,6 +94,43 @@ func TestEstimateSum(t *testing.T) {
 	ratio := got / want
 	if ratio < 0.5 || ratio > 2 {
 		t.Fatalf("SUM estimate %v vs exact %v (ratio %v)", got, want, ratio)
+	}
+}
+
+// TestEstimateAvgFactoredTarget covers the AVG path that samples the target
+// itself: with GMM reduction off, TWI's coordinates are factored, so an
+// unconstrained target is admitted in full and drawn, and a constrained one
+// is drawn inside its range.
+func TestEstimateAvgFactoredTarget(t *testing.T) {
+	cfg := fastCfg()
+	cfg.GMMThreshold = 1 << 30
+	cfg.MaxSubColumn = 64
+	m, tb := trainTWI(t, cfg)
+	if m.cols[0].kind != kindFactored {
+		t.Fatal("test premise broken: latitude is not factored")
+	}
+	for _, tc := range []struct {
+		col  string
+		pred *query.Predicate
+	}{
+		{"latitude", nil},
+		{"latitude", &query.Predicate{Col: "latitude", Op: query.Ge, Value: 40}},
+		{"longitude", &query.Predicate{Col: "latitude", Op: query.Ge, Value: 40}},
+	} {
+		q := query.NewQuery(tb)
+		if tc.pred != nil {
+			mustAdd(t, q, *tc.pred)
+		}
+		got, err := m.EstimateAvg(q, tc.col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _ := exactAvg(q, tc.col)
+		vals := tb.Columns[tb.ColumnIndex(tc.col)].Floats
+		spread := slices.Max(vals) - slices.Min(vals)
+		if math.Abs(got-want) > 0.1*spread {
+			t.Fatalf("AVG(%s | %v) = %v, want ≈%v (column spread %v)", tc.col, tc.pred, got, want, spread)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"iam/internal/query"
@@ -108,5 +110,144 @@ func TestEstimateBatchVarSeededContract(t *testing.T) {
 	}
 	if enumerated == 0 {
 		t.Fatal("no query was answered by enumeration")
+	}
+}
+
+// TestEstimateWithCIMatchesEstimate: EstimateWithCI runs the seeded estimate
+// path, so its estimate is bitwise Estimate(q)'s and its standard error is
+// the square root of EstimateBatchVarSeeded's variance — for sampled queries
+// and, under ExhaustiveLimit, for enumerated ones (standard error 0).
+func TestEstimateWithCIMatchesEstimate(t *testing.T) {
+	m, tb := trainTWI(t, fastCfg())
+	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 8, Seed: 45})
+	cfg := fastCfg()
+	cfg.ExhaustiveLimit = 5000
+	me, err := Train(tb, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		m         *Model
+		wantExact bool
+	}{{"sampled", m, false}, {"enumerated", me, true}} {
+		sampled := 0
+		for i, q := range w.Queries {
+			est, stderr, err := tc.m.EstimateWithCI(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tc.m.Estimate(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ests, vars, err := tc.m.EstimateBatchVarSeeded([]*query.Query{q}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(est) != math.Float64bits(want) || math.Float64bits(est) != math.Float64bits(ests[0]) {
+				t.Fatalf("%s query %d: EstimateWithCI %v, Estimate %v, EstimateBatchVarSeeded %v", tc.name, i, est, want, ests[0])
+			}
+			if math.Float64bits(stderr) != math.Float64bits(math.Sqrt(vars[0])) {
+				t.Fatalf("%s query %d: stderr %v, sqrt(variance) %v", tc.name, i, stderr, math.Sqrt(vars[0]))
+			}
+			if tc.wantExact && stderr != 0 {
+				t.Fatalf("%s query %d: enumerated estimate reports stderr %v", tc.name, i, stderr)
+			}
+			if stderr > 0 {
+				sampled++
+			}
+		}
+		if !tc.wantExact && sampled == 0 {
+			t.Fatalf("%s: no query carried a sampling error", tc.name)
+		}
+	}
+}
+
+// TestEstimateAvgDeterministic: EstimateAvg and EstimateSum sample with the
+// stream Estimate uses, so repeated calls return the same bits.
+func TestEstimateAvgDeterministic(t *testing.T) {
+	m, tb := trainTWI(t, fastCfg())
+	q := query.NewQuery(tb)
+	mustAdd(t, q, query.Predicate{Col: "latitude", Op: query.Ge, Value: 38})
+	for _, f := range []func(*query.Query, string) (float64, error){m.EstimateAvg, m.EstimateSum} {
+		a, err := f(q, "longitude")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := f(q, "longitude")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("repeated calls differ: %v vs %v", a, b)
+		}
+	}
+}
+
+// TestAggregatesConcurrentWithBatch runs EstimateAvg and EstimateWithCI
+// against EstimateBatch from several goroutines; under -race it is the gate
+// for the aggregates sharing the pooled read-locked workers. Every answer
+// must equal its serial value.
+func TestAggregatesConcurrentWithBatch(t *testing.T) {
+	cfg := fastCfg()
+	cfg.Epochs = 1
+	cfg.NumSamples = 120
+	m, tb := trainTWI(t, cfg)
+	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 6, Seed: 46})
+	q := w.Queries[0]
+	wantAvg, err := m.EstimateAvg(q, "latitude")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEst, wantSE, err := m.EstimateWithCI(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBatch, err := m.EstimateBatch(w.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				switch g {
+				case 0:
+					avg, err := m.EstimateAvg(q, "latitude")
+					if err != nil || avg != wantAvg {
+						errs <- fmt.Errorf("EstimateAvg = %v, %v; want %v", avg, err, wantAvg)
+						return
+					}
+				case 1:
+					est, se, err := m.EstimateWithCI(q)
+					if err != nil || est != wantEst || se != wantSE {
+						errs <- fmt.Errorf("EstimateWithCI = %v ± %v, %v; want %v ± %v", est, se, err, wantEst, wantSE)
+						return
+					}
+				default:
+					got, err := m.EstimateBatch(w.Queries)
+					if err != nil {
+						errs <- err
+						return
+					}
+					for j := range got {
+						if got[j] != wantBatch[j] {
+							errs <- fmt.Errorf("EstimateBatch query %d = %v, want %v", j, got[j], wantBatch[j])
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

@@ -241,17 +241,13 @@ type Model struct {
 	// mu is the model's reader/writer lock. Estimation paths hold the read
 	// side: any number of EstimateBatch calls proceed concurrently, each on
 	// pooled per-worker sessions. Writers — training mini-batch steps, the
-	// §5.2 mass-preprocessing refresh, Save, and the aggregate paths that
-	// mutate the shared session and estRNG below — hold the write side.
+	// §5.2 mass-preprocessing refresh and Save — hold the write side.
 	// Lock order: mu before poolMu/cacheMu; never the reverse.
 	//
 	// iam:lockorder Model.mu > Model.poolMu/Model.cacheMu
 	mu        sync.RWMutex
-	sess      *nn.Session // iam:guardedby mu
-	sessCap   int         // iam:guardedby mu
-	massRNG   *rand.Rand  // iam:guardedby mu
-	estRNG    *rand.Rand  // iam:guardedby mu
-	massDirty bool        // iam:guardedby mu
+	massRNG   *rand.Rand // iam:guardedby mu
+	massDirty bool       // iam:guardedby mu
 
 	// poolMu guards the pool of reusable estimate workers (session + scratch
 	// pairs) and the pool of constraint-building scratches. Workers are
@@ -352,10 +348,7 @@ func TrainContext(ctx context.Context, t *dataset.Table, cfg Config) (*Model, er
 
 	// Inference state is initialized before training so OnEpoch callbacks
 	// can estimate with the in-progress model.
-	m.sessCap = cfg.NumSamples
-	m.sess = arm.Net.NewSession(m.sessCap)
 	m.massRNG = rand.New(rand.NewSource(cfg.Seed + 7))
-	m.estRNG = rand.New(rand.NewSource(cfg.Seed + 8))
 	m.massDirty = true
 
 	var trainErr error
@@ -650,17 +643,7 @@ func (m *Model) estimateBatch(qs []*query.Query, qseeds []int64, vars []float64)
 	if qseeds != nil && len(qseeds) != len(qs) {
 		return nil, fmt.Errorf("core: %d seeds for %d queries", len(qseeds), len(qs))
 	}
-	m.mu.RLock()
-	if m.massDirty {
-		// Upgrade for the one-time §5.2 mass preprocessing, then downgrade.
-		// refreshMassEstimatorsLocked re-checks the flag under the write
-		// lock, so racing upgraders refresh exactly once.
-		m.mu.RUnlock()
-		m.mu.Lock()
-		m.refreshMassEstimatorsLocked()
-		m.mu.Unlock()
-		m.mu.RLock()
-	}
+	m.rlockFresh()
 	defer m.mu.RUnlock()
 
 	out := make([]float64, len(qs))
@@ -694,6 +677,22 @@ func (m *Model) estimateBatch(qs []*query.Query, qseeds []int64, vars []float64)
 		return nil, err
 	}
 	return out, nil
+}
+
+// rlockFresh takes the read lock with the §5.2 mass preprocessing current:
+// when training left it stale, it upgrades to the write lock for the
+// one-time refresh, then downgrades. refreshMassEstimatorsLocked re-checks
+// the flag under the write lock, so racing upgraders refresh exactly once.
+// Callers release with m.mu.RUnlock.
+func (m *Model) rlockFresh() {
+	m.mu.RLock()
+	if m.massDirty {
+		m.mu.RUnlock()
+		m.mu.Lock()
+		m.refreshMassEstimatorsLocked()
+		m.mu.Unlock()
+		m.mu.RLock()
+	}
 }
 
 // runPending estimates the sampled queries and scatters results into out:

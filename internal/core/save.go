@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 
 	"iam/internal/ar"
 	"iam/internal/dataset"
@@ -136,6 +137,9 @@ func Load(r io.Reader, t *dataset.Table) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := snap.check(net); err != nil {
+		return nil, err
+	}
 	m := &Model{
 		table:     t,
 		GMMLosses: snap.GMMLosses,
@@ -164,10 +168,42 @@ func Load(r io.Reader, t *dataset.Table) (*Model, error) {
 		}
 		m.cols = append(m.cols, info)
 	}
-	m.sessCap = m.cfg.NumSamples
-	m.sess = net.NewSession(m.sessCap)
 	m.massRNG = rand.New(rand.NewSource(m.cfg.Seed + 7))
-	m.estRNG = rand.New(rand.NewSource(m.cfg.Seed + 8))
 	m.massDirty = true
 	return m, nil
+}
+
+// check rejects a snapshot whose column mapping or sampling configuration
+// does not fit the loaded network, so a damaged model file fails to load
+// instead of panicking at the first estimate.
+func (s *modelSnapshot) check(net *nn.ResMADE) error {
+	if !slices.Equal(s.Cards, net.Cards) {
+		return fmt.Errorf("core: snapshot cardinalities %v differ from the network's %v", s.Cards, net.Cards)
+	}
+	if s.Cfg.NumSamples < 1 {
+		return fmt.Errorf("core: snapshot has %d samples per query", s.Cfg.NumSamples)
+	}
+	if len(s.Cols) != s.NumCols {
+		return fmt.Errorf("core: snapshot maps %d of %d columns", len(s.Cols), s.NumCols)
+	}
+	for ci, cs := range s.Cols {
+		if cs.ArCount < 1 || cs.ArFirst < 0 || cs.ArFirst > len(s.Cards)-cs.ArCount {
+			return fmt.Errorf("core: column %d maps to AR columns [%d, %d), outside the network's %d",
+				ci, cs.ArFirst, cs.ArFirst+cs.ArCount, len(s.Cards))
+		}
+		switch colKind(cs.Kind) {
+		case kindPassthrough, kindFactored:
+			if cs.EncCard < 1 {
+				return fmt.Errorf("core: column %d has no encoder", ci)
+			}
+		case kindGMM:
+			k := s.Cards[cs.ArFirst]
+			if len(cs.GMMWeights) != k || len(cs.GMMMeans) != k || len(cs.GMMSigmas) != k {
+				return fmt.Errorf("core: column %d GMM parameters do not match its %d components", ci, k)
+			}
+		default:
+			return fmt.Errorf("core: column %d has unknown kind %d", ci, cs.Kind)
+		}
+	}
+	return nil
 }

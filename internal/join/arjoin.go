@@ -123,9 +123,10 @@ type ARJoin struct {
 	// mu guards the shared inference state: Estimate may be called from
 	// multiple goroutines.
 	mu      sync.Mutex
-	sess    *nn.Session // iam:guardedby mu
-	sessCap int         // iam:guardedby mu
-	rng     *rand.Rand  // iam:guardedby mu
+	sess    *nn.Session         // iam:guardedby mu
+	sessCap int                 // iam:guardedby mu
+	sc      *ar.EstimateScratch // iam:guardedby mu
+	rng     *rand.Rand          // iam:guardedby mu
 }
 
 // TrainIAMJoin builds the paper's join estimator.
@@ -273,6 +274,7 @@ func trainARJoin(s *Schema, cfg ARJoinConfig, name string) (*ARJoin, error) {
 
 	e.sessCap = cfg.NumSamples
 	e.sess = arm.Net.NewSession(e.sessCap)
+	e.sc = ar.NewEstimateScratch()
 	e.rng = rand.New(rand.NewSource(cfg.Seed + 3))
 	return e, nil
 }
@@ -495,24 +497,27 @@ func (e *ARJoin) EstimateCard(jq *JoinQuery) (float64, error) {
 }
 
 // EstimateCardBatch estimates several join queries in one stacked sampling
-// run (Table 7's batched inference).
+// run (Table 7's batched inference). Each query samples from its own seed,
+// drawn in order from the estimator's rng.
 func (e *ARJoin) EstimateCardBatch(jqs []*JoinQuery) ([]float64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	consList := make([][]ar.Constraint, len(jqs))
+	seeds := make([]int64, len(jqs))
 	for i, jq := range jqs {
 		cons, err := e.buildConstraints(jq)
 		if err != nil {
 			return nil, err
 		}
 		consList[i] = cons
+		seeds[i] = e.rng.Int63()
 	}
 	need := len(jqs) * e.cfg.NumSamples
 	if need > e.sessCap {
 		e.sessCap = need
 		e.sess = e.arm.Net.NewSession(need)
 	}
-	probs, err := e.arm.EstimateBatch(e.sess, consList, e.cfg.NumSamples, e.rng)
+	probs, err := e.arm.EstimateBatchScratch(e.sess, e.sc, consList, e.cfg.NumSamples, seeds)
 	if err != nil {
 		return nil, err
 	}
@@ -575,7 +580,9 @@ func (e *ARJoin) QueryTrain(ctx context.Context, w *JoinWorkload, epochs, batchS
 				consList[i] = cons
 				targets[i] = w.Cards[qi] / e.flat.JoinSize
 			}
-			e.arm.TrainQueryStep(sess, consList, targets, trainSamples, lr, rng, dLogits)
+			if _, err := e.arm.TrainQueryStep(sess, consList, targets, trainSamples, lr, rng, dLogits); err != nil {
+				return err
+			}
 		}
 		rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 	}

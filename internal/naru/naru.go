@@ -88,9 +88,10 @@ type Model struct {
 	// mu guards the shared inference state: Estimate may be called from
 	// multiple goroutines.
 	mu      sync.Mutex
-	sess    *nn.Session // iam:guardedby mu
-	sessCap int         // iam:guardedby mu
-	rng     *rand.Rand  // iam:guardedby mu
+	sess    *nn.Session         // iam:guardedby mu
+	sessCap int                 // iam:guardedby mu
+	sc      *ar.EstimateScratch // iam:guardedby mu
+	rng     *rand.Rand          // iam:guardedby mu
 }
 
 // Train fits the model on t.
@@ -169,6 +170,7 @@ func TrainContext(ctx context.Context, t *dataset.Table, cfg Config) (*Model, er
 
 	m.sessCap = cfg.NumSamples
 	m.sess = arm.Net.NewSession(m.sessCap)
+	m.sc = ar.NewEstimateScratch()
 	m.rng = rand.New(rand.NewSource(cfg.Seed + 3))
 	return m, nil
 }
@@ -289,23 +291,30 @@ func (m *Model) Estimate(q *query.Query) (float64, error) {
 }
 
 // EstimateBatch stacks several queries into one sampling run (Table 7).
+// Each query samples from its own seed, drawn in order from the model's rng.
 func (m *Model) EstimateBatch(qs []*query.Query) ([]float64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	consList := make([][]ar.Constraint, len(qs))
+	seeds := make([]int64, len(qs))
 	for i, q := range qs {
 		cons, err := m.BuildConstraints(q)
 		if err != nil {
 			return nil, err
 		}
 		consList[i] = cons
+		seeds[i] = m.rng.Int63()
 	}
 	need := len(qs) * m.cfg.NumSamples
 	if need > m.sessCap {
 		m.sessCap = need
 		m.sess = m.arm.Net.NewSession(need)
 	}
-	return m.arm.EstimateBatch(m.sess, consList, m.cfg.NumSamples, m.rng)
+	ests, err := m.arm.EstimateBatchScratch(m.sess, m.sc, consList, m.cfg.NumSamples, seeds)
+	if err != nil {
+		return nil, err
+	}
+	return append([]float64(nil), ests...), nil
 }
 
 // AR exposes the underlying autoregressive model (for UAE).

@@ -141,7 +141,9 @@ func (m *Model) queryTrain(train *query.Workload, cfg Config) error {
 				consList[i] = cons
 				targets[i] = train.TrueSel[qi]
 			}
-			arm.TrainQueryStep(sess, consList, targets, cfg.TrainSamples, cfg.QueryLR, rng, dLogits)
+			if _, err := arm.TrainQueryStep(sess, consList, targets, cfg.TrainSamples, cfg.QueryLR, rng, dLogits); err != nil {
+				return err
+			}
 		}
 		rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 	}
