@@ -11,7 +11,7 @@ BENCH_PATTERN = ^(BenchmarkEstimateBatch|BenchmarkResMADEForward256|BenchmarkMat
 TRAIN_BENCH_PATTERN = ^(BenchmarkTrainJoint|BenchmarkShardedTrain)$$
 SERVE_BENCH_PATTERN = ^BenchmarkServeLatency$$
 
-.PHONY: build test test-short lint lint-warn lint-fix lint-json lint-det lint-graph noalloc-check bench-json bench-json-estimate bench-json-train bench-json-serve
+.PHONY: build test test-short lint lint-warn lint-json noalloc-check bench-json bench-json-estimate bench-json-train bench-json-serve
 
 build:
 	$(GO) build ./...
@@ -30,28 +30,13 @@ lint:
 lint-warn:
 	$(GO) run ./cmd/iamlint -severity=warn ./...
 
-# lint-fix applies the mechanically safe suggested fixes in place.
-lint-fix:
-	$(GO) run ./cmd/iamlint -fix ./...
-
 # lint-json emits machine-readable diagnostics (used by CI artifacts).
 lint-json:
 	$(GO) run ./cmd/iamlint -json -severity=warn ./...
 
-# lint-det runs just the two taint analyzers (detflow + numflow) for a fast
-# determinism/numeric-safety sweep with witness call paths.
-lint-det:
-	$(GO) run ./cmd/iamlint -checks=detflow,numflow ./...
-
-# lint-graph dumps the module's static call graph and lock-order graph as
-# DOT, for eyeballing what the interprocedural analyzers reason over.
-lint-graph:
-	$(GO) run ./cmd/iamlint -graph=call > callgraph.dot
-	$(GO) run ./cmd/iamlint -graph=lock > lockgraph.dot
-	@echo "wrote callgraph.dot lockgraph.dot"
-
-# noalloc-check cross-checks the noalloc analyzer against the compiler's
-# escape analysis (go build -gcflags=-m=2); see cmd/noalloccheck.
+# noalloc-check enforces the iam:noalloc annotations: it fails on compiler
+# escape notes (go build -gcflags=-m=2) inside an annotated function that no
+# //lint:ignore noalloc <reason> covers; see cmd/noalloccheck.
 noalloc-check:
 	$(GO) run ./cmd/noalloccheck
 

@@ -335,7 +335,7 @@ func obtainModel(ctx context.Context, t *dataset.Table, o trainOpts) trainedMode
 func loadModel(path string, t *dataset.Table) trainedModel {
 	f, err := os.Open(path)
 	die(err)
-	defer func() { _ = f.Close() }() //lint:ignore errwrap read-only descriptor
+	defer func() { _ = f.Close() }() // read-only descriptor
 	br := bufio.NewReader(f)
 	head, err := br.Peek(len(shard.Magic))
 	if err != nil && !errors.Is(err, io.EOF) {

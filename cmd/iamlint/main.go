@@ -14,9 +14,6 @@
 //
 //	-severity error|warn  minimum severity to report (default error;
 //	                      make lint-warn runs -severity=warn)
-//	-fix                  apply mechanically safe suggested fixes in place
-//	-graph call|lock      dump the module's static call graph or lock-order
-//	                      graph as DOT on stdout and exit (make lint-graph)
 //	-json                 emit diagnostics as a JSON array on stdout
 //	-checks a,b           run a subset of checks
 //	-list                 list available checks and exit
@@ -26,7 +23,7 @@
 //	//lint:ignore <check>[,<check>] <reason>
 //
 // on the offending line or above the statement it covers; see DESIGN.md
-// ("Enforced invariants") for each check's rationale.
+// ("Enforced invariants") for each of the ten checks' rationale.
 package main
 
 import (
@@ -48,8 +45,6 @@ func run() int {
 	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := flag.Bool("list", false, "list available checks and exit")
 	severity := flag.String("severity", "error", "minimum severity to report: error or warn")
-	fix := flag.Bool("fix", false, "apply mechanically safe suggested fixes in place")
-	graph := flag.String("graph", "", "dump a DOT graph and exit: call (static call graph) or lock (lock-order graph)")
 	flag.Parse()
 
 	analyzers := lint.Analyzers()
@@ -87,23 +82,10 @@ func run() int {
 		analyzers = sel
 	}
 
-	if *graph != "" {
-		return dumpGraph(*graph)
-	}
-
 	diags, err := lint.Run(".", flag.Args(), analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iamlint: %v\n", err)
 		return 2
-	}
-
-	if *fix {
-		applied, err := lint.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "iamlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "iamlint: applied %d fix(es)\n", applied)
 	}
 
 	diags = lint.FilterSeverity(diags, minSev)
@@ -128,32 +110,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "iamlint: %d issue(s) reported\n", len(diags))
 		}
 		return 1
-	}
-	return 0
-}
-
-// dumpGraph prints the module's static call graph ("call") or lock-order
-// graph ("lock") as DOT.
-func dumpGraph(kind string) int {
-	loader, err := lint.NewLoader(".")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "iamlint: %v\n", err)
-		return 2
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "iamlint: %v\n", err)
-		return 2
-	}
-	m := lint.BuildModuleFacts(pkgs)
-	switch kind {
-	case "call":
-		fmt.Print(m.CallGraphDOT())
-	case "lock":
-		fmt.Print(m.LockGraphDOT())
-	default:
-		fmt.Fprintf(os.Stderr, "iamlint: -graph must be call or lock, got %q\n", kind)
-		return 2
 	}
 	return 0
 }

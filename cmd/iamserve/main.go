@@ -145,7 +145,7 @@ func obtainModel(ctx context.Context, t *dataset.Table, loadFrom string, epochs 
 	if loadFrom != "" {
 		f, err := os.Open(loadFrom)
 		die(err)
-		defer func() { _ = f.Close() }() //lint:ignore errwrap read-only descriptor
+		defer func() { _ = f.Close() }() // read-only descriptor
 		br := bufio.NewReader(f)
 		head, err := br.Peek(len(shard.Magic))
 		if err != nil && !errors.Is(err, io.EOF) {

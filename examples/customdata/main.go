@@ -44,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 	table, err := dataset.ReadCSV("sensors", f, dataset.CSVOptions{CategoricalMaxDistinct: 64})
-	_ = f.Close() //lint:ignore errwrap read-only descriptor; nothing to lose
+	_ = f.Close() // read-only descriptor; nothing to lose
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func main() {
 		log.Fatal(err)
 	}
 	loaded, err := core.Load(mf, table)
-	_ = mf.Close() //lint:ignore errwrap read-only descriptor; nothing to lose
+	_ = mf.Close() // read-only descriptor; nothing to lose
 	if err != nil {
 		log.Fatal(err)
 	}

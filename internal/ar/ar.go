@@ -201,7 +201,6 @@ func (m *Model) checkArity(consList [][]Constraint) error {
 // len(consList)·numSamples rows. The returned slice aliases sc and is valid
 // until the next call on sc; so are Variances and Paths.
 //
-// iam:deterministic
 // iam:numsafe
 func (m *Model) EstimateBatchScratch(sess *nn.Session, sc *EstimateScratch, consList [][]Constraint, numSamples int, seeds []int64) ([]float64, error) {
 	if len(seeds) != len(consList) {
@@ -298,7 +297,6 @@ func (m *Model) sampleColumnPacked(sess *nn.Session, sc *EstimateScratch, consLi
 	for qi, cons := range consList {
 		sc.claimed[qi] = false
 		if cons[c] != nil {
-			//lint:ignore noalloc sc.subQs is pre-sized to nq by ensure; append reuses retained capacity
 			subQs = append(subQs, qi)
 		}
 	}
@@ -315,7 +313,6 @@ func (m *Model) sampleColumnPacked(sess *nn.Session, sc *EstimateScratch, consLi
 				continue
 			}
 			sc.claimed[qi] = true
-			//lint:ignore noalloc sc.groupQs is pre-sized to nq by ensure; append reuses retained capacity
 			groupQs = append(groupQs, qi)
 		}
 		sc.groupQs = groupQs
@@ -348,7 +345,6 @@ func (sc *EstimateScratch) groupRows(sig []byte, c, numSamples int) [][]int {
 	live := sc.liveCols[:0]
 	for k := 0; k < c; k++ {
 		if sig[k>>3]&(1<<uint(k&7)) != 0 {
-			//lint:ignore noalloc sc.liveCols is pre-sized to nCols by ensure; append reuses retained capacity
 			live = append(live, k)
 		}
 	}
@@ -382,7 +378,6 @@ func (sc *EstimateScratch) groupRows(sig []byte, c, numSamples int) [][]int {
 			}
 			sc.subPos[ri] = pos
 			if pos == len(subRows) {
-				//lint:ignore noalloc sc.subRows is pre-sized to nq·numSamples by ensure; append reuses retained capacity
 				subRows = append(subRows, row)
 			}
 		}
@@ -442,7 +437,6 @@ func (m *Model) sampleQueryColumn(sess *nn.Session, sc *EstimateScratch, con Con
 			sc.memoStamp[pos] = epoch
 			sc.memoSlot[pos] = int32(slots)
 			d := sc.dist[:card]
-			//lint:ignore noalloc Dist's column-mismatch panic is a cold fmt.Sprintf; its steady path is alloc-free
 			sess.Dist(pos, c, d)
 			wv := sc.w[:card]
 			con.Fill(rows[ri], wv)

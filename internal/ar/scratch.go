@@ -194,14 +194,12 @@ func (sc *EstimateScratch) planFor(net *nn.ResMADE, sig []byte, nCols int) *nn.S
 			clear(sc.plans)
 		}
 	}
-	//lint:ignore noalloc a map index keyed by string(sig) is compiled to a non-allocating lookup
 	if p, ok := sc.plans[string(sig)]; ok {
 		return p
 	}
 	for c := 0; c < nCols; c++ {
 		sc.live[c] = sig[c>>3]&(1<<uint(c&7)) != 0
 	}
-	//lint:ignore noalloc amortized cold path: one plan build per new query prefix per parameter generation
 	p := net.NewSamplingPlan(sc.live[:nCols])
 	//lint:ignore noalloc amortized cold path: map insert once per new query prefix per parameter generation
 	sc.plans[string(sig)] = p

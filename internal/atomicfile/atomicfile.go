@@ -33,7 +33,7 @@ func WriteFile(path string, write func(w io.Writer) error) (err error) {
 	}
 	defer func() {
 		if err != nil {
-			_ = f.Close() //lint:ignore errwrap,closecheck already failing; the write error wins
+			_ = f.Close() //lint:ignore closecheck already failing; the write error wins
 			os.Remove(tmp)
 		}
 	}()
@@ -54,7 +54,7 @@ func WriteFile(path string, write func(w io.Writer) error) (err error) {
 	// is already safe, only the directory entry may be replayed.
 	if dir, derr := os.Open(filepath.Dir(path)); derr == nil {
 		dir.Sync()
-		_ = dir.Close() //lint:ignore errwrap read-only descriptor
+		_ = dir.Close() // read-only descriptor
 	}
 	return nil
 }

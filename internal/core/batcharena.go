@@ -63,7 +63,6 @@ func (bs *batchScratch) consRow(i, nCols int) []ar.Constraint {
 //
 // iam:noalloc
 func (bs *batchScratch) rangeCon(lo, hi int) ar.Constraint {
-	//lint:ignore noalloc amortized arena growth; a pooled scratch keeps its capacity across calls
 	bs.rcs = append(bs.rcs, ar.RangeConstraint{Lo: lo, Hi: hi})
 	return &bs.rcs[len(bs.rcs)-1]
 }
@@ -73,7 +72,6 @@ func (bs *batchScratch) rangeCon(lo, hi int) ar.Constraint {
 //
 // iam:noalloc
 func (bs *batchScratch) weightCon(wts []float64) ar.Constraint {
-	//lint:ignore noalloc amortized arena growth; a pooled scratch keeps its capacity across calls
 	bs.wcs = append(bs.wcs, ar.WeightConstraint{W: wts})
 	return &bs.wcs[len(bs.wcs)-1]
 }
@@ -82,7 +80,6 @@ func (bs *batchScratch) weightCon(wts []float64) ar.Constraint {
 //
 // iam:noalloc
 func (bs *batchScratch) factoredCon(fc ar.FactoredConstraint) ar.Constraint {
-	//lint:ignore noalloc amortized arena growth; a pooled scratch keeps its capacity across calls
 	bs.fcs = append(bs.fcs, fc)
 	return &bs.fcs[len(bs.fcs)-1]
 }
@@ -170,7 +167,6 @@ func (m *Model) buildConstraintsInto(q *query.Query, bs *batchScratch, cons []ar
 			case MassEmpirical:
 				info.empirical.Mass(lo, hi, wts)
 			}
-			//lint:ignore noalloc cold cache fill, once per distinct interval
 			m.massCachePut(ci, r, wts)
 			cons[info.arFirst] = bs.weightCon(wts)
 		case kindReduced:
@@ -192,7 +188,6 @@ func (m *Model) buildConstraintsInto(q *query.Query, bs *batchScratch, cons []ar
 			}
 			cons[info.arFirst] = bs.weightCon(wts)
 		case kindPassthrough, kindFactored:
-			//lint:ignore noalloc codeRange allocates only on its cold error paths
 			loCode, hiCode, ok, err := m.codeRange(ci, r)
 			if err != nil {
 				return err

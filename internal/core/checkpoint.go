@@ -63,7 +63,7 @@ func readCheckpoint(path string, t *dataset.Table) (*Model, *checkpointSnapshot,
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: opening checkpoint: %w", err)
 	}
-	defer func() { _ = f.Close() }() //lint:ignore errwrap read-only descriptor
+	defer func() { _ = f.Close() }() // read-only descriptor
 	var snap checkpointSnapshot
 	if err := gob.NewDecoder(f).Decode(&snap); err != nil {
 		return nil, nil, fmt.Errorf("core: decoding checkpoint %s: %w", path, err)

@@ -243,8 +243,6 @@ type Model struct {
 	// pooled per-worker sessions. Writers — training mini-batch steps, the
 	// §5.2 mass-preprocessing refresh and Save — hold the write side.
 	// Lock order: mu before poolMu/cacheMu; never the reverse.
-	//
-	// iam:lockorder Model.mu > Model.poolMu/Model.cacheMu
 	mu        sync.RWMutex
 	massRNG   *rand.Rand // iam:guardedby mu
 	massDirty bool       // iam:guardedby mu
@@ -416,8 +414,6 @@ func (m *Model) rawCode(ci, ri int) (int, error) {
 // epochRNG derives the deterministic RNG of one joint-training epoch from
 // (seed, epoch) alone, so a run resumed from an epoch checkpoint replays
 // exactly the shuffles and wildcard masks of an uninterrupted run.
-//
-// iam:detsource explicitly seeded source; the stream is a pure function of (seed, epoch)
 func epochRNG(seed int64, epoch int) *rand.Rand {
 	return rand.New(rand.NewSource(seed*1_000_003 + int64(epoch)))
 }
@@ -600,8 +596,6 @@ func (m *Model) Estimate(q *query.Query) (float64, error) {
 // shards the queries across min(cfg.Workers, pending) goroutines. Query i
 // draws from its own stream derived from (cfg.Seed, i), which makes the
 // returned estimates bit-identical under every Workers setting.
-//
-// iam:deterministic
 func (m *Model) EstimateBatch(qs []*query.Query) ([]float64, error) {
 	return m.EstimateBatchSeeded(qs, nil)
 }
@@ -613,8 +607,6 @@ func (m *Model) EstimateBatch(qs []*query.Query) ([]float64, error) {
 // batcher coalesces queries into batches of shifting composition — it passes
 // seeds derived from the query content, so an estimate never depends on
 // which other queries happened to share the batch.
-//
-// iam:deterministic
 func (m *Model) EstimateBatchSeeded(qs []*query.Query, qseeds []int64) ([]float64, error) {
 	return m.estimateBatch(qs, qseeds, nil)
 }
@@ -626,8 +618,6 @@ func (m *Model) EstimateBatchSeeded(qs []*query.Query, qseeds []int64) ([]float6
 // on. Queries answered by exhaustive enumeration are exact and report
 // variance 0. Estimates are bit-identical to EstimateBatchSeeded — the
 // variance is a read-only second pass over the same path probabilities.
-//
-// iam:deterministic
 func (m *Model) EstimateBatchVarSeeded(qs []*query.Query, qseeds []int64) (ests, vars []float64, err error) {
 	vars = make([]float64, len(qs))
 	if ests, err = m.estimateBatch(qs, qseeds, vars); err != nil {
@@ -744,7 +734,8 @@ func (m *Model) runPending(pending [][]ar.Constraint, seeds []int64, slots []int
 // worker wi estimates pending[lo:hi] on a pooled session and scatters the
 // results into its disjoint out (and vars) slots.
 //
-// iam:detsource each query draws only from its seeds[i]-derived stream and shards write disjoint out/errs slots, so results are independent of worker count and scheduling
+// Each query draws only from its seeds[i]-derived stream, so the results
+// do not depend on worker count or scheduling.
 func (m *Model) estimateShard(wi, lo, hi int, pending [][]ar.Constraint, seeds []int64, slots []int, out, vars []float64, errs []error) {
 	w := m.getWorker((hi - lo) * m.cfg.NumSamples)
 	defer m.putWorker(w)
@@ -796,7 +787,6 @@ func (m *Model) codeRange(ci int, r *query.Interval) (int, int, bool, error) {
 		lo := 0
 		if !math.IsInf(r.Lo, -1) {
 			lo = int(math.Ceil(r.Lo))
-			//lint:ignore floateq exact integer roundtrip decides whether an exclusive float bound excludes the integer code
 			if float64(lo) == r.Lo && !r.LoInc {
 				lo++
 			}
@@ -804,7 +794,6 @@ func (m *Model) codeRange(ci int, r *query.Interval) (int, int, bool, error) {
 		hi := info.enc.Card - 1
 		if !math.IsInf(r.Hi, 1) {
 			hi = int(math.Floor(r.Hi))
-			//lint:ignore floateq exact integer roundtrip decides whether an exclusive float bound excludes the integer code
 			if float64(hi) == r.Hi && !r.HiInc {
 				hi--
 			}

@@ -74,8 +74,6 @@ func (m *Model) putWorker(w *estWorker) {
 // indices are statistically independent. Because the stream depends only on
 // (seed, qi), an estimate is a pure function of the model and the query —
 // not of worker count, shard boundaries, or what else shares the batch.
-//
-// iam:detsource splitmix64 finalizer: output is a pure function of (seed, qi)
 func querySeed(seed int64, qi int) int64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*(uint64(qi)+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -182,8 +180,6 @@ func (m *Model) purgeMassCache() {
 // with the model seed through the same finalizer as querySeed. Two requests
 // for the same query always draw the same stream regardless of batch
 // composition, so server-side batching preserves bit-identical estimates.
-//
-// iam:deterministic
 func (m *Model) QuerySeed(q *query.Query) int64 {
 	h := uint64(m.cfg.Seed)
 	mix := func(v uint64) {

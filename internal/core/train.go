@@ -61,8 +61,6 @@ func (m *Model) trainWorkerCount(maxShards int) int {
 // side, the stream is a pure function of the schedule — not of batch
 // composition, shard boundaries or execution order — which is also what
 // makes checkpoint resume replay exactly the masks of an uninterrupted run.
-//
-// iam:detsource splitmix64 finalizer: output is a pure function of (seed, epoch, row)
 func maskSeed(seed int64, epoch, row int) uint64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*(uint64(epoch)+1)
 	z += 0xbf58476d1ce4e5b9 * (uint64(row) + 1)
@@ -167,7 +165,8 @@ func (m *Model) newTrainEngine() *trainEngine {
 // gmmStep runs one SGD step of GMM column gi on the current batch and parks
 // the batch-mean loss in its column slot.
 //
-// iam:detsource column-disjoint trainers and loss slots; the caller sums losses in column order
+// Trainers and loss slots are column-disjoint; the caller sums the losses
+// in column order.
 func (eng *trainEngine) gmmStep(gi int, batchIdx []int) {
 	ci := eng.gmmCols[gi]
 	vals := eng.gmmVals[gi][:len(batchIdx)]
@@ -183,7 +182,6 @@ func (eng *trainEngine) gmmStep(gi int, batchIdx []int) {
 // per-row streams, forward, cross-entropy and — unless the loss came back
 // non-finite — backward into the shard's own gradient accumulator.
 //
-// iam:deterministic
 // iam:noalloc
 func (eng *trainEngine) runShard(s, epoch, startRow int, batchIdx []int) {
 	m := eng.m
@@ -223,7 +221,8 @@ func (eng *trainEngine) runShard(s, epoch, startRow int, batchIdx []int) {
 // shards w, w+nw, w+2nw, … of the current batch and signals the engine's
 // WaitGroup when its chain is done.
 //
-// iam:detsource shard-private sessions and gradient buffers; the caller reduces shard gradients strictly in shard order before the single optimizer step
+// Sessions and gradient buffers are shard-private; the caller reduces shard
+// gradients strictly in shard order before the single optimizer step.
 func (eng *trainEngine) shardWorker(w, nw, nShards, epoch, startRow int, batchIdx []int) {
 	defer eng.wg.Done()
 	for s := w; s < nShards; s += nw {
@@ -238,7 +237,6 @@ func (eng *trainEngine) shardWorker(w, nw, nShards, epoch, startRow int, batchId
 // (non-finite loss or exploding gradient — the update is then skipped).
 // The caller holds m.mu on the write side.
 //
-// iam:deterministic
 // iam:noalloc
 func (eng *trainEngine) runBatch(epoch, startRow int, batchIdx []int, lrScale float64) (gmmNLL, arNLL float64, diverged bool, err error) {
 	m := eng.m
@@ -339,8 +337,6 @@ func (eng *trainEngine) runBatch(epoch, startRow int, batchIdx []int, lrScale fl
 // path configured, each completed epoch is persisted atomically; cancelling
 // ctx discards the partial epoch, flushes a checkpoint of the last completed
 // one, and returns promptly.
-//
-// iam:deterministic
 func (m *Model) trainJoint(ctx context.Context, startEpoch int, lrScale float64, retries int) error {
 	cfg := m.cfg
 	n := m.table.NumRows()

@@ -203,7 +203,6 @@ func SortedDistinct(values []float64) []float64 {
 	sort.Float64s(cp)
 	out := cp[:1]
 	for _, v := range cp[1:] {
-		//lint:ignore floateq dedup of sorted values; duplicates are bit-identical copies, not computed floats
 		if v != out[len(out)-1] {
 			out = append(out, v)
 		}

@@ -34,7 +34,6 @@ func BuildEncoder(c *Column) *ColumnEncoder {
 // iam:noalloc
 func (e *ColumnEncoder) EncodeFloat(v float64) (int, error) {
 	i := sort.SearchFloat64s(e.vals, v)
-	//lint:ignore floateq domain membership over exactly stored values; a near-miss is out of domain by definition
 	if i >= len(e.vals) || e.vals[i] != v {
 		//lint:ignore noalloc cold out-of-domain path, never taken while the table matches the encoder
 		return 0, fmt.Errorf("dataset: value %v not in domain of column %q", v, e.Name)
@@ -57,13 +56,11 @@ func (e *ColumnEncoder) RangeToCodes(lo, hi float64, loInc, hiInc bool) (loCode,
 	}
 	// Smallest index with vals[i] >= lo (or > lo when exclusive).
 	loCode = sort.SearchFloat64s(e.vals, lo)
-	//lint:ignore floateq domain membership over exactly stored values; the code interval is defined by bit equality
 	if !loInc && loCode < len(e.vals) && e.vals[loCode] == lo {
 		loCode++
 	}
 	// Largest index with vals[i] <= hi (or < hi when exclusive).
 	hiCode = sort.SearchFloat64s(e.vals, hi)
-	//lint:ignore floateq domain membership over exactly stored values; the code interval is defined by bit equality
 	if hiCode < len(e.vals) && e.vals[hiCode] == hi && hiInc {
 		// keep: vals[hiCode] == hi qualifies
 	} else {

@@ -237,7 +237,6 @@ func dataSpread(values []float64) float64 {
 			hi = v
 		}
 	}
-	//lint:ignore floateq degenerate-range guard on exact copies of the data min/max
 	if hi == lo {
 		return 1
 	}

@@ -32,10 +32,26 @@ func (t *SGDTrainer) CaptureState() *TrainerState {
 }
 
 // RestoreState copies st back into the trainer (and its wrapped Model). The
-// state must come from a trainer with the same component count.
+// state must come from a trainer with the same component count: every slice
+// is checked before anything is copied, so a rejected state leaves the
+// trainer untouched.
 func (t *SGDTrainer) RestoreState(st *TrainerState) error {
-	if len(st.Weights) != t.Model.K() {
-		return fmt.Errorf("gmm: trainer state has %d components, model has %d", len(st.Weights), t.Model.K())
+	if st == nil {
+		return fmt.Errorf("gmm: nil trainer state")
+	}
+	k := t.Model.K()
+	for _, f := range []struct {
+		name string
+		s    []float64
+	}{
+		{"Weights", st.Weights}, {"Means", st.Means}, {"Sigmas", st.Sigmas},
+		{"Logits", st.Logits}, {"LogSig", st.LogSig},
+		{"MW", st.MW}, {"VW", st.VW}, {"MMu", st.MMu}, {"VMu", st.VMu},
+		{"MSig", st.MSig}, {"VSig", st.VSig},
+	} {
+		if len(f.s) != k {
+			return fmt.Errorf("gmm: trainer state %s has %d components, model has %d", f.name, len(f.s), k)
+		}
 	}
 	copy(t.Model.Weights, st.Weights)
 	copy(t.Model.Means, st.Means)

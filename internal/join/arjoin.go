@@ -194,7 +194,6 @@ func trainARJoin(s *Schema, cfg ARJoinConfig, name string) (*ARJoin, error) {
 			if hasSentinel {
 				real := vals[:0:0]
 				for _, v := range vals {
-					//lint:ignore floateq NULL sentinel is copied verbatim from the table, so bit equality is the membership test
 					if v != sentinel {
 						real = append(real, v)
 					}
@@ -286,7 +285,6 @@ func (e *ARJoin) encodeRow(ri int, dst []int) error {
 		switch col.kind {
 		case ajGMM:
 			v := c.Floats[ri]
-			//lint:ignore floateq NULL sentinel is copied verbatim from the table, so bit equality is the membership test
 			if s, ok := e.flat.NullSentinel[fi]; ok && v == s {
 				dst[col.arFirst] = col.nullCode
 			} else {
@@ -445,7 +443,6 @@ func (e *ARJoin) codeRange(fi int, r *query.Interval) (int, int, bool, error) {
 		lo = col.minRealCode
 		if !math.IsInf(r.Lo, -1) {
 			l := int(math.Ceil(r.Lo))
-			//lint:ignore floateq exact integer roundtrip decides whether an exclusive float bound excludes the integer code
 			if float64(l) == r.Lo && !r.LoInc {
 				l++
 			}
@@ -456,7 +453,6 @@ func (e *ARJoin) codeRange(fi int, r *query.Interval) (int, int, bool, error) {
 		hi = col.maxRealCode
 		if !math.IsInf(r.Hi, 1) {
 			h := int(math.Floor(r.Hi))
-			//lint:ignore floateq exact integer roundtrip decides whether an exclusive float bound excludes the integer code
 			if float64(h) == r.Hi && !r.HiInc {
 				h--
 			}

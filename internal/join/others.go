@@ -369,7 +369,6 @@ func (e *MSCNJoin) featurize(jq *JoinQuery) [][]float64 {
 				continue
 			}
 			name := t.Columns[j].Name
-			//lint:ignore floateq point predicate detection on exact user-supplied bounds
 			if r.Lo == r.Hi && r.LoInc && r.HiInc {
 				add(t.Name, name, j, 0, r.Lo)
 				continue

@@ -240,28 +240,27 @@ func Sum(c *C, k int) int {
 // when blank lines or further comments sit between them, and must stop at the
 // first code-bearing line.
 func TestSuppressionPlacement(t *testing.T) {
-	p := loadInline(t, "fixture/suppress", `package suppress
+	p := loadInline(t, "fixture/internal/suppress", `package suppress
 
-func SeparatedByCommentAndBlank(a, b float64) bool {
-	//lint:ignore floateq deliberate exact comparison for the test
+func SeparatedByCommentAndBlank() {
+	//lint:ignore nopanic deliberate panic for the test
 	// explanatory comment inserted between directive and statement
 
-	return a == b
+	panic("suppressed")
 }
 
-func OnlyNextCodeLine(a, b float64) (bool, bool) {
-	//lint:ignore floateq only the first comparison is accepted
-	x := a == b
-	y := a != b
-	return x, y
+func OnlyNextCodeLine() {
+	//lint:ignore nopanic only the first panic is accepted
+	panic("first")
+	panic("second")
 }
 `)
-	got := RunAnalyzers([]*Package{p}, []*Analyzer{AnalyzerFloatEq})
+	got := RunAnalyzers([]*Package{p}, []*Analyzer{AnalyzerNoPanic})
 	if len(got) != 1 {
-		t.Fatalf("got %d diagnostics, want exactly 1 (the y := line):\n%s", len(got), format(got))
+		t.Fatalf("got %d diagnostics, want exactly 1 (the second panic):\n%s", len(got), format(got))
 	}
 	if got[0].Line != 13 {
-		t.Errorf("surviving diagnostic on line %d, want 13 (y := a != b)", got[0].Line)
+		t.Errorf("surviving diagnostic on line %d, want 13 (panic(\"second\"))", got[0].Line)
 	}
 }
 
@@ -286,29 +285,38 @@ func writeTree(t *testing.T, files map[string]string) string {
 // pattern scoping. want lists one message substring per expected diagnostic,
 // in sorted order.
 func TestRun(t *testing.T) {
-	floatMod := map[string]string{
+	// Package a has one per-package finding (a global rand draw), one
+	// numflow finding and one suppressed numflow finding; b calls into a
+	// and has none of its own.
+	numMod := map[string]string{
 		"go.mod": "module fake\n\ngo 1.21\n",
-		"a/a.go": "package a\n\nfunc Eq(x, y float64) bool { return x == y }\n\nfunc Ne(x, y float64) bool {\n\t//lint:ignore floateq test\n\treturn x != y\n}\n\nfunc work() {}\n\nfunc Start() {\n\tgo work()\n}\n",
-		"b/b.go": "package b\n\nimport \"fake/a\"\n\nfunc F(x float64) bool { return a.Eq(x, x) }\n",
-	}
-	leakMod := func(body string) map[string]string {
-		return map[string]string{
-			"go.mod": "module leakmod\n\ngo 1.21\n",
-			"w/w.go": "package w\n\nfunc work() {}\n\nfunc Start() {\n" + body + "}\n",
-		}
+		"a/a.go": `package a
+
+import (
+	"math"
+	"math/rand"
+)
+
+func Pick() int { return rand.Intn(3) }
+
+func LogTerm(p float64) float64 { return math.Log(p) }
+
+// iam:numsafe
+func Shifted(x float64) float64 { return LogTerm(x - 1) }
+
+// iam:numsafe
+func Accepted(x float64) float64 {
+	//lint:ignore numflow test
+	return LogTerm(x - 2)
+}
+`,
+		"b/b.go": "package b\n\nimport \"fake/a\"\n\n// iam:numsafe\nfunc F(x float64) float64 { return a.LogTerm(1) + a.Shifted(x) }\n",
 	}
 	taintMod := map[string]string{
 		"go.mod": "module taintmod\n\ngo 1.21\n",
 		"h/h.go": `package h
 
-import (
-	"math"
-	"time"
-)
-
-func Stamp() int64 {
-	return time.Now().UnixNano()
-}
+import "math"
 
 func LogTerm(p float64) float64 {
 	return math.Log(p)
@@ -317,12 +325,6 @@ func LogTerm(p float64) float64 {
 		"m/m.go": `package m
 
 import "taintmod/h"
-
-// iam:deterministic
-func Run(ps []float64) float64 {
-	_ = h.Stamp()
-	return Sum(ps)
-}
 
 // iam:numsafe
 func Sum(ps []float64) float64 {
@@ -334,12 +336,13 @@ func Sum(ps []float64) float64 {
 }
 `,
 	}
-	const detsource = "// iam:detsource coarse epoch bucket, quantized to a release constant\n"
+	// annMod's m.Run reaches h.Scale's unguarded sink unless h.Scale is
+	// itself an iam:numsafe root, which moves the finding into package h.
 	annMod := func(annotation string) map[string]string {
 		return map[string]string{
 			"go.mod": "module annmod\n\ngo 1.21\n",
-			"h/h.go": "package h\n\nimport \"time\"\n\n" + annotation + "func Epoch() int64 {\n\treturn time.Now().UnixNano()\n}\n",
-			"m/m.go": "package m\n\nimport \"annmod/h\"\n\n// iam:deterministic\nfunc Run() int64 {\n\treturn h.Epoch()\n}\n",
+			"h/h.go": "package h\n\nimport \"math\"\n\n" + annotation + "func Scale(x float64) float64 {\n\treturn math.Sqrt(x - 1)\n}\n",
+			"m/m.go": "package m\n\nimport \"annmod/h\"\n\n// iam:numsafe\nfunc Run() float64 {\n\treturn h.Scale(2)\n}\n",
 		}
 	}
 
@@ -352,33 +355,19 @@ func Sum(ps []float64) float64 {
 		wantErr   bool
 	}{
 		{
-			// The suppressed comparison in Ne is not reported.
-			name: "floateq_suppressed", files: floatMod, patterns: []string{"./..."},
-			analyzers: []*Analyzer{AnalyzerFloatEq},
-			want:      []string{"exact float comparison"},
+			// The suppressed call in Accepted is not reported.
+			name: "numflow_suppressed", files: numMod, patterns: []string{"./..."},
+			analyzers: []*Analyzer{AnalyzerNumFlow},
+			want:      []string{"fake/a.Shifted passes unguarded argument \"x - 1\""},
 		},
 		{
 			// Neither a's per-package nor its module findings leak into b.
-			name: "pattern_excludes_other_package", files: floatMod, patterns: []string{"b"},
-			analyzers: []*Analyzer{AnalyzerFloatEq, AnalyzerGoLeak},
+			name: "pattern_excludes_other_package", files: numMod, patterns: []string{"b"},
+			analyzers: []*Analyzer{AnalyzerGlobalRand, AnalyzerNumFlow},
 		},
 		{
-			name: "pattern_matches_nothing", files: floatMod, patterns: []string{"c"},
-			analyzers: []*Analyzer{AnalyzerFloatEq}, wantErr: true,
-		},
-		{
-			name: "goleak_unjoined", files: leakMod("\tgo work()\n"),
-			analyzers: []*Analyzer{AnalyzerGoLeak},
-			want:      []string{"no join point"},
-		},
-		{
-			name: "goleak_joined", files: leakMod("\tdone := make(chan struct{})\n\tgo func() {\n\t\twork()\n\t\tclose(done)\n\t}()\n\t<-done\n"),
-			analyzers: []*Analyzer{AnalyzerGoLeak},
-		},
-		{
-			name: "detflow_cross_package", files: taintMod,
-			analyzers: []*Analyzer{AnalyzerDetFlow},
-			want:      []string{"taintmod/m.Run → taintmod/h.Stamp: time.Now"},
+			name: "pattern_matches_nothing", files: numMod, patterns: []string{"c"},
+			analyzers: []*Analyzer{AnalyzerNumFlow}, wantErr: true,
 		},
 		{
 			name: "numflow_cross_package", files: taintMod,
@@ -386,15 +375,16 @@ func Sum(ps []float64) float64 {
 			want:      []string{"passes unguarded argument"},
 		},
 		{
-			// An iam:detsource in the callee's package sanitizes the path.
-			name: "detflow_detsource", files: annMod(detsource),
-			analyzers: []*Analyzer{AnalyzerDetFlow},
+			// An iam:numsafe on the callee in h makes it a root of its own:
+			// m's verdict clears.
+			name: "numsafe_callee", files: annMod("// iam:numsafe\n"), patterns: []string{"m"},
+			analyzers: []*Analyzer{AnalyzerNumFlow},
 		},
 		{
-			// The same code without the annotation is reported again.
-			name: "detflow_detsource_removed", files: annMod(""),
-			analyzers: []*Analyzer{AnalyzerDetFlow},
-			want:      []string{"reaches nondeterminism [time]"},
+			// The same code without the annotation is reported in m again.
+			name: "numsafe_callee_removed", files: annMod(""), patterns: []string{"m"},
+			analyzers: []*Analyzer{AnalyzerNumFlow},
+			want:      []string{"annmod/m.Run → annmod/h.Scale: math.Sqrt operand \"x - 1\""},
 		},
 	}
 	for _, tc := range cases {
@@ -428,10 +418,10 @@ func Sum(ps []float64) float64 {
 func TestCacheWarmAndInvalidation(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"go.mod": "module fake\n\ngo 1.21\n",
-		"a/a.go": "package a\n\nfunc Eq(x, y float64) bool { return x == y }\n",
-		"b/b.go": "package b\n\nimport \"fake/a\"\n\nfunc F(x float64) bool { return a.Eq(x, x) }\n",
+		"a/a.go": "package a\n\nimport \"math\"\n\nfunc LogTerm(p float64) float64 { return math.Log(p) }\n",
+		"b/b.go": "package b\n\nimport \"fake/a\"\n\n// iam:numsafe\nfunc F(x float64) float64 { return a.LogTerm(x - 1) }\n",
 	})
-	analyzers := []*Analyzer{AnalyzerFloatEq}
+	analyzers := []*Analyzer{AnalyzerNumFlow}
 	run := func() []Diagnostic {
 		t.Helper()
 		diags, err := Run(root, []string{"./..."}, analyzers)
@@ -442,30 +432,30 @@ func TestCacheWarmAndInvalidation(t *testing.T) {
 	}
 
 	diags := run()
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "exact float comparison") {
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "passes unguarded argument") {
 		t.Fatalf("first run diagnostics = %s", format(diags))
 	}
 	if again := run(); format(again) != format(diags) {
 		t.Errorf("repeated run differs:\nfirst:\n%ssecond:\n%s", format(diags), format(again))
 	}
 
-	// Adding a comparison to b is reported alongside a's.
+	// Adding a local sink to b is reported alongside the call into a.
 	if err := os.WriteFile(filepath.Join(root, "b", "b.go"),
-		[]byte("package b\n\nimport \"fake/a\"\n\nfunc G(x float64) bool { return a.Eq(x, x+1) || x == 1 }\n"), 0o644); err != nil {
+		[]byte("package b\n\nimport (\n\t\"math\"\n\n\t\"fake/a\"\n)\n\n// iam:numsafe\nfunc F(x float64) float64 { return a.LogTerm(x-1) + math.Log(x-2) }\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if diags := run(); len(diags) != 2 {
 		t.Errorf("after editing b: got %d diagnostics, want 2:\n%s", len(diags), format(diags))
 	}
 
-	// Removing a's comparison leaves only b's.
+	// Guarding a's operand clears the call-site finding in b.
 	if err := os.WriteFile(filepath.Join(root, "a", "a.go"),
-		[]byte("package a\n\nfunc Eq(x, y float64) bool { return x < y }\n"), 0o644); err != nil {
+		[]byte("package a\n\nimport \"math\"\n\nfunc LogTerm(p float64) float64 { return math.Log(math.Max(p, 1e-12)) }\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	diags = run()
-	if len(diags) != 1 || !strings.HasSuffix(filepath.ToSlash(diags[0].File), "b/b.go") {
-		t.Errorf("after editing a: got %s, want one finding in b/b.go", format(diags))
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "unguarded math.Log operand \"x - 2\"") {
+		t.Errorf("after editing a: got %s, want only b's local math.Log finding", format(diags))
 	}
 }
 
@@ -474,98 +464,15 @@ func TestCacheWarmAndInvalidation(t *testing.T) {
 func TestCacheSuppressionsNotReplayed(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"go.mod": "module fake\n\ngo 1.21\n",
-		"a/a.go": "package a\n\nfunc Eq(x, y float64) bool {\n\t//lint:ignore floateq test\n\treturn x == y\n}\n",
+		"a/a.go": "package a\n\nimport \"math\"\n\n// iam:numsafe\nfunc F(x float64) float64 {\n\t//lint:ignore numflow test\n\treturn math.Log(x - 1)\n}\n",
 	})
 	for run := 0; run < 2; run++ {
-		diags, err := Run(root, []string{"./..."}, []*Analyzer{AnalyzerFloatEq})
+		diags, err := Run(root, []string{"./..."}, []*Analyzer{AnalyzerNumFlow})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(diags) != 0 {
 			t.Errorf("run %d: suppressed finding leaked: %s", run, format(diags))
 		}
-	}
-}
-
-// TestApplyFixes rewrites a file through suggested fixes and rejects overlaps.
-func TestApplyFixes(t *testing.T) {
-	dir := t.TempDir()
-	file := filepath.Join(dir, "x.go")
-	src := "package x\n\nfunc f(a, b, c float64) (bool, bool) { return a == b, b == c }\n"
-	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	first := strings.Index(src, "a == b")
-	second := strings.Index(src, "b == c")
-	n, err := ApplyFixes([]Diagnostic{
-		{File: file, Fix: &Fix{Start: first, End: first + len("a == b"), NewText: "vecmath.ApproxEqual(a, b)"}},
-		{File: file, Fix: &Fix{Start: second, End: second + len("b == c"), NewText: "vecmath.ApproxEqual(b, c)"}},
-		{File: file}, // no fix attached: ignored
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("applied %d fixes, want 2", n)
-	}
-	got, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "package x\n\nfunc f(a, b, c float64) (bool, bool) { return vecmath.ApproxEqual(a, b), vecmath.ApproxEqual(b, c) }\n"
-	if string(got) != want {
-		t.Errorf("rewritten file:\n%s\nwant:\n%s", got, want)
-	}
-
-	if _, err := ApplyFixes([]Diagnostic{
-		{File: file, Fix: &Fix{Start: 0, End: 10, NewText: "x"}},
-		{File: file, Fix: &Fix{Start: 5, End: 15, NewText: "y"}},
-	}); err == nil {
-		t.Error("overlapping fixes were not rejected")
-	}
-}
-
-// TestFloatEqSuggestedFix: the error-severity rewrite must produce text that
-// swaps the comparison for vecmath.ApproxEqual, honoring negation.
-func TestFloatEqSuggestedFix(t *testing.T) {
-	dir := t.TempDir()
-	src := `package fixme
-
-import "iam/internal/vecmath"
-
-var _ = vecmath.Eps
-
-func f(a, b float64) bool { return a != b }
-`
-	if err := os.WriteFile(filepath.Join(dir, "src.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := l.LoadDir(dir, "fixture/fixme")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := RunAnalyzers([]*Package{p}, []*Analyzer{AnalyzerFloatEq})
-	if len(got) != 1 {
-		t.Fatalf("diagnostics = %s", format(got))
-	}
-	if got[0].Fix == nil {
-		t.Fatal("error-severity comparison carries no suggested fix")
-	}
-	if got[0].Fix.NewText != "!vecmath.ApproxEqual(a, b)" {
-		t.Errorf("fix text = %q", got[0].Fix.NewText)
-	}
-	if _, err := ApplyFixes(got); err != nil {
-		t.Fatal(err)
-	}
-	after, err := os.ReadFile(filepath.Join(dir, "src.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(after), "return !vecmath.ApproxEqual(a, b)") {
-		t.Errorf("file after -fix:\n%s", after)
 	}
 }

@@ -3,28 +3,25 @@
 // go/types packages — matching the module's zero-dependency ethos.
 //
 // The engine loads every package in the module (parsing in parallel and
-// type-checking from source), then runs a pluggable set of analyzers
-// concurrently. Each analyzer encodes one IAM-specific invariant whose silent
-// violation would undermine the estimator's correctness guarantees:
-// determinism of checkpoint/resume, unbiasedness of progressive sampling,
-// crash-safety of persisted state, cancellation of long training loops,
-// mutex discipline on shared inference state, seed provenance, layer-shape
-// consistency, float-comparison hygiene and error-wrapping at package
-// boundaries.
+// type-checking from source), then runs ten analyzers over it. Each encodes
+// one IAM-specific invariant whose silent violation would undermine the
+// estimator: library code returns errors instead of panicking, RNG draws and
+// seeds are reproducible, persisted state is written crash-safely, long
+// training loops are cancellable, writer Close errors are checked, float
+// accumulation does not follow map order, annotated fields are touched only
+// under their mutex, layer shapes agree, and iam:numsafe functions guard
+// every Log/Exp/Sqrt operand and divisor.
 //
-// Beyond the original purely syntactic checks, the v2 analyzers are dataflow
-// aware: guardedby walks a per-function control-flow graph (cfg.go) tracking
-// which mutexes are definitely held, seedflow traces RNG seed expressions to
-// their origins, and shapecheck constant-propagates matrix and layer
-// dimensions through constructor chains. The v3 analyzers (lockorder, goleak,
-// atomicver, noalloc) are interprocedural, running over a module-wide fact
-// database of per-function summaries; the v4 analyzers (detflow, numflow)
-// extend those summaries with taint facts to enforce the iam:deterministic
-// and iam:numsafe contracts with witness call paths.
+// Most analyzers are per-package passes. guardedby walks a per-function
+// control-flow graph (cfg.go) tracking which mutexes are definitely held,
+// seedflow traces RNG seed expressions to their origins, and shapecheck
+// constant-propagates matrix and layer dimensions. numflow is
+// interprocedural: it runs once over a module-wide database of per-function
+// call and numeric-sink summaries (summary.go, module.go, taint.go) and
+// reports witness call paths.
 //
-// Diagnostics carry a severity (error or warn) and may carry a mechanically
-// safe suggested fix (applied by `iamlint -fix`). Run is the one driver:
-// load the module, analyze, report.
+// Diagnostics carry a severity (error or warn). Run is the one driver: load
+// the module, analyze, report.
 //
 // Diagnostics can be suppressed per line with a comment of the form
 //
@@ -33,7 +30,8 @@
 // placed on the offending line or above the statement it suppresses (blank
 // lines and further comments between the directive and the statement are
 // skipped). The reason is mandatory: a suppression without one is itself
-// reported.
+// reported. The check name "noalloc" is accepted as well: cmd/noalloccheck
+// reads those directives against the compiler's escape analysis.
 package lint
 
 import (
@@ -57,15 +55,6 @@ const (
 	SeverityWarn  Severity = "warn"
 )
 
-// Fix is a mechanically safe textual rewrite attached to a diagnostic,
-// applied by `iamlint -fix`. Offsets are byte offsets into the file named by
-// the diagnostic.
-type Fix struct {
-	Start   int    `json:"start"`
-	End     int    `json:"end"`
-	NewText string `json:"newText"`
-}
-
 // Diagnostic is one analyzer finding at a source position.
 type Diagnostic struct {
 	Check    string   `json:"check"`
@@ -74,7 +63,6 @@ type Diagnostic struct {
 	Line     int      `json:"line"`
 	Column   int      `json:"column"`
 	Message  string   `json:"message"`
-	Fix      *Fix     `json:"fix,omitempty"`
 }
 
 // String formats the diagnostic in the conventional file:line:col form.
@@ -90,8 +78,8 @@ type Package struct {
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
-	// Src maps each file's full path to its source bytes, shared by the
-	// suppression scanner and -fix.
+	// Src maps each file's full path to its source bytes, read by the
+	// suppression scanner.
 	Src map[string][]byte
 }
 
@@ -127,8 +115,8 @@ func diag(p *Package, check string, pos token.Pos, format string, args ...any) D
 }
 
 // Analyzers returns the full shipped analyzer set in a stable order: the six
-// syntactic v1 checks, the five dataflow-aware v2 checks, the four
-// interprocedural v3 checks, then the two v4 taint-flow contract checks.
+// syntactic checks, the three dataflow-aware checks, then the
+// interprocedural numflow.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerNoPanic,
@@ -140,13 +128,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerGuardedBy,
 		AnalyzerSeedFlow,
 		AnalyzerShapeCheck,
-		AnalyzerFloatEq,
-		AnalyzerErrWrap,
-		AnalyzerLockOrder,
-		AnalyzerGoLeak,
-		AnalyzerAtomicVer,
-		AnalyzerNoAlloc,
-		AnalyzerDetFlow,
 		AnalyzerNumFlow,
 	}
 }
@@ -215,7 +196,7 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 		for _, p := range targets {
 			dirs[p.Dir] = true
 		}
-		for _, d := range RunModuleAnalyzers(all, BuildModuleFacts(all), analyzers) {
+		for _, d := range runModuleAnalyzers(all, buildModuleFacts(all), analyzers) {
 			if dirs[filepath.Dir(d.File)] {
 				out = append(out, d)
 			}
@@ -233,7 +214,7 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	out := runPerPackage(pkgs, analyzers)
 	if hasModuleAnalyzers(analyzers) {
-		out = append(out, RunModuleAnalyzers(pkgs, BuildModuleFacts(pkgs), analyzers)...)
+		out = append(out, runModuleAnalyzers(pkgs, buildModuleFacts(pkgs), analyzers)...)
 	}
 	SortDiagnostics(out)
 	return out
@@ -243,13 +224,18 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 // worker pool and returns the surviving diagnostics, unsorted.
 func runPerPackage(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	perPkg := make([][]Diagnostic, len(pkgs))
-	workers := runtime.NumCPU()
-	if workers > len(pkgs) {
-		workers = len(pkgs)
+	parallel(len(pkgs), func(i int) { perPkg[i] = runPackage(pkgs[i], analyzers) })
+	var out []Diagnostic
+	for _, ds := range perPkg {
+		out = append(out, ds...)
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	return out
+}
+
+// parallel calls f(0), ..., f(n-1) on a pool of one worker per CPU and
+// returns when every call has finished.
+func parallel(n int, f func(i int)) {
+	workers := min(runtime.NumCPU(), n)
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -257,21 +243,15 @@ func runPerPackage(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				perPkg[i] = runPackage(pkgs[i], analyzers)
+				f(i)
 			}
 		}()
 	}
-	for i := range pkgs {
+	for i := 0; i < n; i++ {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
-
-	var out []Diagnostic
-	for _, ds := range perPkg {
-		out = append(out, ds...)
-	}
-	return out
 }
 
 // hasModuleAnalyzers reports whether any analyzer in the set is an
@@ -285,11 +265,11 @@ func hasModuleAnalyzers(analyzers []*Analyzer) bool {
 	return false
 }
 
-// RunModuleAnalyzers applies the interprocedural analyzers to the module
+// runModuleAnalyzers applies the interprocedural analyzers to the module
 // fact database. The packages are only needed for //lint:ignore suppression
 // scanning. The result is NOT sorted — callers merge it with per-package
 // diagnostics first.
-func RunModuleAnalyzers(pkgs []*Package, m *ModuleFacts, analyzers []*Analyzer) []Diagnostic {
+func runModuleAnalyzers(pkgs []*Package, m *ModuleFacts, analyzers []*Analyzer) []Diagnostic {
 	sups := make([]*suppressions, len(pkgs))
 	for i, p := range pkgs {
 		sups[i] = collectSuppressions(p)

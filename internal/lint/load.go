@@ -9,10 +9,8 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Loader parses and type-checks the packages of one Go module from source.
@@ -153,33 +151,17 @@ func (l *Loader) preparse(dirs []string) error {
 		}
 		l.parsed[dir] = files
 	}
-	workers := runtime.NumCPU()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				pf := &l.parsed[j.dir][j.idx]
-				pf.src, pf.err = os.ReadFile(j.path)
-				if pf.err != nil {
-					continue
-				}
-				// token.FileSet and parser.ParseFile are safe for
-				// concurrent use with distinct files.
-				pf.file, pf.err = parser.ParseFile(l.Fset, j.path, pf.src, parser.ParseComments)
-			}
-		}()
-	}
-	for _, j := range jobs {
-		ch <- j
-	}
-	close(ch)
-	wg.Wait()
+	parallel(len(jobs), func(i int) {
+		j := jobs[i]
+		pf := &l.parsed[j.dir][j.idx]
+		pf.src, pf.err = os.ReadFile(j.path)
+		if pf.err != nil {
+			return
+		}
+		// token.FileSet and parser.ParseFile are safe for concurrent use
+		// with distinct files.
+		pf.file, pf.err = parser.ParseFile(l.Fset, j.path, pf.src, parser.ParseComments)
+	})
 	return nil
 }
 

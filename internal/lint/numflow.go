@@ -249,3 +249,11 @@ func calleeNote(m *ModuleFacts, s *NumSink) string {
 	}
 	return fmt.Sprintf(" (fed by %s, whose returns are not provably positive)", s.Callee)
 }
+
+// witnessFile shortens a witness position's file to its base name.
+func witnessFile(p Pos) string {
+	if i := strings.LastIndexByte(p.File, '/'); i >= 0 {
+		return p.File[i+1:]
+	}
+	return p.File
+}

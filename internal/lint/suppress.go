@@ -16,7 +16,7 @@ import (
 // comments (doc comments, grouped directives) between the directive and its
 // statement are skipped, so a directive cannot silently stop suppressing
 // just because a doc comment was inserted under it. "all" suppresses every
-// check. A missing reason makes the suppression itself a diagnostic: silent
+// check; "noalloc" is also accepted (see noallocCheck). A missing reason makes the suppression itself a diagnostic: silent
 // escape hatches are exactly what the linter exists to prevent.
 type suppressions struct {
 	byLine    map[suppressKey]bool
@@ -30,6 +30,10 @@ type suppressKey struct {
 }
 
 const ignorePrefix = "//lint:ignore"
+
+// noallocCheck is not an analyzer: cmd/noalloccheck reads directives naming
+// it against the compiler's escape notes, so the name must stay valid here.
+const noallocCheck = "noalloc"
 
 func collectSuppressions(p *Package) *suppressions {
 	s := &suppressions{byLine: map[suppressKey]bool{}}
@@ -59,7 +63,7 @@ func collectSuppressions(p *Package) *suppressions {
 					if check == "" {
 						continue
 					}
-					if check != "all" && AnalyzerByName(check) == nil {
+					if check != "all" && check != noallocCheck && AnalyzerByName(check) == nil {
 						s.malformed = append(s.malformed, diag(p, "lintdirective", c.Pos(),
 							"%s names unknown check %q", ignorePrefix, check))
 						continue

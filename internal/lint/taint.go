@@ -5,21 +5,14 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
-// taint.go is the per-unit collection pass behind the v4 contract analyzers.
-// It runs after summarize_unit's lock/alloc walk and adds two fact families
-// to a FuncFacts record:
-//
-//   - Nondets: nondeterminism sources (wall-clock reads, global RNG draws,
-//     order-sensitive map iteration, multi-way selects, pointer-identity
-//     formatting, order-dependent float reduction) for detflow.
-//   - NumSinks + CallFact.Args: the residue of an intraprocedural numeric
-//     must-analysis for numflow. A math.Log/Exp/Sqrt operand or float divisor
-//     that every path provably guards is dropped here; what remains is either
-//     a local finding, a caller obligation (Param >= 0), or a return-value
-//     dependency (Callee) discharged interprocedurally.
+// taint.go is the per-unit numeric must-analysis behind numflow. It fills a
+// FuncFacts record's NumSinks and the Args of its CallFacts: a
+// math.Log/Exp/Sqrt operand or float divisor that every path provably guards
+// is dropped here; what remains is either a local finding, a caller
+// obligation (Param >= 0), or a return-value dependency (Callee) discharged
+// interprocedurally.
 //
 // The must-analysis is branch-sensitive over the statement tree: conditions
 // contribute guard bits (positive / non-negative / non-zero / bounded) on
@@ -60,14 +53,13 @@ func sinkGuarded(op string, bits int) bool {
 	return false
 }
 
-// taintUnit collects the taint facts for one unit body.
-func taintUnit(ctx *unitCtx, ff *FuncFacts, body *ast.BlockStmt, ft *ast.FuncType) {
-	collectNondets(ctx, ff, body)
+// taintUnit runs the numeric must-analysis over one unit body.
+func taintUnit(p *Package, ff *FuncFacts, body *ast.BlockStmt, ft *ast.FuncType) {
 	w := &numWalker{
-		ctx:         ctx,
+		p:           p,
 		ff:          ff,
-		params:      valueParamIndex(ctx.p, ft),
-		floatResult: singleFloatResult(ctx.p, ft),
+		params:      valueParamIndex(p, ft),
+		floatResult: singleFloatResult(p, ft),
 		retAll:      true,
 	}
 	w.indexCalls()
@@ -75,279 +67,6 @@ func taintUnit(ctx *unitCtx, ff *FuncFacts, body *ast.BlockStmt, ft *ast.FuncTyp
 	w.walkStmt(body, g)
 	ff.ReturnsValidated = w.floatResult && w.sawRet && w.retAll
 }
-
-// ---------------------------------------------------------------------------
-// Nondeterminism sources (detflow)
-
-func collectNondets(ctx *unitCtx, ff *FuncFacts, body *ast.BlockStmt) {
-	p := ctx.p
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.FuncLit:
-			return false // separate unit
-		case *ast.CallExpr:
-			checkNondetCall(ctx, ff, v)
-		case *ast.RangeStmt:
-			if tv, ok := p.Info.Types[v.X]; ok && tv.Type != nil {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap && !mapRangeOrderInsensitive(p, v) {
-					ff.Nondets = append(ff.Nondets, NondetFact{
-						Kind:   "maprange",
-						Detail: "order-sensitive iteration over map " + types.ExprString(v.X),
-						Pos:    posOf(p, v.Pos()),
-					})
-				}
-			}
-		case *ast.SelectStmt:
-			comm := 0
-			for _, c := range v.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-					comm++
-				}
-			}
-			if comm >= 2 {
-				ff.Nondets = append(ff.Nondets, NondetFact{
-					Kind:   "select",
-					Detail: "select with multiple comm cases (ready-order race)",
-					Pos:    posOf(p, v.Pos()),
-				})
-			}
-		case *ast.AssignStmt:
-			checkFPReduce(ctx, ff, v, body)
-		}
-		return true
-	})
-}
-
-// checkNondetCall classifies one call as a nondeterminism source.
-func checkNondetCall(ctx *unitCtx, ff *FuncFacts, call *ast.CallExpr) {
-	p := ctx.p
-	// uintptr(unsafe.Pointer(...)): pointer identity escaping into arithmetic
-	// or map keys varies run to run.
-	if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() {
-		b, isBasic := tv.Type.Underlying().(*types.Basic)
-		if isBasic && b.Kind() == types.Uintptr && len(call.Args) == 1 {
-			if atv, ok := p.Info.Types[call.Args[0]]; ok && atv.Type != nil {
-				if ab, isB := atv.Type.Underlying().(*types.Basic); isB && ab.Kind() == types.UnsafePointer {
-					ff.Nondets = append(ff.Nondets, NondetFact{
-						Kind:   "ptrid",
-						Detail: "uintptr(unsafe.Pointer) pointer identity",
-						Pos:    posOf(p, call.Pos()),
-					})
-				}
-			}
-		}
-		return
-	}
-	fn := staticCallee(p, call)
-	if fn == nil || fn.Pkg() == nil {
-		return
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	topLevel := sig != nil && sig.Recv() == nil
-	switch fn.Pkg().Path() {
-	case "time":
-		if topLevel {
-			switch fn.Name() {
-			case "Now", "Since", "Until":
-				ff.Nondets = append(ff.Nondets, NondetFact{
-					Kind:   "time",
-					Detail: "time." + fn.Name(),
-					Pos:    posOf(p, call.Pos()),
-				})
-			}
-		}
-	case "math/rand", "math/rand/v2":
-		if topLevel {
-			switch fn.Name() {
-			case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
-				// constructors: the caller supplies the (seeded) source
-			default:
-				ff.Nondets = append(ff.Nondets, NondetFact{
-					Kind:   "globalrand",
-					Detail: fn.Pkg().Path() + "." + fn.Name() + " (global RNG)",
-					Pos:    posOf(p, call.Pos()),
-				})
-			}
-		}
-	case "fmt":
-		if idx := fmtFormatArg(fn.Name()); idx >= 0 && idx < len(call.Args) {
-			if lit, ok := ast.Unparen(call.Args[idx]).(*ast.BasicLit); ok && lit.Kind == token.STRING && strings.Contains(lit.Value, "%p") {
-				ff.Nondets = append(ff.Nondets, NondetFact{
-					Kind:   "ptrid",
-					Detail: "%p formats pointer identity",
-					Pos:    posOf(p, call.Pos()),
-				})
-			}
-		}
-	}
-}
-
-// fmtFormatArg returns the format-string argument index of an fmt verb
-// function, or -1.
-func fmtFormatArg(name string) int {
-	switch name {
-	case "Printf", "Sprintf", "Errorf":
-		return 0
-	case "Fprintf", "Appendf":
-		return 1
-	}
-	return -1
-}
-
-// checkFPReduce records order-dependent float accumulation into state the
-// unit does not own (captured locals of an enclosing unit, parameters,
-// fields). The fact is significant only when the unit runs as a spawned
-// goroutine — then accumulation order depends on worker scheduling — so
-// detflow surfaces it through spawn edges only.
-func checkFPReduce(ctx *unitCtx, ff *FuncFacts, as *ast.AssignStmt, body *ast.BlockStmt) {
-	switch as.Tok {
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-	default:
-		return
-	}
-	p := ctx.p
-	for _, lhs := range as.Lhs {
-		if !isFloat(p, lhs) {
-			continue
-		}
-		if unitLocal(p, lhs, body) {
-			continue
-		}
-		ff.Nondets = append(ff.Nondets, NondetFact{
-			Kind:   "fpreduce",
-			Detail: "order-dependent float accumulation into " + types.ExprString(lhs),
-			Pos:    posOf(p, lhs.Pos()),
-		})
-	}
-}
-
-// unitLocal reports whether the root object of e is declared inside the unit
-// body itself (loop temporaries, locals): accumulation into those is
-// program-order deterministic.
-func unitLocal(p *Package, e ast.Expr, body *ast.BlockStmt) bool {
-	id := rootIdent(e)
-	if id == nil {
-		return false
-	}
-	obj := p.Info.Uses[id]
-	if obj == nil {
-		obj = p.Info.Defs[id]
-	}
-	if obj == nil {
-		return false
-	}
-	return obj.Pos() >= body.Pos() && obj.Pos() <= body.End()
-}
-
-// mapRangeOrderInsensitive reports whether a map range's body is provably
-// order-insensitive: it only deletes keyed entries, drains into key-indexed
-// slots, mutates per-iteration temporaries, or accumulates into integer
-// state (integer addition is associative). Anything else — appends, float
-// accumulation, calls — is treated as order-sensitive.
-func mapRangeOrderInsensitive(p *Package, rng *ast.RangeStmt) bool {
-	return orderInsensitiveStmt(p, rng, rng.Body)
-}
-
-func orderInsensitiveStmt(p *Package, rng *ast.RangeStmt, s ast.Stmt) bool {
-	switch v := s.(type) {
-	case nil:
-		return true
-	case *ast.BlockStmt:
-		for _, st := range v.List {
-			if !orderInsensitiveStmt(p, rng, st) {
-				return false
-			}
-		}
-		return true
-	case *ast.IfStmt:
-		if v.Init != nil && !orderInsensitiveStmt(p, rng, v.Init) {
-			return false
-		}
-		return orderInsensitiveStmt(p, rng, v.Body) && orderInsensitiveStmt(p, rng, v.Else)
-	case *ast.BranchStmt:
-		return v.Tok == token.CONTINUE
-	case *ast.ExprStmt:
-		// delete(m, k) keyed by the range key (or an iteration-local value):
-		// each key is deleted at most once regardless of visit order.
-		call, ok := ast.Unparen(v.X).(*ast.CallExpr)
-		if !ok || len(call.Args) != 2 {
-			return false
-		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok {
-			return false
-		}
-		if b, isB := p.Info.Uses[id].(*types.Builtin); !isB || b.Name() != "delete" {
-			return false
-		}
-		return iterationKeyed(p, rng, call.Args[1])
-	case *ast.AssignStmt:
-		switch v.Tok {
-		case token.ASSIGN, token.DEFINE:
-			for _, l := range v.Lhs {
-				if !orderInsensitiveLHS(p, rng, l) {
-					return false
-				}
-			}
-			return true
-		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
-			// commutative-and-associative on exact integer state only
-			for _, l := range v.Lhs {
-				if isFloat(p, l) {
-					return false
-				}
-			}
-			return true
-		}
-		return false
-	case *ast.IncDecStmt:
-		return !isFloat(p, v.X)
-	}
-	return false
-}
-
-// orderInsensitiveLHS: a plain assignment inside a map range is
-// order-insensitive when it targets a per-iteration temporary, the blank
-// identifier, or a key-indexed slot (set drain: one write per distinct key).
-func orderInsensitiveLHS(p *Package, rng *ast.RangeStmt, l ast.Expr) bool {
-	l = ast.Unparen(l)
-	switch v := l.(type) {
-	case *ast.Ident:
-		if v.Name == "_" {
-			return true
-		}
-		return declaredWithin(p, v, rng)
-	case *ast.IndexExpr:
-		return iterationKeyed(p, rng, v.Index)
-	}
-	return false
-}
-
-// iterationKeyed reports whether e is the range key variable itself or a
-// value declared inside the range statement.
-func iterationKeyed(p *Package, rng *ast.RangeStmt, e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if keyID, ok := ast.Unparen(rng.Key).(*ast.Ident); ok {
-		kobj := p.Info.Defs[keyID]
-		if kobj == nil {
-			kobj = p.Info.Uses[keyID]
-		}
-		eobj := p.Info.Uses[id]
-		if eobj == nil {
-			eobj = p.Info.Defs[id]
-		}
-		if kobj != nil && kobj == eobj {
-			return true
-		}
-	}
-	return declaredWithin(p, id, rng)
-}
-
-// ---------------------------------------------------------------------------
-// Numeric must-analysis (numflow)
 
 // numState is what the walker knows about one value: proved guard bits and,
 // for static call results, the callee whose summary may discharge the sink.
@@ -357,7 +76,7 @@ type numState struct {
 }
 
 type numWalker struct {
-	ctx         *unitCtx
+	p           *Package
 	ff          *FuncFacts
 	params      map[types.Object]int
 	callIdx     map[Pos]*CallFact
@@ -366,7 +85,7 @@ type numWalker struct {
 	retAll      bool
 }
 
-// indexCalls maps call-site positions to the CallFacts the lock walk already
+// indexCalls maps call-site positions to the CallFacts collectCalls already
 // recorded, so arg states attach to the existing edges.
 func (w *numWalker) indexCalls() {
 	w.callIdx = make(map[Pos]*CallFact, len(w.ff.Calls))
@@ -524,7 +243,7 @@ func assignedRootNames(n ast.Node) map[string]bool {
 // value reports whether the statement definitely terminates the enclosing
 // statement list (return / panic / branch).
 func (w *numWalker) walkStmt(s ast.Stmt, g map[string]numState) bool {
-	p := w.ctx.p
+	p := w.p
 	switch v := s.(type) {
 	case nil:
 		return false
@@ -813,7 +532,7 @@ func (w *numWalker) scanExpr(e ast.Expr, g map[string]numState) {
 	case *ast.BinaryExpr:
 		w.scanExpr(v.X, g)
 		w.scanExpr(v.Y, g)
-		if v.Op == token.QUO && isFloat(w.ctx.p, v) {
+		if v.Op == token.QUO && isFloat(w.p, v) {
 			w.checkSink("division", v.Y, g)
 		}
 	case *ast.ParenExpr:
@@ -847,7 +566,7 @@ func (w *numWalker) scanExpr(e ast.Expr, g map[string]numState) {
 // scanCall checks math sinks and attaches argument guard states to
 // module-internal call edges.
 func (w *numWalker) scanCall(call *ast.CallExpr, g map[string]numState) {
-	p := w.ctx.p
+	p := w.p
 	w.scanExpr(call.Fun, g)
 	for _, a := range call.Args {
 		w.scanExpr(a, g)
@@ -914,7 +633,7 @@ func (w *numWalker) checkSink(op string, operand ast.Expr, g map[string]numState
 		Operand: types.ExprString(ast.Unparen(operand)),
 		Param:   w.paramIndexOf(operand),
 		Callee:  st.origin,
-		Pos:     posOf(w.ctx.p, operand.Pos()),
+		Pos:     posOf(w.p, operand.Pos()),
 	})
 }
 
@@ -934,7 +653,7 @@ func (w *numWalker) stateOf(e ast.Expr, g map[string]numState) numState {
 
 // structural derives guard bits from the expression's shape alone.
 func (w *numWalker) structural(e ast.Expr, g map[string]numState) numState {
-	p := w.ctx.p
+	p := w.p
 	if tv, ok := p.Info.Types[e]; ok && tv.Value != nil {
 		cv := constant.ToFloat(tv.Value)
 		if cv.Kind() != constant.Float {
@@ -1075,7 +794,7 @@ func (w *numWalker) addCondFacts(cond ast.Expr, t, f map[string]int) {
 			w.compFacts(v, t, f)
 		}
 	case *ast.CallExpr:
-		p := w.ctx.p
+		p := w.p
 		fn := staticCallee(p, v)
 		if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "math" && len(v.Args) >= 1 {
 			if fn.Name() == "IsNaN" || fn.Name() == "IsInf" {
@@ -1087,7 +806,7 @@ func (w *numWalker) addCondFacts(cond ast.Expr, t, f map[string]int) {
 
 // compFacts extracts guard bits from a comparison against a constant.
 func (w *numWalker) compFacts(v *ast.BinaryExpr, t, f map[string]int) {
-	p := w.ctx.p
+	p := w.p
 	op := v.Op
 	var e ast.Expr
 	var c float64
@@ -1186,7 +905,7 @@ func opFacts(op token.Token, c float64) int {
 // paramIndexOf resolves an operand (through parens and conversions) to the
 // unit's value-parameter index, or -1.
 func (w *numWalker) paramIndexOf(e ast.Expr) int {
-	p := w.ctx.p
+	p := w.p
 	for {
 		e = ast.Unparen(e)
 		call, ok := e.(*ast.CallExpr)

@@ -54,9 +54,8 @@ func GoodLocalTemp(m map[string]float64) int {
 	return count
 }
 
-// GoodDeleteOnly locks the order-insensitivity exemption: a loop that only
-// deletes keyed entries needs no suppression — neither here nor (for
-// iam:deterministic callers) under detflow's interprocedural maprange check.
+// GoodDeleteOnly: a loop that only deletes keyed entries accumulates nothing
+// and needs no suppression.
 func GoodDeleteOnly(m map[string]float64, stale func(string) bool) {
 	for k := range m {
 		if stale(k) {

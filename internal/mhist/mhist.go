@@ -142,7 +142,6 @@ func maxDiffSplit(col []float64, rows []int) (diff, split float64, ok bool) {
 	var freqs []vf
 	for i := 0; i < len(vals); {
 		k := i
-		//lint:ignore floateq run-length grouping of identical sorted values, not computed floats
 		for k < len(vals) && vals[k] == vals[i] {
 			k++
 		}

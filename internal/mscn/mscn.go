@@ -168,7 +168,6 @@ func (e *Estimator) featurize(q *query.Query) [][]float64 {
 		if r == nil {
 			continue
 		}
-		//lint:ignore floateq point predicate detection on exact user-supplied bounds
 		if r.Lo == r.Hi && r.LoInc && r.HiInc {
 			add(j, 0, r.Lo) // =
 			continue

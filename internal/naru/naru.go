@@ -254,7 +254,6 @@ func (m *Model) codeRange(ci int, r *query.Interval) (int, int, bool, error) {
 		lo := 0
 		if !math.IsInf(r.Lo, -1) {
 			lo = int(math.Ceil(r.Lo))
-			//lint:ignore floateq exact integer roundtrip decides whether an exclusive float bound excludes the integer code
 			if float64(lo) == r.Lo && !r.LoInc {
 				lo++
 			}
@@ -262,7 +261,6 @@ func (m *Model) codeRange(ci int, r *query.Interval) (int, int, bool, error) {
 		hi := info.enc.Card - 1
 		if !math.IsInf(r.Hi, 1) {
 			hi = int(math.Floor(r.Hi))
-			//lint:ignore floateq exact integer roundtrip decides whether an exclusive float bound excludes the integer code
 			if float64(hi) == r.Hi && !r.HiInc {
 				hi--
 			}

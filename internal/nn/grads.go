@@ -111,8 +111,6 @@ func (g *Grads) Norm() float64 {
 // the vecmath worker pool (each task owns one tensor; within a tensor the
 // source order is serial), so parallel execution is still exact. All Grads
 // must be shaped for n; srcs must be non-empty.
-//
-// iam:detsource strict-order reduction: dst is the same floating-point expression for every worker count and finish order
 func (n *ResMADE) ReduceGrads(dst *Grads, srcs ...*Grads) {
 	dst.reduceSrcs = srcs
 	vecmath.Do(dst.tensorCount(), dst.reduceTask)

@@ -608,7 +608,6 @@ func (s *Session) Grads() *Grads { return s.ensureGrads() }
 //
 // iam:noalloc
 func (s *Session) ZeroGrad() {
-	//lint:ignore noalloc lazy first-use construction; steady state reuses the session accumulator
 	s.ensureGrads().Zero()
 }
 
@@ -620,7 +619,6 @@ func (s *Session) ZeroGrad() {
 // iam:noalloc
 func (s *Session) Backward(dLogits *vecmath.Matrix) {
 	n := s.net
-	//lint:ignore noalloc lazy first-use construction; steady state reuses the session accumulator
 	g := s.ensureGrads()
 	b := s.B
 	last := len(n.layers)

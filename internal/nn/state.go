@@ -60,25 +60,46 @@ func (n *ResMADE) CaptureState() *TrainState {
 }
 
 // RestoreState copies a previously captured state back into the network. The
-// state must come from a structurally identical network.
+// state must come from a structurally identical network: every slice count
+// and length is checked before anything is copied, so a rejected state
+// leaves the network untouched.
 func (n *ResMADE) RestoreState(st *TrainState) error {
+	if st == nil {
+		return fmt.Errorf("nn: nil train state")
+	}
 	layers := n.allLayers()
-	if len(st.Embeds) != len(n.embeds) || len(st.Weights) != len(layers) {
-		return fmt.Errorf("nn: train state shape mismatch (%d/%d embeds, %d/%d layers)",
-			len(st.Embeds), len(n.embeds), len(st.Weights), len(layers))
+	embLens := make([]int, len(n.embeds))
+	for i, e := range n.embeds {
+		embLens[i] = len(e.Data)
+	}
+	wLens, bLens := make([]int, len(layers)), make([]int, len(layers))
+	for i, l := range layers {
+		wLens[i], bLens[i] = len(l.w.Data), len(l.b)
+	}
+	for _, f := range []struct {
+		name string
+		got  [][]float64
+		want []int
+	}{
+		{"Embeds", st.Embeds, embLens}, {"DEmbedM", st.DEmbedM, embLens}, {"DEmbedV", st.DEmbedV, embLens},
+		{"Weights", st.Weights, wLens}, {"WM", st.WM, wLens}, {"WV", st.WV, wLens},
+		{"Biases", st.Biases, bLens}, {"BM", st.BM, bLens}, {"BV", st.BV, bLens},
+	} {
+		if len(f.got) != len(f.want) {
+			return fmt.Errorf("nn: train state has %d %s entries, network has %d", len(f.got), f.name, len(f.want))
+		}
+		for i, w := range f.want {
+			if len(f.got[i]) != w {
+				return fmt.Errorf("nn: train state %s[%d] has length %d, want %d", f.name, i, len(f.got[i]), w)
+			}
+		}
 	}
 	for i := range n.embeds {
-		if len(st.Embeds[i]) != len(n.embeds[i].Data) {
-			return fmt.Errorf("nn: train state embedding %d size mismatch", i)
-		}
 		copy(n.embeds[i].Data, st.Embeds[i])
 		copy(n.mEmb[i].Data, st.DEmbedM[i])
 		copy(n.vEmb[i].Data, st.DEmbedV[i])
 	}
 	for i, l := range layers {
-		if len(st.Weights[i]) != len(l.w.Data) || len(st.Biases[i]) != len(l.b) {
-			return fmt.Errorf("nn: train state layer %d size mismatch", i)
-		}
 		copy(l.w.Data, st.Weights[i])
 		l.zeroMasked()
 		copy(l.b, st.Biases[i])

@@ -70,8 +70,6 @@ func (c *TrainConfig) fillDefaults() {
 // stream by (seed, epoch) — instead of threading one RNG across epochs —
 // makes checkpoint resumption exact: epoch k's shuffle and wildcard masks
 // are identical whether or not the process restarted before it.
-//
-// iam:detsource explicitly seeded source; the stream is a pure function of (seed, epoch)
 func epochRNG(seed int64, epoch int) *rand.Rand {
 	return rand.New(rand.NewSource(seed*1_000_003 + int64(epoch)))
 }
@@ -177,8 +175,6 @@ func maxCard(cards []int) int {
 // optimizer state back to the last good epoch, halves the learning rate and
 // retries, up to MaxRetries times across the run. Cancelling cfg.Ctx stops
 // training between batches.
-//
-// iam:deterministic
 func (n *ResMADE) Fit(data [][]int, cfg TrainConfig) ([]float64, error) {
 	cfg.fillDefaults()
 	sess := n.NewSession(cfg.BatchSize)

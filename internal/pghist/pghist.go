@@ -81,7 +81,6 @@ func New(t *dataset.Table, cfg Config) (*Estimator, error) {
 		var freqs []vf
 		for i := 0; i < len(vals); {
 			k := i
-			//lint:ignore floateq run-length grouping of identical sorted values, not computed floats
 			for k < len(vals) && vals[k] == vals[i] {
 				k++
 			}

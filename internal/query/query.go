@@ -68,11 +68,9 @@ func Everything() Interval {
 
 // Contains reports whether v satisfies the interval.
 func (iv Interval) Contains(v float64) bool {
-	//lint:ignore floateq interval endpoint semantics are exact by definition
 	if v < iv.Lo || (v == iv.Lo && !iv.LoInc) {
 		return false
 	}
-	//lint:ignore floateq interval endpoint semantics are exact by definition
 	if v > iv.Hi || (v == iv.Hi && !iv.HiInc) {
 		return false
 	}
@@ -82,18 +80,15 @@ func (iv Interval) Contains(v float64) bool {
 // Intersect narrows iv by other, returning ok=false when empty.
 func (iv Interval) Intersect(other Interval) (Interval, bool) {
 	out := iv
-	//lint:ignore floateq interval endpoint semantics are exact by definition
 	if other.Lo > out.Lo || (other.Lo == out.Lo && !other.LoInc) {
 		out.Lo, out.LoInc = other.Lo, other.LoInc
 	}
-	//lint:ignore floateq interval endpoint semantics are exact by definition
 	if other.Hi < out.Hi || (other.Hi == out.Hi && !other.HiInc) {
 		out.Hi, out.HiInc = other.Hi, other.HiInc
 	}
 	if out.Lo > out.Hi {
 		return out, false
 	}
-	//lint:ignore floateq interval endpoint semantics are exact by definition
 	if out.Lo == out.Hi && (!out.LoInc || !out.HiInc) {
 		return out, false
 	}
@@ -196,7 +191,6 @@ func (q *Query) String() string {
 		}
 		name := q.Table.Columns[i].Name
 		switch {
-		//lint:ignore floateq point predicate detection on exact user-supplied bounds
 		case r.Lo == r.Hi && r.LoInc && r.HiInc:
 			parts = append(parts, fmt.Sprintf("%s = %v", name, r.Lo))
 		// A one-sided form drops the infinite bound, so it only stands in

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -31,6 +32,15 @@ type EstimateResponse struct {
 	ElapsedUs   int64   `json:"elapsed_us"`
 }
 
+// maxEstimateBody caps a POST /estimate body. A request is one query string
+// and a deadline, so 1 MiB is far above any real conjunction; the cap bounds
+// what an untrusted client can make the server read and buffer.
+const maxEstimateBody = 1 << 20
+
+// maxDeadlineMs is the largest deadline_ms whose conversion to a
+// time.Duration does not overflow.
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
+
 type errorResponse struct {
 	Error string `json:"error"`
 }
@@ -54,8 +64,17 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EstimateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEstimateBody)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
+		return
+	}
+	if int64(req.DeadlineMs) > maxDeadlineMs {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("deadline_ms %d exceeds %d", req.DeadlineMs, maxDeadlineMs)})
 		return
 	}
 	q, err := query.Parse(s.table, req.Query)
@@ -117,7 +136,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes()) //lint:ignore errwrap a failed response write is the client's problem
+	_, _ = w.Write(buf.Bytes()) // a failed response write is the client's problem
 }
 
 // retryAfterSeconds renders a backoff hint as the integral seconds the

@@ -32,7 +32,7 @@ func TestHTTPEstimateRoundTrip(t *testing.T) {
 	defer ts.Close()
 
 	resp := postEstimate(t, ts.URL, `{"query": "latitude <= 40", "deadline_ms": 2000}`)
-	defer func() { _ = resp.Body.Close() }() //lint:ignore errwrap response body
+	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
@@ -49,7 +49,7 @@ func TestHTTPEstimateRoundTrip(t *testing.T) {
 
 	// Malformed query → 400 with a JSON error body.
 	resp = postEstimate(t, ts.URL, `{"query": "no_such_column <= 40"}`)
-	defer func() { _ = resp.Body.Close() }() //lint:ignore errwrap response body
+	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad query status = %d, want 400", resp.StatusCode)
 	}
@@ -279,4 +279,80 @@ func TestHTTPOverloadRetryAfterMatchesStats(t *testing.T) {
 		<-done
 	}
 	mustClose(t, s)
+}
+
+// serveBody sends one POST /estimate body straight to the handler.
+func serveBody(h http.Handler, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/estimate", bytes.NewReader(body)))
+	return rec
+}
+
+// TestHTTPEstimateBodyLimits: an oversized body is refused with 413, and a
+// deadline_ms whose time.Duration would overflow is refused with 400 instead
+// of wrapping negative and sending the request straight to the cheap tier.
+func TestHTTPEstimateBodyLimits(t *testing.T) {
+	m, tbl := testModel(t)
+	s, err := New(Config{BatchWindow: time.Millisecond}, tbl, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, s)
+	h := s.Handler()
+
+	for _, tc := range []struct {
+		name   string
+		body   string
+		status int
+		source string
+	}{
+		{"oversized", `{"query": "` + strings.Repeat("a", maxEstimateBody) + `"}`, http.StatusRequestEntityTooLarge, ""},
+		{"deadline_overflow", `{"query": "latitude <= 40", "deadline_ms": 9223372036855}`, http.StatusBadRequest, ""},
+		{"deadline_max", `{"query": "latitude <= 40", "deadline_ms": 9223372036854}`, http.StatusOK, SourceBatch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := serveBody(h, []byte(tc.body))
+			if rec.Code != tc.status {
+				t.Fatalf("status = %d, want %d: %s", rec.Code, tc.status, rec.Body)
+			}
+			if tc.source == "" {
+				var er errorResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == "" {
+					t.Fatalf("error body %q: %v", rec.Body, err)
+				}
+				return
+			}
+			var er EstimateResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+				t.Fatal(err)
+			}
+			if er.Source != tc.source {
+				t.Errorf("source = %q, want %q", er.Source, tc.source)
+			}
+		})
+	}
+}
+
+// FuzzEstimateBody: whatever a client sends, /estimate answers with one of
+// its documented statuses and a valid JSON body, never a panic or a 500.
+func FuzzEstimateBody(f *testing.F) {
+	m, tbl := testModel(f)
+	s, err := New(Config{BatchWindow: time.Millisecond}, tbl, m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { mustClose(f, s) })
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := serveBody(h, body)
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+			http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("invalid JSON response %q for body %q", rec.Body, body)
+		}
+	})
 }

@@ -167,8 +167,6 @@ type Server struct {
 	// swapMu serializes version installs (swap, rollback, train bookkeeping).
 	// It is the top of serve's lock order: code holding closeMu or latMu must
 	// never wait on it.
-	//
-	// iam:lockorder Server.swapMu > Server.closeMu/Server.latMu
 	swapMu sync.Mutex
 	prev   *version // iam:guardedby swapMu — rollback target; nil once used or superseded
 	nextID int      // iam:guardedby swapMu

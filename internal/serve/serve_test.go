@@ -371,7 +371,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Close did not flush the model: %v", err)
 	}
-	defer func() { _ = f.Close() }() //lint:ignore errwrap read-only descriptor
+	defer func() { _ = f.Close() }() // read-only descriptor
 	reloaded, err := core.Load(f, tbl)
 	if err != nil {
 		t.Fatalf("flushed model does not load: %v", err)

@@ -56,7 +56,6 @@ type seededModel struct{ m served }
 
 func (s *seededModel) Name() string { return s.m.Name() }
 
-// iam:deterministic
 func (s *seededModel) Estimate(q *query.Query) (float64, error) {
 	res, err := s.m.EstimateBatchSeeded([]*query.Query{q}, []int64{s.m.QuerySeed(q)})
 	if err != nil {
@@ -65,7 +64,6 @@ func (s *seededModel) Estimate(q *query.Query) (float64, error) {
 	return res[0], nil
 }
 
-// iam:deterministic
 func (s *seededModel) EstimateBatch(qs []*query.Query) ([]float64, error) {
 	seeds := make([]int64, len(qs))
 	for i, q := range qs {

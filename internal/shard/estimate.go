@@ -74,8 +74,6 @@ func (e *Ensemble) putScratch(ms *mergeScratch) {
 // which pins Ensemble(K=1) bit-identical to the plain model under any
 // caller-chosen seeds — and later shards decorrelate by a golden-ratio
 // multiple, mirroring core's stream-derivation style.
-//
-// iam:detsource pure function of (base, si); no entropy source involved
 func shardQuerySeed(base int64, si int) int64 {
 	return base + int64(uint64(si)*0x9e3779b97f4a7c15)
 }
@@ -85,8 +83,6 @@ func shardQuerySeed(base int64, si int) int64 {
 // can hand a shard the very seeds the shard's model would derive for itself
 // on the exhaustive path — sub-batch compaction never shifts a query onto a
 // different stream.
-//
-// iam:detsource splitmix64 finalizer: output is a pure function of (seed, qi)
 func positionSeed(seed int64, qi int) int64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*(uint64(qi)+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -95,8 +91,6 @@ func positionSeed(seed int64, qi int) int64 {
 }
 
 // Estimate implements estimator.Estimator.
-//
-// iam:deterministic
 func (e *Ensemble) Estimate(q *query.Query) (float64, error) {
 	res, err := e.EstimateBatch([]*query.Query{q})
 	if err != nil {
@@ -109,8 +103,6 @@ func (e *Ensemble) Estimate(q *query.Query) (float64, error) {
 // by the row-count-weighted merge of the per-shard estimates (exact in
 // expectation, since selectivity is additive over the row partition), with
 // variance-based early termination when Config.EarlyStopRelErr is set.
-//
-// iam:deterministic
 func (e *Ensemble) EstimateBatch(qs []*query.Query) ([]float64, error) {
 	return e.EstimateBatchSeeded(qs, nil)
 }
@@ -120,8 +112,6 @@ func (e *Ensemble) EstimateBatch(qs []*query.Query) ([]float64, error) {
 // i from qseeds[i] via shardQuerySeed, so estimates stay pure functions of
 // (ensemble, query, seed) — independent of batch composition and of how many
 // shards train or estimate concurrently.
-//
-// iam:deterministic
 func (e *Ensemble) EstimateBatchSeeded(qs []*query.Query, qseeds []int64) ([]float64, error) {
 	if qseeds != nil && len(qseeds) != len(qs) {
 		return nil, fmt.Errorf("shard: %d seeds for %d queries", len(qseeds), len(qs))
@@ -197,7 +187,8 @@ func (ms *mergeScratch) rebindAll(slot *shardSlot, qs []*query.Query, qseeds []i
 // rather than widening it, which only ever keeps *more* shards in the visit
 // (the conservative direction).
 //
-// iam:detsource the model path is a pure function of (model, qs, seeds); the guard fallback (whose deadline reads the clock) fires only after the model has already failed, i.e. outside the deterministic contract
+// The model path is a pure function of (model, qs, seeds); the fallback,
+// whose deadline reads the clock, runs only after the model has failed.
 func (e *Ensemble) estimateSlot(slot *shardSlot, qs []*query.Query, seeds []int64, varOut []float64) ([]float64, error) {
 	var ests, vars []float64
 	var err error
@@ -249,8 +240,6 @@ func (e *Ensemble) estimateSlot(slot *shardSlot, qs []*query.Query, seeds []int6
 // is fixed by the weights, per-(query, shard) streams come from
 // shardQuerySeed/positionSeed regardless of sub-batch composition, and the
 // threshold comparison reads only deterministic estimates and variances.
-//
-// iam:deterministic
 func (e *Ensemble) estimateEarlyStop(st *state, qs []*query.Query, qseeds []int64) ([]float64, error) {
 	nq := len(qs)
 	k := len(st.slots)

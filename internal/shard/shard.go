@@ -304,7 +304,8 @@ func visitOrder(slots []*shardSlot) []int {
 	for i := 1; i < len(order); i++ {
 		for j := i; j > 0; j-- {
 			a, b := order[j-1], order[j]
-			//lint:ignore floateq weights of equal-sized shards are bit-identical divisions; the equality tie-break keeps the order total and deterministic
+			// Equal-sized shards have bit-identical weights; the index
+			// tie-break keeps the order total and deterministic.
 			swap := slots[a].weight < slots[b].weight || (slots[a].weight == slots[b].weight && a > b)
 			if !swap {
 				break

@@ -17,7 +17,6 @@ func naiveMatMul(dst, a, b *Matrix) {
 		drow := dst.Row(i)
 		for k := 0; k < a.Cols; k++ {
 			av := arow[k]
-			//lint:ignore floateq reference kernel mirrors the production zero-skip exactly
 			if av == 0 {
 				continue
 			}
@@ -35,7 +34,6 @@ func naiveMatMulATB(dst, a, b *Matrix) {
 		arow := a.Row(n)
 		brow := b.Row(n)
 		for i, av := range arow {
-			//lint:ignore floateq reference kernel mirrors the production zero-skip exactly
 			if av == 0 {
 				continue
 			}

@@ -97,11 +97,9 @@ func ViewRowsInto(dst, src *Matrix, lo, hi int) *Matrix {
 const Eps = 1e-9
 
 // ApproxEqual reports whether a and b agree within Eps, absolutely for small
-// magnitudes and relatively for large ones. It is the module's sanctioned
-// float comparison: the floateq lint check forbids exact ==/!= on floats
-// everywhere else.
+// magnitudes and relatively for large ones. The exact a == b shortcut also
+// catches equal infinities.
 func ApproxEqual(a, b float64) bool {
-	//lint:ignore floateq identity shortcut also catches equal infinities
 	if a == b {
 		return true
 	}
