@@ -200,8 +200,6 @@ func (m *Model) checkArity(consList [][]Constraint) error {
 // worker count, or execution order. sess must accommodate
 // len(consList)·numSamples rows. The returned slice aliases sc and is valid
 // until the next call on sc; so are Variances and Paths.
-//
-// iam:numsafe
 func (m *Model) EstimateBatchScratch(sess *nn.Session, sc *EstimateScratch, consList [][]Constraint, numSamples int, seeds []int64) ([]float64, error) {
 	if len(seeds) != len(consList) {
 		return nil, fmt.Errorf("ar: %d seeds for %d queries", len(seeds), len(consList))
@@ -226,7 +224,6 @@ func (m *Model) EstimateBatchScratch(sess *nn.Session, sc *EstimateScratch, cons
 // in (column, sample) order from its own rng stream, so estimates stay pure
 // functions of (model, query, seed).
 //
-// iam:numsafe
 // iam:noalloc
 func (m *Model) estimateBatchInto(sess *nn.Session, sc *EstimateScratch, consList [][]Constraint, numSamples int) []float64 {
 	nCols := len(m.Cards)
@@ -275,7 +272,7 @@ func (m *Model) estimateBatchInto(sess *nn.Session, sc *EstimateScratch, consLis
 				d := probs[i] - mean
 				ss += d * d
 			}
-			//lint:ignore numflow the enclosing numSamples > 1 check keeps both denominators ≥ 1
+			// The enclosing numSamples > 1 check keeps both denominators ≥ 1.
 			varOut[qi] = ss / float64(numSamples-1) / float64(numSamples)
 		}
 	}
@@ -290,7 +287,6 @@ func (m *Model) estimateBatchInto(sess *nn.Session, sc *EstimateScratch, consLis
 // row-pure and each query keeps its own rng stream, so neither grouping nor
 // deduplication perturbs any query's draws.
 //
-// iam:numsafe
 // iam:noalloc
 func (m *Model) sampleColumnPacked(sess *nn.Session, sc *EstimateScratch, consList [][]Constraint, numSamples, c int) {
 	subQs := sc.subQs[:0]
@@ -418,7 +414,6 @@ func samePrefix(a, b, cols []int) bool {
 // and memoised; each sample then costs one uniform and one pick, still drawn
 // in sample order from the query's stream.
 //
-// iam:numsafe
 // iam:noalloc
 func (m *Model) sampleQueryColumn(sess *nn.Session, sc *EstimateScratch, con Constraint, qi, c, numSamples int) {
 	card := m.Cards[c]

@@ -150,10 +150,10 @@ func (m *Model) integratedValue(sess *nn.Session, q *query.Query, ci int, iv que
 		}
 	case kindPassthrough:
 		loCode, hiCode := 0, info.enc.Card-1
-		if q.Ranges[ci] != nil {
+		if r := q.Ranges[ci]; r != nil {
 			var ok bool
 			var err error
-			loCode, hiCode, ok, err = m.codeRange(ci, q.Ranges[ci])
+			loCode, hiCode, ok, err = info.enc.RangeToCodes(r.Lo, r.Hi, r.LoInc, r.HiInc)
 			if err != nil {
 				return nil, err
 			}

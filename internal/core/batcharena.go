@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -109,6 +110,11 @@ func (m *Model) putBatchScratch(bs *batchScratch) {
 	m.poolMu.Unlock()
 }
 
+// errNaNBound rejects a query interval with a NaN endpoint: NaN compares
+// false against every value, so no side of it has a meaning. query.Parse
+// never produces one; hand-built queries can.
+var errNaNBound = errors.New("core: query interval has a NaN bound")
+
 // buildConstraintsInto performs the query construction q → q′ of §5.1 and
 // attaches the bias-correction weights of §5.2, writing into cons (one slot
 // per AR column, nil = wildcard) and boxing every constraint out of the
@@ -125,6 +131,9 @@ func (m *Model) buildConstraintsInto(q *query.Query, bs *batchScratch, cons []ar
 	for ci, r := range q.Ranges {
 		if r == nil {
 			continue // unqueried → wildcard skip
+		}
+		if math.IsNaN(r.Lo) || math.IsNaN(r.Hi) {
+			return errNaNBound
 		}
 		info := &m.cols[ci]
 		if r.Lo > r.Hi {
@@ -188,7 +197,7 @@ func (m *Model) buildConstraintsInto(q *query.Query, bs *batchScratch, cons []ar
 			}
 			cons[info.arFirst] = bs.weightCon(wts)
 		case kindPassthrough, kindFactored:
-			loCode, hiCode, ok, err := m.codeRange(ci, r)
+			loCode, hiCode, ok, err := info.enc.RangeToCodes(r.Lo, r.Hi, r.LoInc, r.HiInc)
 			if err != nil {
 				return err
 			}

@@ -778,40 +778,6 @@ func (m *Model) buildConstraints(q *query.Query) ([]ar.Constraint, error) {
 	return cons, nil
 }
 
-// codeRange maps an interval over raw values to an inclusive ordinal code
-// range for a non-GMM column.
-func (m *Model) codeRange(ci int, r *query.Interval) (int, int, bool, error) {
-	c := m.table.Columns[ci]
-	info := &m.cols[ci]
-	if c.Kind == dataset.Categorical {
-		lo := 0
-		if !math.IsInf(r.Lo, -1) {
-			lo = int(math.Ceil(r.Lo))
-			if float64(lo) == r.Lo && !r.LoInc {
-				lo++
-			}
-		}
-		hi := info.enc.Card - 1
-		if !math.IsInf(r.Hi, 1) {
-			hi = int(math.Floor(r.Hi))
-			if float64(hi) == r.Hi && !r.HiInc {
-				hi--
-			}
-		}
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > info.enc.Card-1 {
-			hi = info.enc.Card - 1
-		}
-		if lo > hi {
-			return 0, 0, false, nil
-		}
-		return lo, hi, true, nil
-	}
-	return info.enc.RangeToCodes(r.Lo, r.Hi, r.LoInc, r.HiInc)
-}
-
 // SizeBytes reports the model size: AR network parameters (float32) plus
 // the GMM parameters (Tables 6 and 12).
 func (m *Model) SizeBytes() int {

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -46,13 +47,19 @@ func (e *ColumnEncoder) DecodeFloat(code int) float64 {
 	return e.vals[code]
 }
 
-// RangeToCodes maps a half-open/closed interval over raw continuous values to
-// an inclusive code interval [loCode, hiCode]. If the interval contains no
-// domain value it returns ok=false. loInc/hiInc select ≤/≥ versus </>. It
-// errors on categorical encoders, whose codes are not ordered intervals.
+// RangeToCodes maps an interval over raw values to an inclusive code
+// interval [loCode, hiCode]: exactly the codes whose raw value v satisfies
+// lo ≤ v ≤ hi, with loInc/hiInc selecting ≤/≥ versus </>. A continuous
+// code's raw value is its distinct value; a categorical code k is the raw
+// value k itself. If no code qualifies it returns ok=false. Infinite bounds
+// are unbounded sides; a NaN bound is an error.
 func (e *ColumnEncoder) RangeToCodes(lo, hi float64, loInc, hiInc bool) (loCode, hiCode int, ok bool, err error) {
-	if e.Kind != Continuous {
-		return 0, 0, false, fmt.Errorf("dataset: RangeToCodes on categorical encoder %s", e.Name)
+	if math.IsNaN(lo) || math.IsNaN(hi) {
+		return 0, 0, false, fmt.Errorf("dataset: NaN bound [%v, %v] on column %s", lo, hi, e.Name)
+	}
+	if e.Kind == Categorical {
+		loCode, hiCode, ok = categoricalRange(lo, hi, loInc, hiInc, e.Card)
+		return loCode, hiCode, ok, nil
 	}
 	// Smallest index with vals[i] >= lo (or > lo when exclusive).
 	loCode = sort.SearchFloat64s(e.vals, lo)
@@ -70,6 +77,34 @@ func (e *ColumnEncoder) RangeToCodes(lo, hi float64, loInc, hiInc bool) (loCode,
 		return 0, 0, false, nil
 	}
 	return loCode, hiCode, true, nil
+}
+
+// categoricalRange is RangeToCodes over the codes 0..card-1. The bounds are
+// clipped to that domain as float64 before any conversion to int, so huge or
+// infinite bounds cannot overflow it.
+func categoricalRange(lo, hi float64, loInc, hiInc bool, card int) (int, int, bool) {
+	top := float64(card - 1)
+	if lo > top || hi < 0 {
+		return 0, 0, false
+	}
+	l := 0.0
+	if lo >= 0 {
+		l = math.Ceil(lo)
+		if l == lo && !loInc {
+			l++
+		}
+	}
+	h := top
+	if hi <= top {
+		h = math.Floor(hi)
+		if h == hi && !hiInc {
+			h--
+		}
+	}
+	if l > h {
+		return 0, 0, false
+	}
+	return int(l), int(h), true
 }
 
 // Values exposes the ascending distinct values backing a continuous

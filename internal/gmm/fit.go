@@ -143,8 +143,6 @@ func FitEM(values []float64, k, iters int, rng *rand.Rand) (*Model, float64, err
 // collapses (empty-cluster degeneracy on pathological data such as constant
 // or two-point columns) is re-seeded at a random data point with a generic
 // width instead of being left with a vanishing weight and stale variance.
-//
-// iam:numsafe
 func emRefine(m *Model, values []float64, iters int, alpha0 float64, rng *rand.Rand) *Model {
 	n := len(values)
 	k := m.K()
@@ -202,7 +200,7 @@ func emRefine(m *Model, values []float64, iters int, alpha0 float64, rng *rand.R
 			if wSum[j] > 1e-12 {
 				v := varSum[j] / wSum[j]
 				if v < 0 {
-					v = 0 // varSum is a sum of r·d² ≥ 0 terms; pin for the analyzer and for rounding
+					v = 0 // varSum is a sum of r·d² ≥ 0 terms; the pin keeps Sqrt off a negative operand
 				}
 				s := math.Sqrt(v)
 				if s < floor {
@@ -350,8 +348,6 @@ func (t *SGDTrainer) SetLR(lr float64) { t.lr = lr }
 
 // Step performs one Adam update on a mini-batch and returns the batch mean
 // NLL *before* the update. The wrapped Model is kept in sync.
-//
-// iam:numsafe
 func (t *SGDTrainer) Step(batch []float64) float64 {
 	if len(batch) == 0 {
 		return 0 // an empty batch has no gradient, and 1/len would blow up below
@@ -399,12 +395,10 @@ func (t *SGDTrainer) Step(batch []float64) float64 {
 }
 
 // sync re-derives the constrained parameters from the free ones.
-//
-// iam:numsafe
 func (t *SGDTrainer) sync() {
 	vecmath.Softmax(t.Model.Weights, t.logits)
 	for j := range t.logSig {
-		//lint:ignore numflow logσ is a free parameter; overflow surfaces as +Inf σ and is caught by the divergence watchdog
+		// logσ is a free parameter; overflow surfaces as +Inf σ and is caught by the divergence watchdog.
 		s := math.Exp(t.logSig[j])
 		if s < t.floor && t.floor > 0 {
 			s = t.floor
@@ -415,8 +409,6 @@ func (t *SGDTrainer) sync() {
 }
 
 // adam applies one Adam update to params given gradient g and state m, v.
-//
-// iam:numsafe
 func adam(params, g, m, v []float64, lr float64, step int) {
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8
 	bc1 := 1 - math.Pow(beta1, float64(step))
@@ -429,7 +421,7 @@ func adam(params, g, m, v []float64, lr float64, step int) {
 		v[i] = beta2*v[i] + (1-beta2)*g[i]*g[i]
 		vv := v[i] / bc2
 		if vv < 0 {
-			vv = 0 // v is an EWMA of g² ≥ 0 terms; pin for the analyzer and for rounding
+			vv = 0 // v is an EWMA of g² ≥ 0 terms; the pin keeps Sqrt off a negative operand
 		}
 		params[i] -= lr * (m[i] / bc1) / (math.Sqrt(vv) + eps)
 	}

@@ -66,8 +66,6 @@ func (m *Model) LogLikelihood(x float64) float64 {
 }
 
 // logJoint fills out[k] = log(φ_k) + log N(x | μ_k, σ_k).
-//
-// iam:numsafe
 func (m *Model) logJoint(x float64, out []float64) {
 	for k := range out {
 		w := m.Weights[k]
@@ -75,16 +73,23 @@ func (m *Model) logJoint(x float64, out []float64) {
 			out[k] = math.Inf(-1)
 			continue
 		}
-		//lint:ignore numflow Validate and the SGD trainer's variance floor keep every σ strictly positive
+		// Validate and the SGD trainer's variance floor keep every σ strictly positive.
 		out[k] = math.Log(w) + vecmath.NormalLogPDF(x, m.Means[k], m.Sigmas[k])
 	}
 }
 
 // Responsibilities fills out[k] = P(component k | x), the posterior over
-// components given the observation.
+// components given the observation. When x lies so far from every
+// component that each log-joint underflows to −Inf, the posterior is its
+// limit: all mass on the component nearest in σ units.
 func (m *Model) Responsibilities(x float64, out []float64) {
 	m.logJoint(x, out)
 	lse := vecmath.LogSumExp(out)
+	if math.IsInf(lse, -1) {
+		clear(out)
+		out[m.nearest(x)] = 1
+		return
+	}
 	for k := range out {
 		d := out[k] - lse
 		if d > 0 {
@@ -95,9 +100,10 @@ func (m *Model) Responsibilities(x float64, out []float64) {
 }
 
 // Assign returns the maximum-probability component index for x — the new
-// attribute value a′ of Eq. 5.
+// attribute value a′ of Eq. 5. When every log-joint underflows to −Inf it
+// returns the component nearest in σ units, the limit of the argmax.
 func (m *Model) Assign(x float64) int {
-	best, bi := math.Inf(-1), 0
+	best, bi := math.Inf(-1), -1
 	for k := range m.Weights {
 		if m.Weights[k] <= 0 {
 			continue
@@ -107,7 +113,27 @@ func (m *Model) Assign(x float64) int {
 			best, bi = v, k
 		}
 	}
+	if bi < 0 {
+		return m.nearest(x)
+	}
 	return bi
+}
+
+// nearest returns the positive-weight component with the smallest
+// |x−μ|/σ, the lowest index on ties (and 0 when no weight is positive). Far
+// from the data −z²/2 dominates every log-joint, so this component takes
+// the whole posterior in the limit.
+func (m *Model) nearest(x float64) int {
+	bi, best := -1, math.Inf(1)
+	for k, w := range m.Weights {
+		if w <= 0 {
+			continue
+		}
+		if z := math.Abs(x-m.Means[k]) / m.Sigmas[k]; bi < 0 || z < best {
+			bi, best = k, z
+		}
+	}
+	return max(bi, 0)
 }
 
 // AssignAll maps every value to its component index.
@@ -121,8 +147,6 @@ func (m *Model) AssignAll(values []float64) []int {
 
 // NLL returns the mean negative log-likelihood of values under the model
 // (Eq. 4 of the paper).
-//
-// iam:numsafe
 func (m *Model) NLL(values []float64) float64 {
 	if len(values) == 0 {
 		return 0

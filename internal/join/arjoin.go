@@ -437,46 +437,12 @@ func (e *ARJoin) applyRange(cons []ar.Constraint, fi int, r *query.Interval) err
 // codeRange maps a raw interval to ordinal codes, excluding NULL codes.
 func (e *ARJoin) codeRange(fi int, r *query.Interval) (int, int, bool, error) {
 	col := &e.cols[fi]
-	c := e.flat.Table.Columns[fi]
-	var lo, hi int
-	if c.Kind == dataset.Categorical {
-		lo = col.minRealCode
-		if !math.IsInf(r.Lo, -1) {
-			l := int(math.Ceil(r.Lo))
-			if float64(l) == r.Lo && !r.LoInc {
-				l++
-			}
-			if l > lo {
-				lo = l
-			}
-		}
-		hi = col.maxRealCode
-		if !math.IsInf(r.Hi, 1) {
-			h := int(math.Floor(r.Hi))
-			if float64(h) == r.Hi && !r.HiInc {
-				h--
-			}
-			if h < hi {
-				hi = h
-			}
-		}
-	} else {
-		var ok bool
-		var err error
-		lo, hi, ok, err = col.enc.RangeToCodes(r.Lo, r.Hi, r.LoInc, r.HiInc)
-		if err != nil {
-			return 0, 0, false, err
-		}
-		if !ok {
-			return 0, 0, false, nil
-		}
-		if lo < col.minRealCode {
-			lo = col.minRealCode // exclude the NULL sentinel code
-		}
-		if hi > col.maxRealCode {
-			hi = col.maxRealCode
-		}
+	lo, hi, ok, err := col.enc.RangeToCodes(r.Lo, r.Hi, r.LoInc, r.HiInc)
+	if err != nil || !ok {
+		return 0, 0, false, err
 	}
+	lo = max(lo, col.minRealCode)
+	hi = min(hi, col.maxRealCode)
 	if lo > hi {
 		return 0, 0, false, nil
 	}

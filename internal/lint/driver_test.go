@@ -281,69 +281,25 @@ func writeTree(t *testing.T, files map[string]string) string {
 }
 
 // TestRun drives the whole lint pipeline over synthetic modules: loading,
-// per-package and interprocedural analyzers, //lint:ignore suppression and
-// pattern scoping. want lists one message substring per expected diagnostic,
-// in sorted order.
+// analyzers, //lint:ignore suppression and pattern scoping. want lists one
+// message substring per expected diagnostic, in sorted order.
 func TestRun(t *testing.T) {
-	// Package a has one per-package finding (a global rand draw), one
-	// numflow finding and one suppressed numflow finding; b calls into a
-	// and has none of its own.
-	numMod := map[string]string{
+	// Package a has two global rand draws, one of them suppressed; b calls
+	// into a and has no finding of its own.
+	randMod := map[string]string{
 		"go.mod": "module fake\n\ngo 1.21\n",
 		"a/a.go": `package a
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 func Pick() int { return rand.Intn(3) }
 
-func LogTerm(p float64) float64 { return math.Log(p) }
-
-// iam:numsafe
-func Shifted(x float64) float64 { return LogTerm(x - 1) }
-
-// iam:numsafe
-func Accepted(x float64) float64 {
-	//lint:ignore numflow test
-	return LogTerm(x - 2)
+func Accepted() int {
+	//lint:ignore globalrand test
+	return rand.Intn(5)
 }
 `,
-		"b/b.go": "package b\n\nimport \"fake/a\"\n\n// iam:numsafe\nfunc F(x float64) float64 { return a.LogTerm(1) + a.Shifted(x) }\n",
-	}
-	taintMod := map[string]string{
-		"go.mod": "module taintmod\n\ngo 1.21\n",
-		"h/h.go": `package h
-
-import "math"
-
-func LogTerm(p float64) float64 {
-	return math.Log(p)
-}
-`,
-		"m/m.go": `package m
-
-import "taintmod/h"
-
-// iam:numsafe
-func Sum(ps []float64) float64 {
-	var s float64
-	for _, p := range ps {
-		s += h.LogTerm(p)
-	}
-	return s
-}
-`,
-	}
-	// annMod's m.Run reaches h.Scale's unguarded sink unless h.Scale is
-	// itself an iam:numsafe root, which moves the finding into package h.
-	annMod := func(annotation string) map[string]string {
-		return map[string]string{
-			"go.mod": "module annmod\n\ngo 1.21\n",
-			"h/h.go": "package h\n\nimport \"math\"\n\n" + annotation + "func Scale(x float64) float64 {\n\treturn math.Sqrt(x - 1)\n}\n",
-			"m/m.go": "package m\n\nimport \"annmod/h\"\n\n// iam:numsafe\nfunc Run() float64 {\n\treturn h.Scale(2)\n}\n",
-		}
+		"b/b.go": "package b\n\nimport \"fake/a\"\n\nfunc F() int { return a.Pick() + a.Accepted() }\n",
 	}
 
 	cases := []struct {
@@ -355,36 +311,19 @@ func Sum(ps []float64) float64 {
 		wantErr   bool
 	}{
 		{
-			// The suppressed call in Accepted is not reported.
-			name: "numflow_suppressed", files: numMod, patterns: []string{"./..."},
-			analyzers: []*Analyzer{AnalyzerNumFlow},
-			want:      []string{"fake/a.Shifted passes unguarded argument \"x - 1\""},
+			// The suppressed draw in Accepted is not reported.
+			name: "globalrand_suppressed", files: randMod, patterns: []string{"./..."},
+			analyzers: []*Analyzer{AnalyzerGlobalRand},
+			want:      []string{"rand.Intn"},
 		},
 		{
-			// Neither a's per-package nor its module findings leak into b.
-			name: "pattern_excludes_other_package", files: numMod, patterns: []string{"b"},
-			analyzers: []*Analyzer{AnalyzerGlobalRand, AnalyzerNumFlow},
+			// a's finding does not leak into b, which imports it.
+			name: "pattern_excludes_other_package", files: randMod, patterns: []string{"b"},
+			analyzers: []*Analyzer{AnalyzerGlobalRand},
 		},
 		{
-			name: "pattern_matches_nothing", files: numMod, patterns: []string{"c"},
-			analyzers: []*Analyzer{AnalyzerNumFlow}, wantErr: true,
-		},
-		{
-			name: "numflow_cross_package", files: taintMod,
-			analyzers: []*Analyzer{AnalyzerNumFlow},
-			want:      []string{"passes unguarded argument"},
-		},
-		{
-			// An iam:numsafe on the callee in h makes it a root of its own:
-			// m's verdict clears.
-			name: "numsafe_callee", files: annMod("// iam:numsafe\n"), patterns: []string{"m"},
-			analyzers: []*Analyzer{AnalyzerNumFlow},
-		},
-		{
-			// The same code without the annotation is reported in m again.
-			name: "numsafe_callee_removed", files: annMod(""), patterns: []string{"m"},
-			analyzers: []*Analyzer{AnalyzerNumFlow},
-			want:      []string{"annmod/m.Run → annmod/h.Scale: math.Sqrt operand \"x - 1\""},
+			name: "pattern_matches_nothing", files: randMod, patterns: []string{"c"},
+			analyzers: []*Analyzer{AnalyzerGlobalRand}, wantErr: true,
 		},
 	}
 	for _, tc := range cases {
@@ -416,12 +355,14 @@ func Sum(ps []float64) float64 {
 // a repeated run reports the same findings, and edits to a package or to a
 // package it imports are seen by the next run.
 func TestCacheWarmAndInvalidation(t *testing.T) {
+	// b closes an a.Sink without checking the error. Sink is not a writer
+	// yet, so the bare Close is out of closecheck's scope.
 	root := writeTree(t, map[string]string{
 		"go.mod": "module fake\n\ngo 1.21\n",
-		"a/a.go": "package a\n\nimport \"math\"\n\nfunc LogTerm(p float64) float64 { return math.Log(p) }\n",
-		"b/b.go": "package b\n\nimport \"fake/a\"\n\n// iam:numsafe\nfunc F(x float64) float64 { return a.LogTerm(x - 1) }\n",
+		"a/a.go": "package a\n\ntype Sink struct{}\n\nfunc (Sink) Close() error { return nil }\n",
+		"b/b.go": "package b\n\nimport \"fake/a\"\n\nfunc F(s a.Sink) { s.Close() }\n",
 	})
-	analyzers := []*Analyzer{AnalyzerNumFlow}
+	analyzers := []*Analyzer{AnalyzerCloseCheck}
 	run := func() []Diagnostic {
 		t.Helper()
 		diags, err := Run(root, []string{"./..."}, analyzers)
@@ -431,31 +372,35 @@ func TestCacheWarmAndInvalidation(t *testing.T) {
 		return diags
 	}
 
+	if diags := run(); len(diags) != 0 {
+		t.Fatalf("first run diagnostics = %s, want none", format(diags))
+	}
+	if diags := run(); len(diags) != 0 {
+		t.Fatalf("repeated run diagnostics = %s, want none", format(diags))
+	}
+
+	// Giving a's Sink a Write method makes it a writer: b's bare Close is
+	// now reported, although b did not change.
+	if err := os.WriteFile(filepath.Join(root, "a", "a.go"),
+		[]byte("package a\n\ntype Sink struct{}\n\nfunc (Sink) Close() error { return nil }\n\nfunc (Sink) Write(p []byte) (int, error) { return len(p), nil }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	diags := run()
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "passes unguarded argument") {
-		t.Fatalf("first run diagnostics = %s", format(diags))
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "(fake/a.Sink).Close drops its error") ||
+		filepath.Base(diags[0].File) != "b.go" {
+		t.Fatalf("after editing a: got %s, want b's bare Close", format(diags))
 	}
 	if again := run(); format(again) != format(diags) {
 		t.Errorf("repeated run differs:\nfirst:\n%ssecond:\n%s", format(diags), format(again))
 	}
 
-	// Adding a local sink to b is reported alongside the call into a.
+	// Checking the error in b clears the finding.
 	if err := os.WriteFile(filepath.Join(root, "b", "b.go"),
-		[]byte("package b\n\nimport (\n\t\"math\"\n\n\t\"fake/a\"\n)\n\n// iam:numsafe\nfunc F(x float64) float64 { return a.LogTerm(x-1) + math.Log(x-2) }\n"), 0o644); err != nil {
+		[]byte("package b\n\nimport \"fake/a\"\n\nfunc F(s a.Sink) error { return s.Close() }\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if diags := run(); len(diags) != 2 {
-		t.Errorf("after editing b: got %d diagnostics, want 2:\n%s", len(diags), format(diags))
-	}
-
-	// Guarding a's operand clears the call-site finding in b.
-	if err := os.WriteFile(filepath.Join(root, "a", "a.go"),
-		[]byte("package a\n\nimport \"math\"\n\nfunc LogTerm(p float64) float64 { return math.Log(math.Max(p, 1e-12)) }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	diags = run()
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "unguarded math.Log operand \"x - 2\"") {
-		t.Errorf("after editing a: got %s, want only b's local math.Log finding", format(diags))
+	if diags := run(); len(diags) != 0 {
+		t.Errorf("after editing b: got %s, want none", format(diags))
 	}
 }
 
@@ -464,10 +409,10 @@ func TestCacheWarmAndInvalidation(t *testing.T) {
 func TestCacheSuppressionsNotReplayed(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"go.mod": "module fake\n\ngo 1.21\n",
-		"a/a.go": "package a\n\nimport \"math\"\n\n// iam:numsafe\nfunc F(x float64) float64 {\n\t//lint:ignore numflow test\n\treturn math.Log(x - 1)\n}\n",
+		"a/a.go": "package a\n\nimport \"os\"\n\nfunc F(f *os.File) {\n\t//lint:ignore closecheck test\n\tf.Close()\n}\n",
 	})
 	for run := 0; run < 2; run++ {
-		diags, err := Run(root, []string{"./..."}, []*Analyzer{AnalyzerNumFlow})
+		diags, err := Run(root, []string{"./..."}, []*Analyzer{AnalyzerCloseCheck})
 		if err != nil {
 			t.Fatal(err)
 		}

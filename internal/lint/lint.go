@@ -3,22 +3,20 @@
 // go/types packages — matching the module's zero-dependency ethos.
 //
 // The engine loads every package in the module (parsing in parallel and
-// type-checking from source), then runs ten analyzers over it. Each encodes
+// type-checking from source), then runs nine analyzers over it. Each encodes
 // one IAM-specific invariant whose silent violation would undermine the
 // estimator: library code returns errors instead of panicking, RNG draws and
 // seeds are reproducible, persisted state is written crash-safely, long
 // training loops are cancellable, writer Close errors are checked, float
 // accumulation does not follow map order, annotated fields are touched only
-// under their mutex, layer shapes agree, and iam:numsafe functions guard
-// every Log/Exp/Sqrt operand and divisor.
+// under their mutex, and layer shapes agree.
 //
-// Most analyzers are per-package passes. guardedby walks a per-function
+// Every analyzer is a per-package pass. guardedby walks a per-function
 // control-flow graph (cfg.go) tracking which mutexes are definitely held,
 // seedflow traces RNG seed expressions to their origins, and shapecheck
-// constant-propagates matrix and layer dimensions. numflow is
-// interprocedural: it runs once over a module-wide database of per-function
-// call and numeric-sink summaries (summary.go, module.go, taint.go) and
-// reports witness call paths.
+// constant-propagates matrix and layer dimensions. Numerical safety (no NaN
+// or ±Inf out of the GMM and the sampler) is checked by executed tests and
+// fuzz targets, not statically.
 //
 // Diagnostics carry a severity (error or warn). Run is the one driver: load
 // the module, analyze, report.
@@ -39,7 +37,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -88,18 +85,14 @@ func (p *Package) Position(pos token.Pos) token.Position {
 	return p.Fset.Position(pos)
 }
 
-// Analyzer is one pluggable invariant check. DefaultSeverity (error when
-// empty) applies to diagnostics the analyzer emits without an explicit
-// severity of their own. Exactly one of Run and RunModule is set: Run is a
-// per-package pass; RunModule is an interprocedural pass over the
-// module-wide fact database (summary.go, module.go) and runs once per lint
-// invocation.
+// Analyzer is one pluggable invariant check: Run is a per-package pass.
+// DefaultSeverity (error when empty) applies to diagnostics the analyzer
+// emits without an explicit severity of their own.
 type Analyzer struct {
 	Name            string
 	Doc             string
 	DefaultSeverity Severity
 	Run             func(p *Package) []Diagnostic
-	RunModule       func(m *ModuleFacts) []Diagnostic
 }
 
 // diag is a helper for analyzers to build a Diagnostic at a position.
@@ -115,8 +108,7 @@ func diag(p *Package, check string, pos token.Pos, format string, args ...any) D
 }
 
 // Analyzers returns the full shipped analyzer set in a stable order: the six
-// syntactic checks, the three dataflow-aware checks, then the
-// interprocedural numflow.
+// syntactic checks, then the three dataflow-aware checks.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerNoPanic,
@@ -128,7 +120,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerGuardedBy,
 		AnalyzerSeedFlow,
 		AnalyzerShapeCheck,
-		AnalyzerNumFlow,
 	}
 }
 
@@ -148,9 +139,6 @@ func runPackage(p *Package, analyzers []*Analyzer) []Diagnostic {
 	sup := collectSuppressions(p)
 	var out []Diagnostic
 	for _, a := range analyzers {
-		if a.Run == nil {
-			continue // module analyzers run once, not per package
-		}
 		sev := a.DefaultSeverity
 		if sev == "" {
 			sev = SeverityError
@@ -173,10 +161,8 @@ func runPackage(p *Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // Run lints the packages of dir's module that match patterns (every package
-// when patterns is empty). The whole module is loaded once: per-package
-// analyzers run on the matched packages, and interprocedural analyzers run
-// over the whole module's facts with their findings kept only where they
-// fall inside a matched package.
+// when patterns is empty). The whole module is loaded, because the matched
+// packages are type-checked against their imports from source.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	l, err := NewLoader(dir)
 	if err != nil {
@@ -190,45 +176,20 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 	if err != nil {
 		return nil, err
 	}
-	out := runPerPackage(targets, analyzers)
-	if hasModuleAnalyzers(analyzers) {
-		dirs := map[string]bool{}
-		for _, p := range targets {
-			dirs[p.Dir] = true
-		}
-		for _, d := range runModuleAnalyzers(all, buildModuleFacts(all), analyzers) {
-			if dirs[filepath.Dir(d.File)] {
-				out = append(out, d)
-			}
-		}
-	}
-	SortDiagnostics(out)
-	return out, nil
+	return RunAnalyzers(targets, analyzers), nil
 }
 
 // RunAnalyzers applies the given analyzers to every package concurrently
 // (one worker per CPU), applies //lint:ignore suppressions, and returns the
-// surviving diagnostics sorted by position. Interprocedural analyzers in
-// the set run once over a fact database built from exactly these packages —
-// pass the whole module (LoadAll) for their findings to be complete.
+// surviving diagnostics sorted by position.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	out := runPerPackage(pkgs, analyzers)
-	if hasModuleAnalyzers(analyzers) {
-		out = append(out, runModuleAnalyzers(pkgs, buildModuleFacts(pkgs), analyzers)...)
-	}
-	SortDiagnostics(out)
-	return out
-}
-
-// runPerPackage runs the per-package (Run) analyzers over pkgs with a CPU
-// worker pool and returns the surviving diagnostics, unsorted.
-func runPerPackage(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	perPkg := make([][]Diagnostic, len(pkgs))
 	parallel(len(pkgs), func(i int) { perPkg[i] = runPackage(pkgs[i], analyzers) })
 	var out []Diagnostic
 	for _, ds := range perPkg {
 		out = append(out, ds...)
 	}
+	SortDiagnostics(out)
 	return out
 }
 
@@ -252,56 +213,6 @@ func parallel(n int, f func(i int)) {
 	}
 	close(next)
 	wg.Wait()
-}
-
-// hasModuleAnalyzers reports whether any analyzer in the set is an
-// interprocedural (RunModule) pass.
-func hasModuleAnalyzers(analyzers []*Analyzer) bool {
-	for _, a := range analyzers {
-		if a.RunModule != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// runModuleAnalyzers applies the interprocedural analyzers to the module
-// fact database. The packages are only needed for //lint:ignore suppression
-// scanning. The result is NOT sorted — callers merge it with per-package
-// diagnostics first.
-func runModuleAnalyzers(pkgs []*Package, m *ModuleFacts, analyzers []*Analyzer) []Diagnostic {
-	sups := make([]*suppressions, len(pkgs))
-	for i, p := range pkgs {
-		sups[i] = collectSuppressions(p)
-	}
-	covered := func(d Diagnostic) bool {
-		for _, sup := range sups {
-			if sup.covers(d) {
-				return true
-			}
-		}
-		return false
-	}
-	var out []Diagnostic
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		sev := a.DefaultSeverity
-		if sev == "" {
-			sev = SeverityError
-		}
-		for _, d := range a.RunModule(m) {
-			if d.Severity == "" {
-				d.Severity = sev
-			}
-			if covered(d) {
-				continue
-			}
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // SortDiagnostics orders diagnostics by file, line, column, then check name.

@@ -73,7 +73,6 @@ func TestFixtures(t *testing.T) {
 		{"guardedby", "fixture/guardedby"},
 		{"seedflow", "fixture/seedflow"},
 		{"shapecheck", "fixture/shapecheck"},
-		{"numflow", "fixture/numflow"},
 	}
 	for _, c := range cases {
 		t.Run(c.check, func(t *testing.T) {
@@ -193,8 +192,8 @@ func TestRepoIsClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; module discovery is broken", len(pkgs))
 	}
-	if len(Analyzers()) != 10 {
-		t.Fatalf("analyzer roster has %d entries, want 10", len(Analyzers()))
+	if len(Analyzers()) != 9 {
+		t.Fatalf("analyzer roster has %d entries, want 9", len(Analyzers()))
 	}
 	for _, d := range FilterSeverity(RunAnalyzers(pkgs, Analyzers()), SeverityError) {
 		t.Errorf("%s", d)

@@ -9,7 +9,6 @@ package naru
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 
@@ -221,7 +220,7 @@ func (m *Model) BuildConstraints(q *query.Query) ([]ar.Constraint, error) {
 			continue
 		}
 		info := &m.cols[ci]
-		loCode, hiCode, ok, err := m.codeRange(ci, r)
+		loCode, hiCode, ok, err := info.enc.RangeToCodes(r.Lo, r.Hi, r.LoInc, r.HiInc)
 		if err != nil {
 			return nil, err
 		}
@@ -241,42 +240,6 @@ func (m *Model) BuildConstraints(q *query.Query) ([]ar.Constraint, error) {
 		}
 	}
 	return cons, nil
-}
-
-// codeRange maps a raw-value interval to an inclusive ordinal code range.
-func (m *Model) codeRange(ci int, r *query.Interval) (int, int, bool, error) {
-	c := m.table.Columns[ci]
-	info := &m.cols[ci]
-	if r.Lo > r.Hi {
-		return 0, 0, false, nil
-	}
-	if c.Kind == dataset.Categorical {
-		lo := 0
-		if !math.IsInf(r.Lo, -1) {
-			lo = int(math.Ceil(r.Lo))
-			if float64(lo) == r.Lo && !r.LoInc {
-				lo++
-			}
-		}
-		hi := info.enc.Card - 1
-		if !math.IsInf(r.Hi, 1) {
-			hi = int(math.Floor(r.Hi))
-			if float64(hi) == r.Hi && !r.HiInc {
-				hi--
-			}
-		}
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > info.enc.Card-1 {
-			hi = info.enc.Card - 1
-		}
-		if lo > hi {
-			return 0, 0, false, nil
-		}
-		return lo, hi, true, nil
-	}
-	return info.enc.RangeToCodes(r.Lo, r.Hi, r.LoInc, r.HiInc)
 }
 
 // Estimate implements estimator.Estimator via progressive sampling.

@@ -1,6 +1,7 @@
 package naru
 
 import (
+	"math"
 	"testing"
 
 	"iam/internal/dataset"
@@ -125,5 +126,39 @@ func TestWrongTableRejected(t *testing.T) {
 	other := dataset.SynthTWI(100, 11)
 	if _, err := m.Estimate(query.NewQuery(other)); err == nil {
 		t.Fatal("expected wrong-table error")
+	}
+}
+
+// TestCategoricalBoundsBeyondInt: subject_id bounds outside the int range
+// are compared as floats; before, 1e300 and +Inf wrapped to MinInt64 and
+// admitted every code, and 1e19 wrapped to admit none.
+func TestCategoricalBoundsBeyondInt(t *testing.T) {
+	tb := dataset.SynthWISDM(3000, 13)
+	cfg := fastCfg()
+	cfg.Epochs = 2
+	cfg.NumSamples = 64
+	m, err := Train(tb, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sql, want := range map[string]float64{
+		"subject_id >= 1e300": 0,
+		"subject_id >= Inf":   0,
+		"subject_id <= 1e19":  1,
+	} {
+		q, err := query.Parse(tb, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if truth := query.Exec(q); truth != want {
+			t.Fatalf("%s: truth %v, test premise wants %v", sql, truth, want)
+		}
+		est, err := m.Estimate(q)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if math.Abs(est-want) > 1e-9 || (want == 0 && est != 0) {
+			t.Errorf("%s: estimate %v, want %v", sql, est, want)
+		}
 	}
 }

@@ -78,7 +78,6 @@ func epochRNG(seed int64, epoch int) *rand.Rand {
 // under the session's current logits and fills dLogits with the gradient
 // (softmax − onehot) for every row and column. dLogits must be B×outDim.
 //
-// iam:numsafe
 // iam:noalloc
 func (s *Session) CrossEntropyGrad(targets [][]int, dLogits *vecmath.Matrix) float64 {
 	n := s.net
@@ -108,8 +107,6 @@ func (s *Session) CrossEntropyGrad(targets [][]int, dLogits *vecmath.Matrix) flo
 // NLL returns the mean negative log-likelihood (nats per tuple) of rows,
 // evaluated with unmasked inputs. sess must accommodate len ≤ its max batch;
 // rows are processed in chunks.
-//
-// iam:numsafe
 func (n *ResMADE) NLL(sess *Session, rows [][]int) float64 {
 	if len(rows) == 0 {
 		return 0
