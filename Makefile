@@ -11,7 +11,7 @@ BENCH_PATTERN = ^(BenchmarkEstimateBatch|BenchmarkResMADEForward256|BenchmarkMat
 TRAIN_BENCH_PATTERN = ^(BenchmarkTrainJoint|BenchmarkShardedTrain)$$
 SERVE_BENCH_PATTERN = ^BenchmarkServeLatency$$
 
-.PHONY: build test test-short lint lint-warn lint-json noalloc-check bench-json bench-json-estimate bench-json-train bench-json-serve
+.PHONY: build test test-short lint lint-json noalloc-check bench-json bench-json-estimate bench-json-train bench-json-serve
 
 build:
 	$(GO) build ./...
@@ -22,17 +22,13 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# lint is the blocking gate: error-severity findings only.
+# lint is the blocking gate: every finding fails it.
 lint:
 	$(GO) run ./cmd/iamlint ./...
 
-# lint-warn includes the warn-tier findings.
-lint-warn:
-	$(GO) run ./cmd/iamlint -severity=warn ./...
-
 # lint-json emits machine-readable diagnostics (used by CI artifacts).
 lint-json:
-	$(GO) run ./cmd/iamlint -json -severity=warn ./...
+	$(GO) run ./cmd/iamlint -json ./...
 
 # noalloc-check enforces the iam:noalloc annotations: it fails on compiler
 # escape notes (go build -gcflags=-m=2) inside an annotated function that no

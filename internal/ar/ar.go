@@ -10,6 +10,7 @@ package ar
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 
@@ -199,7 +200,8 @@ func (m *Model) checkArity(consList [][]Constraint) error {
 // function of (model, query, seed) — independent of batch composition,
 // worker count, or execution order. sess must accommodate
 // len(consList)·numSamples rows. The returned slice aliases sc and is valid
-// until the next call on sc; so are Variances and Paths.
+// until the next call on sc; so are Variances and Paths. A NaN estimate is
+// ErrNaNEstimate.
 func (m *Model) EstimateBatchScratch(sess *nn.Session, sc *EstimateScratch, consList [][]Constraint, numSamples int, seeds []int64) ([]float64, error) {
 	if len(seeds) != len(consList) {
 		return nil, fmt.Errorf("ar: %d seeds for %d queries", len(seeds), len(consList))
@@ -209,8 +211,18 @@ func (m *Model) EstimateBatchScratch(sess *nn.Session, sc *EstimateScratch, cons
 	}
 	sc.ensure(len(consList), numSamples, len(m.Cards), maxCard(m.Cards))
 	sc.seed(seeds)
-	return m.estimateBatchInto(sess, sc, consList, numSamples), nil
+	ests := m.estimateBatchInto(sess, sc, consList, numSamples)
+	for _, e := range ests {
+		if math.IsNaN(e) {
+			return nil, ErrNaNEstimate
+		}
+	}
+	return ests, nil
 }
+
+// ErrNaNEstimate reports a NaN estimate: the network's conditionals were not
+// finite, as happens with a damaged or overflowing parameter file.
+var ErrNaNEstimate = errors.New("ar: the network produced a NaN probability")
 
 // estimateBatchInto is the progressive-sampling core behind
 // EstimateBatchScratch. sc must already be sized by ensure and seeded;

@@ -71,19 +71,12 @@ func (m *Model) estimateAvg(q *query.Query, col string) (avg, sel float64, err e
 	// Factored and alternative-reducer targets have no per-code value to
 	// integrate, so the sampler must draw them: admit every code.
 	switch {
-	case cons[info.arFirst] != nil:
+	case cons[info.First] != nil:
 	case info.kind == kindReduced:
-		ones := make([]float64, m.arm.Cards[info.arFirst])
-		for i := range ones {
-			ones[i] = 1
-		}
-		cons[info.arFirst] = ar.WeightConstraint{W: ones}
+		cons[info.First] = ar.RangeConstraint{Lo: 0, Hi: m.arm.Cards[info.First] - 1}
 	case info.kind == kindFactored:
-		for p := 0; p < info.arCount; p++ {
-			cons[info.arFirst+p] = ar.FactoredConstraint{
-				Spec: info.factor, Part: p, FirstCol: info.arFirst,
-				Lo: 0, Hi: info.enc.Card - 1,
-			}
+		if err := info.Constrain(query.Everything(), cons, &ar.Arena{}); err != nil {
+			return 0, 0, err
 		}
 	}
 
@@ -97,7 +90,7 @@ func (m *Model) estimateAvg(q *query.Query, col string) (avg, sel float64, err e
 	rows, probs := w.scratch.Paths(0)
 	value := func(s int) (float64, bool) { return m.sampleValue(info, rows[s], iv) }
 	if info.kind == kindGMM || info.kind == kindPassthrough {
-		if value, err = m.integratedValue(w.sess, q, ci, iv, rows); err != nil {
+		if value, err = m.integratedValue(w.sess, ci, iv, rows); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -122,9 +115,9 @@ func (m *Model) estimateAvg(q *query.Query, col string) (avg, sel float64, err e
 // admitted codes, read from a re-forward of the final rows (MADE masks make
 // the target column's conditional depend only on earlier, already sampled
 // columns).
-func (m *Model) integratedValue(sess *nn.Session, q *query.Query, ci int, iv query.Interval, rows [][]int) (func(s int) (float64, bool), error) {
+func (m *Model) integratedValue(sess *nn.Session, ci int, iv query.Interval, rows [][]int) (func(s int) (float64, bool), error) {
 	info := &m.cols[ci]
-	card := m.arm.Cards[info.arFirst]
+	card := m.arm.Cards[info.First]
 	vals := make([]float64, card)
 	wts := make([]float64, card)
 	switch info.kind {
@@ -133,36 +126,20 @@ func (m *Model) integratedValue(sess *nn.Session, q *query.Query, ci int, iv que
 			v, _ := truncatedNormalMean(info.gm.Means[k], info.gm.Sigmas[k], iv.Lo, iv.Hi)
 			vals[k] = v
 		}
-		lo, hi := iv.Lo, iv.Hi
-		if !iv.LoInc {
-			lo = math.Nextafter(lo, math.Inf(1))
-		}
-		if !iv.HiInc {
-			hi = math.Nextafter(hi, math.Inf(-1))
-		}
-		switch m.cfg.MassMode {
-		case MassMonteCarlo:
-			info.sampler.Mass(lo, hi, wts)
-		case MassExact:
-			info.gm.RangeMassExact(lo, hi, wts)
-		case MassEmpirical:
-			info.empirical.Mass(lo, hi, wts)
-		}
+		// Corrected masses even under Uncorrected: the value estimate
+		// integrates the target's conditional over the interval itself.
+		lo, hi := ar.ClosedBounds(iv)
+		info.mass(lo, hi, wts)
 	case kindPassthrough:
-		loCode, hiCode := 0, info.enc.Card-1
-		if r := q.Ranges[ci]; r != nil {
-			var ok bool
-			var err error
-			loCode, hiCode, ok, err = info.enc.RangeToCodes(r.Lo, r.Hi, r.LoInc, r.HiInc)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return nil, fmt.Errorf("core: AVG over an empty range")
-			}
+		loCode, hiCode, ok, err := info.Codes(iv)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, fmt.Errorf("core: AVG over an empty range")
 		}
 		for k := loCode; k <= hiCode; k++ {
-			vals[k] = info.enc.DecodeFloat(k)
+			vals[k] = info.Enc.DecodeFloat(k)
 			wts[k] = 1
 		}
 	}
@@ -170,7 +147,7 @@ func (m *Model) integratedValue(sess *nn.Session, q *query.Query, ci int, iv que
 	sess.Forward(rows)
 	dist := make([]float64, card)
 	return func(s int) (float64, bool) {
-		sess.Dist(s, info.arFirst, dist)
+		sess.Dist(s, info.First, dist)
 		var vSum, wSum float64
 		for k := 0; k < card; k++ {
 			a := dist[k] * wts[k]
@@ -199,7 +176,7 @@ func (m *Model) EstimateWithCI(q *query.Query) (est, stderr float64, err error) 
 // or alternative-reducer target column, restricted to interval iv.
 func (m *Model) sampleValue(info *colInfo, row []int, iv query.Interval) (float64, bool) {
 	if info.kind == kindFactored {
-		return info.enc.DecodeFloat(info.factor.Join(row[info.arFirst : info.arFirst+info.arCount])), true
+		return info.Enc.DecodeFloat(info.Factor.Join(row[info.First : info.First+info.Count])), true
 	}
 	// Alternative reducers expose no component moments; approximate with
 	// the interval midpoint.

@@ -192,9 +192,9 @@ func TestMassCacheHitsAndInvalidation(t *testing.T) {
 // TestMassCacheLRUEviction exercises the eviction path directly.
 func TestMassCacheLRUEviction(t *testing.T) {
 	c := newMassCache(2)
-	k1 := massKey{col: 0, lo: 0, hi: 1, loInc: true, hiInc: true}
-	k2 := massKey{col: 0, lo: 0, hi: 2, loInc: true, hiInc: true}
-	k3 := massKey{col: 1, lo: 0, hi: 1, loInc: true, hiInc: true}
+	k1 := massKey{col: 0, lo: 0, hi: 1}
+	k2 := massKey{col: 0, lo: 0, hi: 2}
+	k3 := massKey{col: 1, lo: 0, hi: 1}
 	c.put(k1, []float64{1})
 	c.put(k2, []float64{2})
 	if _, ok := c.get(k1); !ok { // touch k1 → k2 becomes LRU

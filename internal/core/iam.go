@@ -41,6 +41,11 @@ const (
 	MassEmpirical
 )
 
+// validMassMode reports whether mode is one of the defined mass modes.
+func validMassMode(mode RangeMassMode) bool {
+	return mode >= MassMonteCarlo && mode <= MassEmpirical
+}
+
 // Config controls IAM construction and training.
 type Config struct {
 	// GMMThreshold: continuous columns with more distinct values than this
@@ -212,19 +217,21 @@ const (
 
 // colInfo carries the per-original-column mapping metadata.
 type colInfo struct {
-	kind    colKind
-	arFirst int // index of the first AR column for this column
-	arCount int
+	// Column is the AR span and interval codec. Coded (passthrough and
+	// factored) columns are complete once built; GMM and reducer columns
+	// get their Weights from refreshMassEstimatorsLocked.
+	ar.Column
+	kind colKind
 
-	enc    *dataset.ColumnEncoder // ordinal encoder (non-GMM columns)
-	factor dataset.FactorSpec     // valid when kind == kindFactored
-
-	gm        *gmm.Model // valid when kind == kindGMM
-	trainer   *gmm.SGDTrainer
-	sampler   *gmm.RangeSampler // MC preprocessing (§5.2), built lazily
-	empirical *gmm.Empirical    // empirical masses, built lazily
+	gm      *gmm.Model // valid when kind == kindGMM
+	trainer *gmm.SGDTrainer
 
 	reducer Reducer // valid when kind == kindReduced
+
+	// mass fills the §5.2 per-component masses of the closed interval
+	// [lo, hi] (GMM and reducer columns), under the configured MassMode. It
+	// carries the MC samples or empirical partition built at refresh.
+	mass func(lo, hi float64, out []float64)
 }
 
 // Model is a trained IAM estimator.
@@ -275,6 +282,9 @@ func TrainContext(ctx context.Context, t *dataset.Table, cfg Config) (*Model, er
 	if t.NumRows() == 0 {
 		return nil, fmt.Errorf("core: empty table")
 	}
+	if !validMassMode(cfg.MassMode) {
+		return nil, fmt.Errorf("core: unknown mass mode %d", cfg.MassMode)
+	}
 	if cfg.Resume && cfg.CheckpointPath != "" {
 		if _, err := os.Stat(cfg.CheckpointPath); err == nil {
 			return resumeTraining(ctx, t, cfg)
@@ -285,12 +295,11 @@ func TrainContext(ctx context.Context, t *dataset.Table, cfg Config) (*Model, er
 	m := &Model{table: t, cfg: cfg}
 	var cards []int
 	for _, c := range t.Columns {
-		info := colInfo{arFirst: len(cards)}
+		info := colInfo{Column: ar.Column{First: len(cards), Count: 1}}
 		switch {
 		case c.Kind == dataset.Continuous && c.DistinctCount() > cfg.GMMThreshold && cfg.ReducerFactory != nil:
 			info.kind = kindReduced
 			info.reducer = cfg.ReducerFactory(c.Floats, cfg.Components, cfg.Seed)
-			info.arCount = 1
 			cards = append(cards, info.reducer.K())
 		case c.Kind == dataset.Continuous && c.DistinctCount() > cfg.GMMThreshold:
 			k := cfg.Components
@@ -313,24 +322,18 @@ func TrainContext(ctx context.Context, t *dataset.Table, cfg Config) (*Model, er
 			}
 			info.gm = gm
 			info.trainer = gmm.NewSGDTrainer(info.gm, cfg.GMMLR)
-			info.arCount = 1
 			cards = append(cards, k)
 		default:
-			info.enc = dataset.BuildEncoder(c)
-			if info.enc.Card > cfg.MaxSubColumn {
-				info.kind = kindFactored
-				spec, err := dataset.NewFactorSpec(info.enc.Card, cfg.MaxSubColumn)
-				if err != nil {
-					return nil, fmt.Errorf("core: column %s: %w", c.Name, err)
-				}
-				info.factor = spec
-				info.arCount = len(info.factor.Bases)
-				cards = append(cards, info.factor.Bases...)
-			} else {
-				info.kind = kindPassthrough
-				info.arCount = 1
-				cards = append(cards, info.enc.Card)
+			col, err := ar.NewCodedColumn(len(cards), dataset.BuildEncoder(c), cfg.MaxSubColumn)
+			if err != nil {
+				return nil, fmt.Errorf("core: column %s: %w", c.Name, err)
 			}
+			info.Column = col
+			info.kind = kindPassthrough
+			if col.Count > 1 {
+				info.kind = kindFactored
+			}
+			cards = col.AppendCards(cards)
 		}
 		m.cols = append(m.cols, info)
 	}
@@ -372,21 +375,21 @@ func (m *Model) encodeRow(ri int, dst []int) error {
 		c := m.table.Columns[ci]
 		switch info.kind {
 		case kindGMM:
-			dst[info.arFirst] = info.gm.Assign(c.Floats[ri])
+			dst[info.First] = info.gm.Assign(c.Floats[ri])
 		case kindReduced:
-			dst[info.arFirst] = info.reducer.Assign(c.Floats[ri])
+			dst[info.First] = info.reducer.Assign(c.Floats[ri])
 		case kindPassthrough:
 			code, err := m.rawCode(ci, ri)
 			if err != nil {
 				return err
 			}
-			dst[info.arFirst] = code
+			dst[info.First] = code
 		case kindFactored:
 			code, err := m.rawCode(ci, ri)
 			if err != nil {
 				return err
 			}
-			info.factor.SplitInto(dst[info.arFirst:info.arFirst+info.arCount], code)
+			info.Factor.SplitInto(dst[info.First:info.First+info.Count], code)
 		}
 	}
 	return nil
@@ -403,7 +406,7 @@ func (m *Model) rawCode(ci, ri int) (int, error) {
 	if c.Kind == dataset.Categorical {
 		return c.Ints[ri], nil
 	}
-	code, err := m.cols[ci].enc.EncodeFloat(c.Floats[ri])
+	code, err := m.cols[ci].Enc.EncodeFloat(c.Floats[ri])
 	if err != nil {
 		//lint:ignore noalloc cold encode-failure path, only taken when the table mutated under the model
 		return 0, fmt.Errorf("core: encoding column %q row %d: %w", c.Name, ri, err)
@@ -555,27 +558,62 @@ func (m *Model) invalidateMasses() {
 
 // refreshMassEstimatorsLocked (re)builds the per-GMM range-mass
 // preprocessing — the one-time sampling step of §5.2 — after training has
-// moved GMM parameters. Callers hold m.mu (the Locked suffix is the
-// guardedby analyzer's held-on-entry contract).
+// moved GMM parameters, and picks each weighted column's mass function and
+// weights. Callers hold m.mu (the Locked suffix is the guardedby analyzer's
+// held-on-entry contract).
 func (m *Model) refreshMassEstimatorsLocked() {
 	if !m.massDirty {
 		return
 	}
 	for ci := range m.cols {
 		info := &m.cols[ci]
-		if info.kind != kindGMM {
+		switch {
+		case info.kind == kindReduced:
+			info.mass = info.reducer.RangeMass
+		case info.kind != kindGMM:
 			continue
+		case m.cfg.MassMode == MassMonteCarlo:
+			info.mass = gmm.NewRangeSampler(info.gm, m.cfg.GMMSamples, m.massRNG).Mass
+		case m.cfg.MassMode == MassExact:
+			info.mass = info.gm.RangeMassExact
+		case m.cfg.MassMode == MassEmpirical:
+			info.mass = gmm.NewEmpirical(info.gm, m.table.Columns[ci].Floats).Mass
 		}
-		switch m.cfg.MassMode {
-		case MassMonteCarlo:
-			info.sampler = gmm.NewRangeSampler(info.gm, m.cfg.GMMSamples, m.massRNG)
-		case MassEmpirical:
-			info.empirical = gmm.NewEmpirical(info.gm, m.table.Columns[ci].Floats)
-		}
+		info.Weights = m.weightsFunc(ci)
 	}
 	// Cached mass vectors were computed from the old mixture parameters.
 	m.purgeMassCache()
 	m.massDirty = false
+}
+
+// weightsFunc returns the §5.2 weight function of weighted column ci: its
+// mass function behind the mass cache or, under Uncorrected, one shared
+// all-ones vector that admits every component.
+func (m *Model) weightsFunc(ci int) func(lo, hi float64) []float64 {
+	if m.cfg.Uncorrected {
+		ones := make([]float64, m.arm.Cards[m.cols[ci].First])
+		for j := range ones {
+			ones[j] = 1
+		}
+		return func(float64, float64) []float64 { return ones }
+	}
+	return func(lo, hi float64) []float64 { return m.weights(ci, lo, hi) }
+}
+
+// weights returns the per-component masses of the closed interval [lo, hi]
+// on weighted column ci, from the mass cache when it holds them.
+//
+// iam:noalloc
+func (m *Model) weights(ci int, lo, hi float64) []float64 {
+	key := massKey{col: ci, lo: lo, hi: hi}
+	if wts, ok := m.massCacheGet(key); ok {
+		return wts
+	}
+	//lint:ignore noalloc one-time per distinct interval; the vector is cached below
+	wts := make([]float64, m.arm.Cards[m.cols[ci].First])
+	m.cols[ci].mass(lo, hi, wts)
+	m.massCachePut(key, wts)
+	return wts
 }
 
 // Name implements estimator.Estimator.
@@ -643,7 +681,7 @@ func (m *Model) estimateBatch(qs []*query.Query, qseeds []int64, vars []float64)
 	bs.prep(len(qs), nCols)
 	for i, q := range qs {
 		cons := bs.consRow(i, nCols)
-		if err := m.buildConstraintsInto(q, bs, cons); err != nil {
+		if err := m.buildConstraintsInto(q, &bs.arena, cons); err != nil {
 			return nil, err
 		}
 		if m.cfg.ExhaustiveLimit > 0 {
@@ -767,12 +805,11 @@ func scatterShard(ests, shardVars []float64, lo int, slots []int, out, vars []fl
 
 // buildConstraints performs the query construction q → q′ of §5.1 and
 // attaches the bias-correction weights of §5.2. Convenience wrapper for the
-// one-off callers (aggregates); the batched estimate path builds into pooled
-// arenas via buildConstraintsInto instead.
+// one-off callers (aggregates); the batched estimate path builds into
+// a pooled arena via buildConstraintsInto instead.
 func (m *Model) buildConstraints(q *query.Query) ([]ar.Constraint, error) {
 	cons := make([]ar.Constraint, len(m.arm.Cards))
-	var bs batchScratch
-	if err := m.buildConstraintsInto(q, &bs, cons); err != nil {
+	if err := m.buildConstraintsInto(q, &ar.Arena{}, cons); err != nil {
 		return nil, err
 	}
 	return cons, nil

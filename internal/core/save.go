@@ -94,16 +94,16 @@ func (m *Model) Save(w io.Writer) error {
 	}
 	for ci := range m.cols {
 		info := &m.cols[ci]
-		cs := colSnapshot{Kind: int(info.kind), ArFirst: info.arFirst, ArCount: info.arCount}
-		if info.enc != nil {
-			cs.EncName = info.enc.Name
-			cs.EncKind = int(info.enc.Kind)
-			cs.EncCard = info.enc.Card
-			cs.EncVals = info.enc.Values()
+		cs := colSnapshot{Kind: int(info.kind), ArFirst: info.First, ArCount: info.Count}
+		if info.Enc != nil {
+			cs.EncName = info.Enc.Name
+			cs.EncKind = int(info.Enc.Kind)
+			cs.EncCard = info.Enc.Card
+			cs.EncVals = info.Enc.Values()
 		}
 		if info.kind == kindFactored {
-			cs.FactorCard = info.factor.Card
-			cs.FactorBases = info.factor.Bases
+			cs.FactorCard = info.Factor.Card
+			cs.FactorBases = info.Factor.Bases
 		}
 		if info.gm != nil {
 			cs.GMMWeights = info.gm.Weights
@@ -156,12 +156,13 @@ func Load(r io.Reader, t *dataset.Table) (*Model, error) {
 		Workers: c.Workers, MassCacheSize: c.MassCacheSize, TrainWorkers: c.TrainWorkers,
 	}
 	for _, cs := range snap.Cols {
-		info := colInfo{kind: colKind(cs.Kind), arFirst: cs.ArFirst, arCount: cs.ArCount}
+		info := colInfo{kind: colKind(cs.Kind), Column: ar.Column{First: cs.ArFirst, Count: cs.ArCount}}
 		if cs.EncCard > 0 || len(cs.EncVals) > 0 {
-			info.enc = dataset.RestoreEncoder(cs.EncName, dataset.Kind(cs.EncKind), cs.EncCard, cs.EncVals)
+			info.Enc = dataset.RestoreEncoder(cs.EncName, dataset.Kind(cs.EncKind), cs.EncCard, cs.EncVals)
+			info.MaxCode = info.Enc.Card - 1
 		}
 		if info.kind == kindFactored {
-			info.factor = dataset.FactorSpec{Card: cs.FactorCard, Bases: cs.FactorBases}
+			info.Factor = dataset.FactorSpec{Card: cs.FactorCard, Bases: cs.FactorBases}
 		}
 		if len(cs.GMMWeights) > 0 {
 			info.gm = &gmm.Model{Weights: cs.GMMWeights, Means: cs.GMMMeans, Sigmas: cs.GMMSigmas}
@@ -180,8 +181,11 @@ func (s *modelSnapshot) check(net *nn.ResMADE) error {
 	if !slices.Equal(s.Cards, net.Cards) {
 		return fmt.Errorf("core: snapshot cardinalities %v differ from the network's %v", s.Cards, net.Cards)
 	}
-	if s.Cfg.NumSamples < 1 {
-		return fmt.Errorf("core: snapshot has %d samples per query", s.Cfg.NumSamples)
+	if s.Cfg.NumSamples < 1 || s.Cfg.GMMSamples < 1 {
+		return fmt.Errorf("core: snapshot has %d samples per query and %d per component", s.Cfg.NumSamples, s.Cfg.GMMSamples)
+	}
+	if !validMassMode(RangeMassMode(s.Cfg.MassMode)) {
+		return fmt.Errorf("core: snapshot has unknown mass mode %d", s.Cfg.MassMode)
 	}
 	if len(s.Cols) != s.NumCols {
 		return fmt.Errorf("core: snapshot maps %d of %d columns", len(s.Cols), s.NumCols)
@@ -191,19 +195,55 @@ func (s *modelSnapshot) check(net *nn.ResMADE) error {
 			return fmt.Errorf("core: column %d maps to AR columns [%d, %d), outside the network's %d",
 				ci, cs.ArFirst, cs.ArFirst+cs.ArCount, len(s.Cards))
 		}
-		switch colKind(cs.Kind) {
-		case kindPassthrough, kindFactored:
-			if cs.EncCard < 1 {
-				return fmt.Errorf("core: column %d has no encoder", ci)
-			}
-		case kindGMM:
-			k := s.Cards[cs.ArFirst]
-			if len(cs.GMMWeights) != k || len(cs.GMMMeans) != k || len(cs.GMMSigmas) != k {
-				return fmt.Errorf("core: column %d GMM parameters do not match its %d components", ci, k)
-			}
-		default:
-			return fmt.Errorf("core: column %d has unknown kind %d", ci, cs.Kind)
+		if err := cs.check(s.Cards[cs.ArFirst : cs.ArFirst+cs.ArCount]); err != nil {
+			return fmt.Errorf("core: column %d %w", ci, err)
 		}
+	}
+	return nil
+}
+
+// check rejects a column whose mapping does not fit cards, the
+// cardinalities of the AR columns it spans.
+func (cs *colSnapshot) check(cards []int) error {
+	encCard := cs.EncCard
+	if dataset.Kind(cs.EncKind) != dataset.Categorical && len(cs.EncVals) != encCard {
+		return fmt.Errorf("has %d encoder values for %d codes", len(cs.EncVals), encCard)
+	}
+	switch colKind(cs.Kind) {
+	case kindPassthrough:
+		if len(cards) != 1 || encCard != cards[0] {
+			return fmt.Errorf("encodes %d codes onto AR cardinalities %v", encCard, cards)
+		}
+	case kindFactored:
+		if !slices.Equal(cs.FactorBases, cards) {
+			return fmt.Errorf("has factor bases %v for AR cardinalities %v", cs.FactorBases, cards)
+		}
+		if encCard < 1 || cs.FactorCard != encCard {
+			return fmt.Errorf("factors %d codes of an encoder with %d", cs.FactorCard, encCard)
+		}
+		span := 1
+		for _, b := range cs.FactorBases {
+			if b < 1 {
+				return fmt.Errorf("has factor base %d", b)
+			}
+			span *= b
+			if span >= encCard {
+				return nil
+			}
+		}
+		return fmt.Errorf("factor bases %v cannot hold %d codes", cs.FactorBases, encCard)
+	case kindGMM:
+		k := cards[0]
+		if len(cards) != 1 || len(cs.GMMWeights) != k || len(cs.GMMMeans) != k || len(cs.GMMSigmas) != k {
+			return fmt.Errorf("GMM parameters do not match its %d components", k)
+		}
+		for j := range k {
+			if w, mu, sd := cs.GMMWeights[j], cs.GMMMeans[j], cs.GMMSigmas[j]; !(w >= 0) || !isFinite(w) || !isFinite(mu) || !(sd > 0) || !isFinite(sd) {
+				return fmt.Errorf("GMM component %d has weight %v, mean %v, sigma %v", j, w, mu, sd)
+			}
+		}
+	default:
+		return fmt.Errorf("has unknown kind %d", cs.Kind)
 	}
 	return nil
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"iam/internal/dataset"
@@ -100,58 +102,114 @@ func TestLoadGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsMalformedSnapshots: a model file whose column mapping or
-// sampling configuration does not fit its network must fail to load with an
-// error, not panic later.
-func TestLoadRejectsMalformedSnapshots(t *testing.T) {
-	tb := dataset.SynthWISDM(1500, 47)
-	cfg := fastCfg()
-	cfg.Epochs = 1
-	m, err := Train(tb, cfg)
-	if err != nil {
-		t.Fatal(err)
+var (
+	tinyOnce  sync.Once
+	tinyTable *dataset.Table
+	tinyBytes []byte
+	tinyErr   error
+)
+
+// tinySavedModel trains and saves one tiny model over SynthWISDM(1500),
+// shared by the malformed-snapshot test and FuzzCoreLoad. MaxSubColumn 20
+// factors subject_id (51 codes) over two AR columns and keeps
+// activity_code (18) passthrough; x, y and z are GMM-reduced.
+func tinySavedModel(tb testing.TB) (*dataset.Table, []byte) {
+	tb.Helper()
+	tinyOnce.Do(func() {
+		tinyTable = dataset.SynthWISDM(1500, 47)
+		cfg := fastCfg()
+		cfg.Epochs = 1
+		cfg.MaxSubColumn = 20
+		cfg.Hidden = []int{4}
+		cfg.EmbedDim = 2
+		cfg.Components = 2
+		cfg.NumSamples = 16
+		cfg.GMMSamples = 200
+		m, err := Train(tinyTable, cfg)
+		if err != nil {
+			tinyErr = err
+			return
+		}
+		var buf bytes.Buffer
+		tinyErr = m.Save(&buf)
+		tinyBytes = buf.Bytes()
+	})
+	if tinyErr != nil {
+		tb.Fatal(tinyErr)
 	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-	gmmCol := -1
-	for ci := range m.cols {
-		if m.cols[ci].kind == kindGMM {
-			gmmCol = ci
+	return tinyTable, tinyBytes
+}
+
+// colOfKind returns the index of the first snapshot column of kind k.
+func colOfKind(s *modelSnapshot, k colKind) int {
+	for ci, cs := range s.Cols {
+		if colKind(cs.Kind) == k {
+			return ci
 		}
 	}
-	if gmmCol < 0 {
-		t.Fatal("test premise broken: no GMM column")
+	panic(fmt.Sprintf("no column of kind %d", k))
+}
+
+// malformedSnapshots are snapshot damages Load must reject. Loaded, nil or
+// zero factor bases and a negative per-component sample count panic at the
+// first estimate, and an unknown mass mode, an encoder card that does not
+// fit its AR columns or a NaN sigma answer wrongly.
+var malformedSnapshots = []struct {
+	name   string
+	mutate func(s *modelSnapshot)
+}{
+	{"cards differ from the network", func(s *modelSnapshot) { s.Cards[0]++ }},
+	{"fewer cards than the network", func(s *modelSnapshot) { s.Cards = s.Cards[:len(s.Cards)-1] }},
+	{"ArFirst past the end", func(s *modelSnapshot) { s.Cols[0].ArFirst = len(s.Cards) }},
+	{"negative ArFirst", func(s *modelSnapshot) { s.Cols[1].ArFirst = -1 }},
+	{"zero ArCount", func(s *modelSnapshot) { s.Cols[0].ArCount = 0 }},
+	{"ArCount past the end", func(s *modelSnapshot) { s.Cols[0].ArCount = len(s.Cards) + 1 }},
+	{"zero samples", func(s *modelSnapshot) { s.Cfg.NumSamples = 0 }},
+	{"missing column", func(s *modelSnapshot) { s.Cols = s.Cols[1:] }},
+	{"unknown kind", func(s *modelSnapshot) { s.Cols[0].Kind = 9 }},
+	{"short GMM", func(s *modelSnapshot) {
+		ci := colOfKind(s, kindGMM)
+		s.Cols[ci].GMMMeans = s.Cols[ci].GMMMeans[1:]
+	}},
+	{"nil factor bases", func(s *modelSnapshot) { s.Cols[colOfKind(s, kindFactored)].FactorBases = nil }},
+	{"zero factor base", func(s *modelSnapshot) {
+		bases := s.Cols[colOfKind(s, kindFactored)].FactorBases
+		bases[len(bases)-1] = 0
+	}},
+	{"unknown mass mode", func(s *modelSnapshot) { s.Cfg.MassMode = 5 }},
+	{"factored encoder card beyond its bases", func(s *modelSnapshot) {
+		s.Cols[colOfKind(s, kindFactored)].EncCard = 1 << 40
+	}},
+	{"passthrough encoder card differs from its AR column", func(s *modelSnapshot) {
+		s.Cols[colOfKind(s, kindPassthrough)].EncCard++
+	}},
+	{"negative samples per component", func(s *modelSnapshot) { s.Cfg.GMMSamples = -5 }},
+	{"NaN GMM sigma", func(s *modelSnapshot) { s.Cols[colOfKind(s, kindGMM)].GMMSigmas[0] = math.NaN() }},
+}
+
+// damagedSnapshot re-encodes the valid snapshot bytes after mutate.
+func damagedSnapshot(tb testing.TB, valid []byte, mutate func(s *modelSnapshot)) []byte {
+	tb.Helper()
+	var snap modelSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(valid)).Decode(&snap); err != nil {
+		tb.Fatal(err)
 	}
-	cases := []struct {
-		name   string
-		mutate func(s *modelSnapshot)
-	}{
-		{"cards differ from the network", func(s *modelSnapshot) { s.Cards[0]++ }},
-		{"fewer cards than the network", func(s *modelSnapshot) { s.Cards = s.Cards[:len(s.Cards)-1] }},
-		{"ArFirst past the end", func(s *modelSnapshot) { s.Cols[0].ArFirst = len(s.Cards) }},
-		{"negative ArFirst", func(s *modelSnapshot) { s.Cols[1].ArFirst = -1 }},
-		{"zero ArCount", func(s *modelSnapshot) { s.Cols[0].ArCount = 0 }},
-		{"ArCount past the end", func(s *modelSnapshot) { s.Cols[0].ArCount = len(s.Cards) + 1 }},
-		{"zero samples", func(s *modelSnapshot) { s.Cfg.NumSamples = 0 }},
-		{"missing column", func(s *modelSnapshot) { s.Cols = s.Cols[1:] }},
-		{"unknown kind", func(s *modelSnapshot) { s.Cols[0].Kind = 9 }},
-		{"short GMM", func(s *modelSnapshot) { s.Cols[gmmCol].GMMMeans = s.Cols[gmmCol].GMMMeans[1:] }},
+	mutate(&snap)
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(&snap); err != nil {
+		tb.Fatal(err)
 	}
-	for _, tc := range cases {
+	return out.Bytes()
+}
+
+// TestLoadRejectsMalformedSnapshots: a model file whose column mapping or
+// sampling configuration does not fit its network must fail to load with an
+// error, not panic or answer wrongly later.
+func TestLoadRejectsMalformedSnapshots(t *testing.T) {
+	tb, valid := tinySavedModel(t)
+	for _, tc := range malformedSnapshots {
 		t.Run(tc.name, func(t *testing.T) {
-			var snap modelSnapshot
-			if err := gob.NewDecoder(bytes.NewReader(valid)).Decode(&snap); err != nil {
-				t.Fatal(err)
-			}
-			tc.mutate(&snap)
-			var out bytes.Buffer
-			if err := gob.NewEncoder(&out).Encode(&snap); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Load(&out, tb); err == nil {
+			if _, err := Load(bytes.NewReader(damagedSnapshot(t, valid, tc.mutate)), tb); err == nil {
 				t.Fatal("loaded a malformed snapshot")
 			}
 		})
@@ -159,4 +217,50 @@ func TestLoadRejectsMalformedSnapshots(t *testing.T) {
 	if _, err := Load(bytes.NewReader(valid), tb); err != nil {
 		t.Fatalf("the unmodified snapshot fails to load: %v", err)
 	}
+}
+
+// FuzzCoreLoad loads a tiny saved model after one edit — data[off:off+del]
+// replaced by insert — seeded with the edits that produce every malformed
+// snapshot above. Editing a real snapshot keeps the gob framing mostly
+// intact, so the edits reach Load's checks, and keeps inputs small, so new
+// finds minimize in moments. Load must never panic, and a model it accepts
+// must answer a full-domain query on each column with a value in [0, 1] or
+// an error. Sampling sizes only cost time and memory, so they are capped
+// before estimating.
+func FuzzCoreLoad(f *testing.F) {
+	tb, valid := tinySavedModel(f)
+	f.Add(uint16(0), uint16(0), []byte{})
+	for _, tc := range malformedSnapshots {
+		bad := damagedSnapshot(f, valid, tc.mutate)
+		p := 0
+		for p < len(valid) && p < len(bad) && valid[p] == bad[p] {
+			p++
+		}
+		q := 0
+		for q < len(valid)-p && q < len(bad)-p && valid[len(valid)-1-q] == bad[len(bad)-1-q] {
+			q++
+		}
+		f.Add(uint16(p), uint16(len(valid)-p-q), bad[p:len(bad)-q])
+	}
+	f.Fuzz(func(t *testing.T, off, del uint16, insert []byte) {
+		o := min(int(off), len(valid))
+		d := min(int(del), len(valid)-o)
+		data := append(append(append([]byte(nil), valid[:o]...), insert...), valid[o+d:]...)
+		m, err := Load(bytes.NewReader(data), tb)
+		if err != nil {
+			return
+		}
+		m.cfg.NumSamples = min(m.cfg.NumSamples, 64)
+		m.cfg.GMMSamples = min(m.cfg.GMMSamples, 1000)
+		m.cfg.MassCacheSize = min(m.cfg.MassCacheSize, 64)
+		for ci := range tb.Columns {
+			q := query.NewQuery(tb)
+			all := query.Everything()
+			q.Ranges[ci] = &all
+			est, err := m.Estimate(q)
+			if err == nil && !(est >= 0 && est <= 1) {
+				t.Fatalf("column %d: full-domain estimate %v outside [0, 1]", ci, est)
+			}
+		}
+	})
 }

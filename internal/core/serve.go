@@ -82,12 +82,11 @@ func querySeed(seed int64, qi int) int64 {
 }
 
 // massKey identifies one cached §5.2 range-mass vector: the column and the
-// query interval including its bound kinds (inclusive/exclusive endpoints
-// admit different mass).
+// effective closed interval (open endpoints already moved inward), which is
+// all the mass functions read.
 type massKey struct {
-	col          int
-	lo, hi       float64
-	loInc, hiInc bool
+	col    int
+	lo, hi float64
 }
 
 type massEntry struct {
@@ -135,13 +134,9 @@ func (c *massCache) put(k massKey, wts []float64) {
 	c.items[k] = c.order.PushFront(&massEntry{key: k, wts: wts})
 }
 
-func intervalKey(col int, r *query.Interval) massKey {
-	return massKey{col: col, lo: r.Lo, hi: r.Hi, loInc: r.LoInc, hiInc: r.HiInc}
-}
-
-// massCacheGet returns the cached mass vector for (col, r), if caching is
-// enabled and the interval has been seen since the last refresh.
-func (m *Model) massCacheGet(col int, r *query.Interval) ([]float64, bool) {
+// massCacheGet returns the cached mass vector for k, if caching is enabled
+// and the interval has been seen since the last refresh.
+func (m *Model) massCacheGet(k massKey) ([]float64, bool) {
 	if m.cfg.MassCacheSize <= 0 {
 		return nil, false
 	}
@@ -150,12 +145,12 @@ func (m *Model) massCacheGet(col int, r *query.Interval) ([]float64, bool) {
 	if m.massCache == nil {
 		return nil, false
 	}
-	return m.massCache.get(intervalKey(col, r))
+	return m.massCache.get(k)
 }
 
 // massCachePut inserts a freshly computed mass vector. wts must not be
 // mutated afterwards.
-func (m *Model) massCachePut(col int, r *query.Interval, wts []float64) {
+func (m *Model) massCachePut(k massKey, wts []float64) {
 	if m.cfg.MassCacheSize <= 0 {
 		return
 	}
@@ -164,7 +159,7 @@ func (m *Model) massCachePut(col int, r *query.Interval, wts []float64) {
 	if m.massCache == nil {
 		m.massCache = newMassCache(m.cfg.MassCacheSize)
 	}
-	m.massCache.put(intervalKey(col, r), wts)
+	m.massCache.put(k, wts)
 }
 
 // purgeMassCache drops every cached vector — required whenever the mixture

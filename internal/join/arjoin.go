@@ -3,7 +3,6 @@ package join
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 
@@ -11,7 +10,6 @@ import (
 	"iam/internal/dataset"
 	"iam/internal/gmm"
 	"iam/internal/nn"
-	"iam/internal/query"
 	"iam/internal/vecmath"
 )
 
@@ -83,31 +81,16 @@ func (c *ARJoinConfig) fillDefaults() {
 	}
 }
 
-type arJoinColKind int
-
-const (
-	ajPassthrough arJoinColKind = iota
-	ajFactored
-	ajGMM
-)
-
 // arJoinCol maps one flattened column onto AR columns.
 type arJoinCol struct {
-	kind    arJoinColKind
-	arFirst int
-	arCount int
+	// Column is the AR span and interval codec. The clamp of a coded column
+	// keeps its NULL code out of every range; a GMM column's weights leave
+	// the NULL code at 0.
+	ar.Column
 
-	enc    *dataset.ColumnEncoder
-	factor dataset.FactorSpec
-
-	gm      *gmm.Model
-	sampler *gmm.RangeSampler
-
-	// nullCode is the code representing NULL (-1 when the column cannot be
-	// NULL); real-value codes occupy [minRealCode, maxRealCode].
-	nullCode    int
-	minRealCode int
-	maxRealCode int
+	gm *gmm.Model // GMM-reduced columns (ModeIAM) only
+	// nullCode is the GMM column's code for NULL (-1 when it cannot be NULL).
+	nullCode int
 }
 
 // ARJoin is a join-cardinality estimator backed by an autoregressive model
@@ -185,7 +168,7 @@ func trainARJoin(s *Schema, cfg ARJoinConfig, name string) (*ARJoin, error) {
 	var cards []int
 	for fi, c := range flat.Table.Columns {
 		fc := flat.Cols[fi]
-		col := arJoinCol{arFirst: len(cards), nullCode: -1}
+		col := arJoinCol{nullCode: -1}
 		sentinel, hasSentinel := flat.NullSentinel[fi]
 		switch {
 		case c.Kind == dataset.Continuous && cfg.Mode == ModeIAM && c.DistinctCount() > cfg.GMMThreshold:
@@ -200,49 +183,38 @@ func trainARJoin(s *Schema, cfg ARJoinConfig, name string) (*ARJoin, error) {
 				}
 				vals = real
 			}
-			col.kind = ajGMM
-			k := cfg.Components
-			gm, _, err := gmm.FitSGD(ctx, vals, k, 4, 512, 0.02, rng)
+			gm, _, err := gmm.FitSGD(ctx, vals, cfg.Components, 4, 512, 0.02, rng)
 			if err != nil {
 				return nil, fmt.Errorf("join: column %s: %w", c.Name, err)
 			}
-			col.gm = gm
-			col.sampler = gmm.NewRangeSampler(gm, cfg.GMMSamples, rng)
+			sampler := gmm.NewRangeSampler(gm, cfg.GMMSamples, rng)
+			k := gm.K()
 			card := k
-			col.maxRealCode = k - 1
 			if hasSentinel {
 				col.nullCode = k
 				card = k + 1
 			}
-			col.arCount = 1
+			col.gm = gm
+			col.Column = ar.Column{First: len(cards), Count: 1, Weights: func(lo, hi float64) []float64 {
+				w := make([]float64, card)
+				sampler.Mass(lo, hi, w[:k]) // NULL code keeps weight 0
+				return w
+			}}
 			cards = append(cards, card)
 		default:
-			col.enc = dataset.BuildEncoder(c)
-			col.maxRealCode = col.enc.Card - 1
+			col.Column, err = ar.NewCodedColumn(len(cards), dataset.BuildEncoder(c), cfg.MaxSubColumn)
+			if err != nil {
+				return nil, fmt.Errorf("join: column %s: %w", c.Name, err)
+			}
 			if hasSentinel {
 				// The sentinel sorts below every real value → code 0.
-				col.minRealCode = 1
-				col.nullCode = 0
+				col.MinCode = 1
 			}
 			if c.Kind == dataset.Categorical && fc.Kind == FlatData && fc.Child >= 0 {
 				// NULL-extended categorical: NULL code is the last one.
-				col.nullCode = c.Card - 1
-				col.maxRealCode = c.Card - 2
+				col.MaxCode = c.Card - 2
 			}
-			if col.enc.Card > cfg.MaxSubColumn {
-				col.kind = ajFactored
-				spec, err := dataset.NewFactorSpec(col.enc.Card, cfg.MaxSubColumn)
-				if err != nil {
-					return nil, fmt.Errorf("join: column %s: %w", c.Name, err)
-				}
-				col.factor = spec
-				col.arCount = len(col.factor.Bases)
-				cards = append(cards, col.factor.Bases...)
-			} else {
-				col.kind = ajPassthrough
-				col.arCount = 1
-				cards = append(cards, col.enc.Card)
-			}
+			cards = col.AppendCards(cards)
 		}
 		e.cols = append(e.cols, col)
 	}
@@ -282,30 +254,29 @@ func trainARJoin(s *Schema, cfg ARJoinConfig, name string) (*ARJoin, error) {
 func (e *ARJoin) encodeRow(ri int, dst []int) error {
 	for fi, col := range e.cols {
 		c := e.flat.Table.Columns[fi]
-		switch col.kind {
-		case ajGMM:
+		if col.gm != nil {
 			v := c.Floats[ri]
 			if s, ok := e.flat.NullSentinel[fi]; ok && v == s {
-				dst[col.arFirst] = col.nullCode
+				dst[col.First] = col.nullCode
 			} else {
-				dst[col.arFirst] = col.gm.Assign(v)
+				dst[col.First] = col.gm.Assign(v)
 			}
-		case ajPassthrough, ajFactored:
-			var code int
-			if c.Kind == dataset.Categorical {
-				code = c.Ints[ri]
-			} else {
-				var err error
-				code, err = col.enc.EncodeFloat(c.Floats[ri])
-				if err != nil {
-					return fmt.Errorf("join: encoding row %d: %w", ri, err)
-				}
+			continue
+		}
+		code := 0
+		if c.Kind == dataset.Categorical {
+			code = c.Ints[ri]
+		} else {
+			var err error
+			code, err = col.Enc.EncodeFloat(c.Floats[ri])
+			if err != nil {
+				return fmt.Errorf("join: encoding row %d: %w", ri, err)
 			}
-			if col.kind == ajFactored {
-				col.factor.SplitInto(dst[col.arFirst:col.arFirst+col.arCount], code)
-			} else {
-				dst[col.arFirst] = code
-			}
+		}
+		if col.Count > 1 {
+			col.Factor.SplitInto(dst[col.First:col.First+col.Count], code)
+		} else {
+			dst[col.First] = code
 		}
 	}
 	return nil
@@ -318,7 +289,7 @@ func (e *ARJoin) Name() string { return e.name }
 func (e *ARJoin) SizeBytes() int {
 	s := e.arm.Net.SizeBytes()
 	for _, col := range e.cols {
-		if col.kind == ajGMM {
+		if col.gm != nil {
 			s += col.gm.SizeBytes()
 		}
 	}
@@ -334,6 +305,9 @@ func (e *ARJoin) JoinSize() float64 { return e.flat.JoinSize }
 // (NeuroCard's downscaling, shared by IAM).
 func (e *ARJoin) buildConstraints(jq *JoinQuery) ([]ar.Constraint, error) {
 	cons := make([]ar.Constraint, len(e.arm.Cards))
+	// A fresh arena per query: QueryTrain holds the constraints of a whole
+	// step at once.
+	var a ar.Arena
 	// Root predicates.
 	if jq.Root != nil {
 		if jq.Root.Table != e.schema.Root {
@@ -344,7 +318,7 @@ func (e *ARJoin) buildConstraints(jq *JoinQuery) ([]ar.Constraint, error) {
 				continue
 			}
 			fi := e.flat.FlatIndex(e.schema.Root.Name, j)
-			if err := e.applyRange(cons, fi, r); err != nil {
+			if err := e.cols[fi].Constrain(*r, cons, &a); err != nil {
 				return nil, err
 			}
 		}
@@ -355,7 +329,7 @@ func (e *ARJoin) buildConstraints(jq *JoinQuery) ([]ar.Constraint, error) {
 		if inJoin {
 			indFi := e.flat.IndicatorIndex(ci)
 			ind := &e.cols[indFi]
-			cons[ind.arFirst] = ar.RangeConstraint{Lo: 1, Hi: 1}
+			cons[ind.First] = ar.RangeConstraint{Lo: 1, Hi: 1}
 			if q != nil {
 				if q.Table != child.Table {
 					return nil, fmt.Errorf("join: child query for %q bound to wrong table", child.Table.Name)
@@ -365,7 +339,7 @@ func (e *ARJoin) buildConstraints(jq *JoinQuery) ([]ar.Constraint, error) {
 						continue
 					}
 					fi := e.flat.FlatIndex(child.Table.Name, j)
-					if err := e.applyRange(cons, fi, r); err != nil {
+					if err := e.cols[fi].Constrain(*r, cons, &a); err != nil {
 						return nil, err
 					}
 				}
@@ -380,73 +354,9 @@ func (e *ARJoin) buildConstraints(jq *JoinQuery) ([]ar.Constraint, error) {
 		for k, v := range vals {
 			w[k] = 1 / v
 		}
-		cons[fan.arFirst] = ar.WeightConstraint{W: w}
+		cons[fan.First] = ar.WeightConstraint{W: w}
 	}
 	return cons, nil
-}
-
-// applyRange attaches the constraint for interval r on flattened column fi.
-func (e *ARJoin) applyRange(cons []ar.Constraint, fi int, r *query.Interval) error {
-	col := &e.cols[fi]
-	if r.Lo > r.Hi {
-		cons[col.arFirst] = ar.EmptyConstraint{}
-		return nil
-	}
-	switch col.kind {
-	case ajGMM:
-		lo, hi := r.Lo, r.Hi
-		if !r.LoInc {
-			lo = math.Nextafter(lo, math.Inf(1))
-		}
-		if !r.HiInc {
-			hi = math.Nextafter(hi, math.Inf(-1))
-		}
-		k := col.gm.K()
-		card := k
-		if col.nullCode >= 0 {
-			card = k + 1
-		}
-		w := make([]float64, card)
-		col.sampler.Mass(lo, hi, w[:k]) // NULL code keeps weight 0
-		cons[col.arFirst] = ar.WeightConstraint{W: w}
-		return nil
-	case ajPassthrough, ajFactored:
-		loCode, hiCode, ok, err := e.codeRange(fi, r)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			cons[col.arFirst] = ar.EmptyConstraint{}
-			return nil
-		}
-		if col.kind == ajPassthrough {
-			cons[col.arFirst] = ar.RangeConstraint{Lo: loCode, Hi: hiCode}
-			return nil
-		}
-		for p := 0; p < col.arCount; p++ {
-			cons[col.arFirst+p] = ar.FactoredConstraint{
-				Spec: col.factor, Part: p, FirstCol: col.arFirst,
-				Lo: loCode, Hi: hiCode,
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("join: unhandled column kind")
-}
-
-// codeRange maps a raw interval to ordinal codes, excluding NULL codes.
-func (e *ARJoin) codeRange(fi int, r *query.Interval) (int, int, bool, error) {
-	col := &e.cols[fi]
-	lo, hi, ok, err := col.enc.RangeToCodes(r.Lo, r.Hi, r.LoInc, r.HiInc)
-	if err != nil || !ok {
-		return 0, 0, false, err
-	}
-	lo = max(lo, col.minRealCode)
-	hi = min(hi, col.maxRealCode)
-	if lo > hi {
-		return 0, 0, false, nil
-	}
-	return lo, hi, true, nil
 }
 
 // EstimateCard estimates the cardinality of a join query.

@@ -18,8 +18,8 @@
 // or ±Inf out of the GMM and the sampler) is checked by executed tests and
 // fuzz targets, not statically.
 //
-// Diagnostics carry a severity (error or warn). Run is the one driver: load
-// the module, analyze, report.
+// Every diagnostic fails the run. Run is the one driver: load the module,
+// analyze, report.
 //
 // Diagnostics can be suppressed per line with a comment of the form
 //
@@ -42,24 +42,13 @@ import (
 	"sync"
 )
 
-// Severity classifies how a diagnostic affects the build: error-severity
-// findings fail the lint run, warn-severity findings are reported only when
-// asked for (iamlint -severity=warn; CI's JSON artifact) and never block.
-type Severity string
-
-const (
-	SeverityError Severity = "error"
-	SeverityWarn  Severity = "warn"
-)
-
 // Diagnostic is one analyzer finding at a source position.
 type Diagnostic struct {
-	Check    string   `json:"check"`
-	Severity Severity `json:"severity"`
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Column   int      `json:"column"`
-	Message  string   `json:"message"`
+	Check   string `json:"check"`
+	File    string `json:"file"`
+	Line    int    `json:"line"`
+	Column  int    `json:"column"`
+	Message string `json:"message"`
 }
 
 // String formats the diagnostic in the conventional file:line:col form.
@@ -86,13 +75,10 @@ func (p *Package) Position(pos token.Pos) token.Position {
 }
 
 // Analyzer is one pluggable invariant check: Run is a per-package pass.
-// DefaultSeverity (error when empty) applies to diagnostics the analyzer
-// emits without an explicit severity of their own.
 type Analyzer struct {
-	Name            string
-	Doc             string
-	DefaultSeverity Severity
-	Run             func(p *Package) []Diagnostic
+	Name string
+	Doc  string
+	Run  func(p *Package) []Diagnostic
 }
 
 // diag is a helper for analyzers to build a Diagnostic at a position.
@@ -134,30 +120,18 @@ func AnalyzerByName(name string) *Analyzer {
 }
 
 // runPackage applies analyzers to one package and post-processes the result:
-// severity defaults, //lint:ignore suppression, malformed-directive reports.
+// //lint:ignore suppression, malformed-directive reports.
 func runPackage(p *Package, analyzers []*Analyzer) []Diagnostic {
 	sup := collectSuppressions(p)
 	var out []Diagnostic
 	for _, a := range analyzers {
-		sev := a.DefaultSeverity
-		if sev == "" {
-			sev = SeverityError
-		}
 		for _, d := range a.Run(p) {
-			if d.Severity == "" {
-				d.Severity = sev
+			if !sup.covers(d) {
+				out = append(out, d)
 			}
-			if sup.covers(d) {
-				continue
-			}
-			out = append(out, d)
 		}
 	}
-	for _, d := range sup.malformed {
-		d.Severity = SeverityError
-		out = append(out, d)
-	}
-	return out
+	return append(out, sup.malformed...)
 }
 
 // Run lints the packages of dir's module that match patterns (every package
@@ -229,32 +203,4 @@ func SortDiagnostics(out []Diagnostic) {
 		}
 		return out[i].Check < out[j].Check
 	})
-}
-
-// MaxSeverity returns the highest severity present in diags (error > warn),
-// or "" when diags is empty.
-func MaxSeverity(diags []Diagnostic) Severity {
-	var max Severity
-	for _, d := range diags {
-		if d.Severity == SeverityError {
-			return SeverityError
-		}
-		max = SeverityWarn
-	}
-	return max
-}
-
-// FilterSeverity returns the diagnostics at or above the minimum severity:
-// SeverityWarn keeps everything, SeverityError keeps only errors.
-func FilterSeverity(diags []Diagnostic, min Severity) []Diagnostic {
-	if min != SeverityError {
-		return diags
-	}
-	var out []Diagnostic
-	for _, d := range diags {
-		if d.Severity == SeverityError {
-			out = append(out, d)
-		}
-	}
-	return out
 }

@@ -19,12 +19,9 @@ import (
 // The analysis is a bounded backward walk over local single-assignments:
 // binary expressions taint from both operands, locals resolve through the
 // expressions assigned to them, and parameters, fields, named constants and
-// opaque calls are accepted as configuration-reachable.
-//
-// A literal `Seed:` field in a composite literal (common in examples and
-// demos) is reported at warn severity: fine for a demo, but CLIs should plumb
-// it from a flag; the -severity=warn report keeps them visible without
-// blocking.
+// opaque calls are accepted as configuration-reachable. A literal `Seed:`
+// field in a composite literal is configuration (an example or benchmark
+// fixing its seed on purpose) and is not reported.
 
 type seedOrigin int
 
@@ -42,11 +39,8 @@ var AnalyzerSeedFlow = &Analyzer{
 		var out []Diagnostic
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				switch v := n.(type) {
-				case *ast.CallExpr:
-					out = append(out, checkSeedCall(p, f, v)...)
-				case *ast.CompositeLit:
-					out = append(out, checkSeedField(p, v)...)
+				if call, ok := n.(*ast.CallExpr); ok {
+					out = append(out, checkSeedCall(p, f, call)...)
 				}
 				return true
 			})
@@ -94,34 +88,6 @@ func checkSeedCall(p *Package, f *ast.File, call *ast.CallExpr) []Diagnostic {
 			out = append(out, diag(p, "seedflow", arg.Pos(),
 				"seed is a bare literal; derive it from a config field, parameter or named constant"))
 		}
-	}
-	return out
-}
-
-// checkSeedField reports literal `Seed:` fields in composite literals at warn
-// severity: acceptable in demos, but worth surfacing in the nightly sweep.
-func checkSeedField(p *Package, cl *ast.CompositeLit) []Diagnostic {
-	var out []Diagnostic
-	for _, elt := range cl.Elts {
-		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok || key.Name != "Seed" {
-			continue
-		}
-		val := kv.Value
-		if u, ok := val.(*ast.UnaryExpr); ok {
-			val = u.X
-		}
-		if _, ok := val.(*ast.BasicLit); !ok {
-			continue
-		}
-		d := diag(p, "seedflow", kv.Value.Pos(),
-			"literal seed at the call site; consider plumbing it from a flag or config so it can be overridden")
-		d.Severity = SeverityWarn
-		out = append(out, d)
 	}
 	return out
 }

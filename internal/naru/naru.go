@@ -65,21 +65,12 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// colInfo maps one original column onto AR columns.
-type colInfo struct {
-	arFirst  int
-	arCount  int
-	enc      *dataset.ColumnEncoder
-	factored bool
-	factor   dataset.FactorSpec
-}
-
 // Model is a trained Naru/NeuroCard estimator.
 type Model struct {
 	table *dataset.Table
 	cfg   Config
-	order []int // order[k] = original column index at AR position k group
-	cols  []colInfo
+	order []int       // order[k] = original column index at AR position k group
+	cols  []ar.Column // per original column
 	arm   *ar.Model
 
 	Losses []float64
@@ -116,25 +107,15 @@ func TrainContext(ctx context.Context, t *dataset.Table, cfg Config) (*Model, er
 		return nil, fmt.Errorf("naru: column order has %d entries for %d columns", len(order), t.NumCols())
 	}
 
-	m := &Model{table: t, cfg: cfg, order: order, cols: make([]colInfo, t.NumCols())}
+	m := &Model{table: t, cfg: cfg, order: order, cols: make([]ar.Column, t.NumCols())}
 	var cards []int
 	for _, ci := range order {
-		c := t.Columns[ci]
-		info := colInfo{arFirst: len(cards), enc: dataset.BuildEncoder(c)}
-		if info.enc.Card > cfg.MaxSubColumn {
-			info.factored = true
-			spec, err := dataset.NewFactorSpec(info.enc.Card, cfg.MaxSubColumn)
-			if err != nil {
-				return nil, err
-			}
-			info.factor = spec
-			info.arCount = len(info.factor.Bases)
-			cards = append(cards, info.factor.Bases...)
-		} else {
-			info.arCount = 1
-			cards = append(cards, info.enc.Card)
+		col, err := ar.NewCodedColumn(len(cards), dataset.BuildEncoder(t.Columns[ci]), cfg.MaxSubColumn)
+		if err != nil {
+			return nil, err
 		}
-		m.cols[ci] = info
+		m.cols[ci] = col
+		cards = col.AppendCards(cards)
 	}
 	if len(cards) < 2 {
 		return nil, fmt.Errorf("naru: need ≥ 2 AR columns")
@@ -177,15 +158,15 @@ func TrainContext(ctx context.Context, t *dataset.Table, cfg Config) (*Model, er
 // encodeRow writes AR codes for table row ri.
 func (m *Model) encodeRow(ri int, dst []int) error {
 	for _, ci := range m.order {
-		info := &m.cols[ci]
+		col := &m.cols[ci]
 		code, err := m.rawCode(ci, ri)
 		if err != nil {
 			return fmt.Errorf("naru: encoding row %d: %w", ri, err)
 		}
-		if info.factored {
-			info.factor.SplitInto(dst[info.arFirst:info.arFirst+info.arCount], code)
+		if col.Count > 1 {
+			col.Factor.SplitInto(dst[col.First:col.First+col.Count], code)
 		} else {
-			dst[info.arFirst] = code
+			dst[col.First] = code
 		}
 	}
 	return nil
@@ -196,7 +177,7 @@ func (m *Model) rawCode(ci, ri int) (int, error) {
 	if c.Kind == dataset.Categorical {
 		return c.Ints[ri], nil
 	}
-	return m.cols[ci].enc.EncodeFloat(c.Floats[ri])
+	return m.cols[ci].Enc.EncodeFloat(c.Floats[ri])
 }
 
 // Name implements estimator.Estimator.
@@ -209,34 +190,21 @@ func (m *Model) SizeBytes() int { return m.arm.Net.SizeBytes() }
 func (m *Model) ARColumns() []int { return append([]int(nil), m.arm.Cards...) }
 
 // BuildConstraints converts a query into per-AR-column sampling constraints
-// (exported for UAE, which trains through the same machinery).
+// (exported for UAE, which trains through the same machinery). Each call
+// boxes into its own arena, so the result stays valid for as long as the
+// caller holds it.
 func (m *Model) BuildConstraints(q *query.Query) ([]ar.Constraint, error) {
 	if q.Table != m.table {
 		return nil, fmt.Errorf("naru: query targets table %q, model trained on %q", q.Table.Name, m.table.Name)
 	}
 	cons := make([]ar.Constraint, len(m.arm.Cards))
+	var a ar.Arena
 	for ci, r := range q.Ranges {
 		if r == nil {
 			continue
 		}
-		info := &m.cols[ci]
-		loCode, hiCode, ok, err := info.enc.RangeToCodes(r.Lo, r.Hi, r.LoInc, r.HiInc)
-		if err != nil {
+		if err := m.cols[ci].Constrain(*r, cons, &a); err != nil {
 			return nil, err
-		}
-		if !ok {
-			cons[info.arFirst] = ar.EmptyConstraint{}
-			continue
-		}
-		if !info.factored {
-			cons[info.arFirst] = ar.RangeConstraint{Lo: loCode, Hi: hiCode}
-			continue
-		}
-		for p := 0; p < info.arCount; p++ {
-			cons[info.arFirst+p] = ar.FactoredConstraint{
-				Spec: info.factor, Part: p, FirstCol: info.arFirst,
-				Lo: loCode, Hi: hiCode,
-			}
 		}
 	}
 	return cons, nil
