@@ -21,7 +21,7 @@
 //	//lint:ignore <check>[,<check>] <reason>
 //
 // on the offending line or above the statement it covers; see DESIGN.md
-// ("Enforced invariants") for each of the nine checks' rationale.
+// ("Enforced invariants") for each of the six checks' rationale.
 package main
 
 import (

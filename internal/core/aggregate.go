@@ -83,7 +83,7 @@ func (m *Model) estimateAvg(q *query.Query, col string) (avg, sel float64, err e
 	w := m.getWorker(m.cfg.NumSamples)
 	defer m.putWorker(w)
 	ests, err := m.arm.EstimateBatchScratch(w.sess, w.scratch, [][]ar.Constraint{cons},
-		m.cfg.NumSamples, []int64{querySeed(m.cfg.Seed, 0)})
+		m.cfg.NumSamples, []int64{PositionSeed(m.cfg.Seed, 0)})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -179,9 +179,9 @@ func (m *Model) sampleValue(info *colInfo, row []int, iv query.Interval) (float6
 		return info.Enc.DecodeFloat(info.Factor.Join(row[info.First : info.First+info.Count])), true
 	}
 	// Alternative reducers expose no component moments; approximate with
-	// the interval midpoint.
-	lo, hi := iv.Lo, iv.Hi
-	if math.IsInf(lo, -1) || math.IsInf(hi, 1) {
+	// the midpoint of the interval clipped to the observed values.
+	lo, hi := max(iv.Lo, info.dataLo), min(iv.Hi, info.dataHi)
+	if lo > hi {
 		return 0, false
 	}
 	return (lo + hi) / 2, true

@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 
 	"iam/internal/ar"
@@ -227,6 +228,9 @@ type colInfo struct {
 	trainer *gmm.SGDTrainer
 
 	reducer Reducer // valid when kind == kindReduced
+	// dataLo and dataHi are a reducer column's observed value range: the
+	// AVG/SUM value estimate clips its interval to them.
+	dataLo, dataHi float64
 
 	// mass fills the §5.2 per-component masses of the closed interval
 	// [lo, hi] (GMM and reducer columns), under the configured MassMode. It
@@ -251,21 +255,21 @@ type Model struct {
 	// §5.2 mass-preprocessing refresh and Save — hold the write side.
 	// Lock order: mu before poolMu/cacheMu; never the reverse.
 	mu        sync.RWMutex
-	massRNG   *rand.Rand // iam:guardedby mu
-	massDirty bool       // iam:guardedby mu
+	massRNG   *rand.Rand // guarded by mu
+	massDirty bool       // guarded by mu
 
 	// poolMu guards the pool of reusable estimate workers (session + scratch
 	// pairs) and the pool of constraint-building scratches. Workers are
 	// checked out by concurrent EstimateBatch shards and returned when the
 	// shard completes; see getWorker/putWorker.
 	poolMu   sync.Mutex
-	workers  []*estWorker    // iam:guardedby poolMu
-	bscratch []*batchScratch // iam:guardedby poolMu
+	workers  []*estWorker    // guarded by poolMu
+	bscratch []*batchScratch // guarded by poolMu
 
 	// cacheMu guards the LRU cache of per-interval GMM range-mass vectors
 	// (§5.2 bias-correction weights), keyed by column and query interval.
 	cacheMu   sync.Mutex
-	massCache *massCache // iam:guardedby cacheMu
+	massCache *massCache // guarded by cacheMu
 }
 
 // Train fits IAM on table t.
@@ -300,6 +304,7 @@ func TrainContext(ctx context.Context, t *dataset.Table, cfg Config) (*Model, er
 		case c.Kind == dataset.Continuous && c.DistinctCount() > cfg.GMMThreshold && cfg.ReducerFactory != nil:
 			info.kind = kindReduced
 			info.reducer = cfg.ReducerFactory(c.Floats, cfg.Components, cfg.Seed)
+			info.dataLo, info.dataHi = slices.Min(c.Floats), slices.Max(c.Floats)
 			cards = append(cards, info.reducer.K())
 		case c.Kind == dataset.Continuous && c.DistinctCount() > cfg.GMMThreshold:
 			k := cfg.Components
@@ -559,8 +564,7 @@ func (m *Model) invalidateMasses() {
 // refreshMassEstimatorsLocked (re)builds the per-GMM range-mass
 // preprocessing — the one-time sampling step of §5.2 — after training has
 // moved GMM parameters, and picks each weighted column's mass function and
-// weights. Callers hold m.mu (the Locked suffix is the guardedby analyzer's
-// held-on-entry contract).
+// weights. Callers hold m.mu (the Locked suffix names that contract).
 func (m *Model) refreshMassEstimatorsLocked() {
 	if !m.massDirty {
 		return
@@ -694,7 +698,7 @@ func (m *Model) estimateBatch(qs []*query.Query, qseeds []int64, vars []float64)
 		if qseeds != nil {
 			bs.seeds = append(bs.seeds, qseeds[i])
 		} else {
-			bs.seeds = append(bs.seeds, querySeed(m.cfg.Seed, i))
+			bs.seeds = append(bs.seeds, PositionSeed(m.cfg.Seed, i))
 		}
 		bs.slots = append(bs.slots, i)
 	}

@@ -69,12 +69,14 @@ func (m *Model) putWorker(w *estWorker) {
 	m.poolMu.Unlock()
 }
 
-// querySeed derives the deterministic sampling stream of query index qi from
-// the model seed with a splitmix64-style finalizer, so streams for adjacent
-// indices are statistically independent. Because the stream depends only on
-// (seed, qi), an estimate is a pure function of the model and the query —
-// not of worker count, shard boundaries, or what else shares the batch.
-func querySeed(seed int64, qi int) int64 {
+// PositionSeed derives the deterministic sampling stream of query index qi
+// from the model seed with a splitmix64-style finalizer, so streams for
+// adjacent indices are statistically independent. Because the stream depends
+// only on (seed, qi), an estimate is a pure function of the model and the
+// query — not of worker count, shard boundaries, or what else shares the
+// batch. The sharded ensemble's early-stop path hands a shard the seeds its
+// model would derive here, so both must call this one function.
+func PositionSeed(seed int64, qi int) int64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*(uint64(qi)+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -172,9 +174,10 @@ func (m *Model) purgeMassCache() {
 
 // QuerySeed derives the deterministic sampling stream the serving layer
 // assigns to q: a content hash (column indices, bounds, bound kinds) mixed
-// with the model seed through the same finalizer as querySeed. Two requests
-// for the same query always draw the same stream regardless of batch
-// composition, so server-side batching preserves bit-identical estimates.
+// with the model seed through the same finalizer as PositionSeed. Two
+// requests for the same query always draw the same stream regardless of
+// batch composition, so server-side batching preserves bit-identical
+// estimates.
 func (m *Model) QuerySeed(q *query.Query) int64 {
 	h := uint64(m.cfg.Seed)
 	mix := func(v uint64) {

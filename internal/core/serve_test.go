@@ -21,7 +21,7 @@ func TestEstimateBatchSeededMatchesPositionSeeds(t *testing.T) {
 	}
 	seeds := make([]int64, len(w.Queries))
 	for i := range seeds {
-		seeds[i] = querySeed(cfg.Seed, i)
+		seeds[i] = PositionSeed(cfg.Seed, i)
 	}
 	seeded, err := m.EstimateBatchSeeded(w.Queries, seeds)
 	if err != nil {

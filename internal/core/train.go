@@ -57,8 +57,8 @@ func (m *Model) trainWorkerCount(maxShards int) int {
 }
 
 // maskSeed derives the splitmix64 state of one row's wildcard-mask stream
-// from (model seed, epoch, position-in-epoch). Like querySeed on the serving
-// side, the stream is a pure function of the schedule — not of batch
+// from (model seed, epoch, position-in-epoch). Like PositionSeed on the
+// serving side, the stream is a pure function of the schedule — not of batch
 // composition, shard boundaries or execution order — which is also what
 // makes checkpoint resume replay exactly the masks of an uninterrupted run.
 func maskSeed(seed int64, epoch, row int) uint64 {

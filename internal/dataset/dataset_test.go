@@ -293,14 +293,41 @@ func TestDescribeTable1(t *testing.T) {
 	}
 }
 
+// TestGeneratorsDeterministic: every generator is a pure function of (size,
+// seed), so workloads and models built on its output replay exactly, and a
+// different seed gives different data.
 func TestGeneratorsDeterministic(t *testing.T) {
-	a := SynthTWI(200, 42)
-	b := SynthTWI(200, 42)
-	for i := range a.Columns[0].Floats {
-		if a.Columns[0].Floats[i] != b.Columns[0].Floats[i] {
-			t.Fatal("same seed produced different data")
+	tables := map[string]func() []*Table{
+		"WISDM": func() []*Table { return []*Table{SynthWISDM(300, 5)} },
+		"TWI":   func() []*Table { return []*Table{SynthTWI(300, 5)} },
+		"HIGGS": func() []*Table { return []*Table{SynthHIGGS(300, 5)} },
+		"IMDB": func() []*Table {
+			db := SynthIMDB(100, 5)
+			return []*Table{db.Title, db.MovieInfo, db.CastInfo, fkTable(db.MovieInfoFK), fkTable(db.CastInfoFK)}
+		},
+	}
+	for name, gen := range tables {
+		a, b := gen(), gen()
+		for ti := range a {
+			for ci, c := range a[ti].Columns {
+				d := b[ti].Columns[ci]
+				if len(c.Ints) != len(d.Ints) || len(c.Floats) != len(d.Floats) {
+					t.Fatalf("%s table %d column %s: lengths differ from the same seed", name, ti, c.Name)
+				}
+				for i := range c.Ints {
+					if c.Ints[i] != d.Ints[i] {
+						t.Fatalf("%s table %d column %s row %d: %d, then %d from the same seed", name, ti, c.Name, i, c.Ints[i], d.Ints[i])
+					}
+				}
+				for i := range c.Floats {
+					if math.Float64bits(c.Floats[i]) != math.Float64bits(d.Floats[i]) {
+						t.Fatalf("%s table %d column %s row %d: %v, then %v from the same seed", name, ti, c.Name, i, c.Floats[i], d.Floats[i])
+					}
+				}
+			}
 		}
 	}
+	a := SynthTWI(200, 42)
 	c := SynthTWI(200, 43)
 	same := true
 	for i := range a.Columns[0].Floats {
@@ -312,4 +339,9 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	if same {
 		t.Fatal("different seeds produced identical data")
 	}
+}
+
+// fkTable wraps a foreign-key slice as a one-column table for comparison.
+func fkTable(fk []int) *Table {
+	return &Table{Columns: []*Column{{Name: "fk", Kind: Categorical, Ints: fk}}}
 }

@@ -3,6 +3,7 @@ package domainred
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"iam/internal/core"
@@ -154,6 +155,59 @@ func TestAlternativesInsideIAM(t *testing.T) {
 	for name, s := range results {
 		if s.Median > 6 {
 			t.Fatalf("%s median q-error %v: %v", name, s.Median, s)
+		}
+	}
+}
+
+// TestSameSeedBitIdentical: above 20,000 values UMM fits on a subsample,
+// drawn from the seed alone.
+func TestSameSeedBitIdentical(t *testing.T) {
+	xs := skewedValues(20500, 8)
+	testutil.SameSeedTwice(t, func() []float64 {
+		u := NewUMM(xs, 6, 2, 9)
+		return append(append(append([]float64(nil), u.w...), u.a...), u.b...)
+	})
+}
+
+// TestAggregatesOnReducerColumns: AVG and SUM of a reducer-reduced column
+// answer when the query leaves a side of it unbounded. The value estimate
+// is the midpoint of the interval clipped to the column's observed range.
+func TestAggregatesOnReducerColumns(t *testing.T) {
+	tb := dataset.SynthTWI(2000, 10)
+	lat := tb.Columns[tb.ColumnIndex("latitude")].Floats
+	lo, hi := slices.Min(lat), slices.Max(lat)
+	for name, factory := range map[string]func([]float64, int, int64) core.Reducer{
+		"hist": EquiDepthFactory(), "spline": SplineFactory(), "umm": UMMFactory(),
+	} {
+		m, err := core.Train(tb, core.Config{
+			GMMThreshold: 50, Components: 8, Hidden: []int{16, 16}, EmbedDim: 8,
+			Epochs: 1, BatchSize: 128, NumSamples: 64, Seed: 11, ReducerFactory: factory,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			sql    string
+			lo, hi float64
+		}{
+			{"latitude >= 40", 40, hi},
+			{"latitude <= 35", lo, 35},
+			{"longitude <= -100", lo, hi},
+		} {
+			q, err := query.Parse(tb, tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			avg, err := m.EstimateAvg(q, "latitude")
+			if err != nil {
+				t.Fatalf("%s: AVG(latitude | %s): %v", name, tc.sql, err)
+			}
+			if want := (tc.lo + tc.hi) / 2; math.Abs(avg-want) > 1e-9*math.Abs(want) {
+				t.Errorf("%s: AVG(latitude | %s) = %v, want the clipped midpoint %v", name, tc.sql, avg, want)
+			}
+			if _, err := m.EstimateSum(q, "latitude"); err != nil {
+				t.Fatalf("%s: SUM(latitude | %s): %v", name, tc.sql, err)
+			}
 		}
 	}
 }

@@ -24,7 +24,7 @@ import (
 var (
 	armed int32 // non-zero while any site is armed (fast-path gate)
 	mu    sync.Mutex
-	sites map[string]int // iam:guardedby mu — remaining firings per site
+	sites map[string]int // guarded by mu — remaining firings per site
 )
 
 // Arm makes site fire `times` times (≤ 0 disarms it). Subsequent Fires calls
@@ -192,7 +192,7 @@ type delayBudget struct {
 
 var (
 	delayArmed int32                  // non-zero while any delay site is armed
-	delays     map[string]delayBudget // iam:guardedby mu — latency payloads per site
+	delays     map[string]delayBudget // guarded by mu — latency payloads per site
 )
 
 // FireDelay reports the latency payload site should inject now (consuming

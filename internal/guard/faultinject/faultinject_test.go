@@ -2,6 +2,8 @@ package faultinject
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -17,6 +19,38 @@ func TestArmFiresBudget(t *testing.T) {
 	}
 	if Fires("never-armed") {
 		t.Fatal("unarmed site fired")
+	}
+}
+
+// TestArmDuringFires arms sites while other goroutines consume one: both
+// sides touch the site table under mu, so -race reports nothing and every
+// firing is counted once.
+func TestArmDuringFires(t *testing.T) {
+	defer Reset()
+	const workers, calls = 4, 5000
+	Arm("y", workers*calls)
+	var wg sync.WaitGroup
+	var fired atomic.Int64
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if Fires("y") {
+					fired.Add(1)
+				}
+			}
+		}()
+	}
+	for i := 0; i < calls; i++ {
+		Arm("z", i+1)
+	}
+	wg.Wait()
+	if n := fired.Load(); n != workers*calls {
+		t.Fatalf("%d of %d armed firings consumed", n, workers*calls)
+	}
+	if Fires("y") {
+		t.Fatal("site fired past its budget")
 	}
 }
 

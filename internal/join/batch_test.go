@@ -1,11 +1,15 @@
 package join
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"iam/internal/query"
 	"iam/internal/spn"
+	"iam/internal/testutil"
 )
 
 func TestMSCNJoinBatchMatchesSingle(t *testing.T) {
@@ -118,5 +122,93 @@ func TestUAEQJoinTrains(t *testing.T) {
 		if est < 0 || math.IsNaN(est) || est > 10*m.JoinSize() {
 			t.Fatalf("estimate %v out of range", est)
 		}
+	}
+}
+
+// TestSameSeedBitIdentical: workload generation, join sampling, GMM
+// initialization, query training and the per-query sampling seeds of the
+// AR join model, and MSCN's sample and weights, all derive from their
+// configured seeds alone.
+func TestSameSeedBitIdentical(t *testing.T) {
+	s := testSchema(t)
+	gen := func(seed int64) *JoinWorkload {
+		w, err := s.GenerateWorkload(GenJoinConfig{NumQueries: 12, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	t.Run("workload", func(t *testing.T) {
+		testutil.SameSeedTwice(t, func() []float64 { return gen(40).Cards })
+	})
+	train, test := gen(41), gen(42)
+	t.Run("IAM", func(t *testing.T) {
+		testutil.SameSeedTwice(t, func() []float64 {
+			m, err := TrainIAMJoin(s, ARJoinConfig{
+				SampleRows: 1000, GMMThreshold: 50, Components: 4, Hidden: []int{16, 16},
+				EmbedDim: 8, Epochs: 1, NumSamples: 32, GMMSamples: 200, Seed: 43,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.QueryTrain(context.Background(), train, 1, 4, 0, 16); err != nil {
+				t.Fatal(err)
+			}
+			ests, err := m.EstimateCardBatch(test.Queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ests
+		})
+	})
+	t.Run("MSCN", func(t *testing.T) {
+		testutil.SameSeedTwice(t, func() []float64 {
+			m, err := NewMSCNJoin(s, train, MSCNJoinConfig{Hidden: 16, PoolDim: 8, Samples: 40, Epochs: 1, BatchSize: 4, Seed: 44})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ests, err := m.EstimateCardBatch(test.Queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ests
+		})
+	})
+}
+
+// TestConcurrentEstimateCardBatch: EstimateCardBatch shares one session,
+// scratch and seed stream across callers, so concurrent calls must
+// serialize on the model's lock. Run under -race.
+func TestConcurrentEstimateCardBatch(t *testing.T) {
+	m, s := smallIAMJoin(t)
+	w, err := s.GenerateWorkload(GenJoinConfig{NumQueries: 4, Seed: 45})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				ests, err := m.EstimateCardBatch(w.Queries)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for _, e := range ests {
+					if !(e >= 0) || math.IsInf(e, 0) {
+						errs <- fmt.Errorf("cardinality %v is not finite and non-negative", e)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

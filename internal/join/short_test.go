@@ -7,14 +7,21 @@ import (
 	"testing"
 )
 
-// TestMain skips this package under -short: every test here trains models
-// for seconds at a time, which is what -short (notably the CI race pass)
+// shortTests are the tests cheap enough for -short: tiny models whose
+// determinism and locking checks must run in the CI race pass too. Every
+// other test here trains models for seconds at a time, which is what -short
 // exists to avoid.
+const shortTests = "^(TestSameSeedBitIdentical|TestConcurrentEstimateCardBatch)$"
+
+// TestMain restricts a -short run without its own -run pattern to
+// shortTests.
 func TestMain(m *testing.M) {
 	flag.Parse()
-	if testing.Short() {
-		fmt.Println("skipping join tests in -short mode (model training)")
-		os.Exit(0)
+	if testing.Short() && flag.Lookup("test.run").Value.String() == "" {
+		if err := flag.Set("test.run", shortTests); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 	os.Exit(m.Run())
 }

@@ -77,3 +77,16 @@ func TestKDESizeAndErrors(t *testing.T) {
 		t.Fatal("expected wrong-table error")
 	}
 }
+
+// TestSameSeedBitIdentical: the kernel centres are drawn from the seed alone.
+func TestSameSeedBitIdentical(t *testing.T) {
+	tb := dataset.SynthTWI(2000, 7)
+	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 20, Seed: 8})
+	testutil.SameSeedTwice(t, func() []float64 {
+		e, err := New(tb, Config{SampleSize: 200, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testutil.Estimates(t, e, w.Queries)
+	})
+}

@@ -1,166 +1,11 @@
 package lint
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// parseFuncBody parses a single function declaration and returns its body.
-func parseFuncBody(t *testing.T, fn string) *ast.BlockStmt {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "cfg.go", "package p\n\n"+fn, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok {
-			return fd.Body
-		}
-	}
-	t.Fatal("no function in source")
-	return nil
-}
-
-// reachableBlocks returns the set of blocks reachable from the entry.
-func reachableBlocks(g *cfg) map[*cfgBlock]bool {
-	seen := map[*cfgBlock]bool{}
-	work := []*cfgBlock{g.entry}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		if seen[blk] {
-			continue
-		}
-		seen[blk] = true
-		work = append(work, blk.succs...)
-	}
-	return seen
-}
-
-func TestCFGStraightLine(t *testing.T) {
-	g := buildCFG(parseFuncBody(t, "func f() { a := 1; b := 2; _ = a; _ = b }"))
-	if len(g.entry.nodes) != 4 {
-		t.Errorf("entry block has %d nodes, want 4", len(g.entry.nodes))
-	}
-	if !reachableBlocks(g)[g.exit] {
-		t.Error("exit not reachable from entry")
-	}
-}
-
-func TestCFGIfJoin(t *testing.T) {
-	g := buildCFG(parseFuncBody(t, `func f(b bool) int {
-	x := 0
-	if b {
-		x = 1
-	} else {
-		x = 2
-	}
-	return x
-}`))
-	reach := reachableBlocks(g)
-	if !reach[g.exit] {
-		t.Fatal("exit not reachable")
-	}
-	// The entry block ends at the condition and must fork into two branches.
-	var fork *cfgBlock
-	for blk := range reach {
-		if len(blk.succs) >= 2 {
-			fork = blk
-			break
-		}
-	}
-	if fork == nil {
-		t.Fatal("no block forks into two branches")
-	}
-}
-
-func TestCFGReturnTerminatesBlock(t *testing.T) {
-	g := buildCFG(parseFuncBody(t, `func f() int {
-	return 1
-	x := 2 //nolint:govet // deliberately unreachable
-	_ = x
-	return 0
-}`))
-	reach := reachableBlocks(g)
-	if !reach[g.exit] {
-		t.Fatal("exit not reachable")
-	}
-	// The statements after the return live in a block no edge reaches.
-	unreachable := 0
-	for _, blk := range g.blocks {
-		if !reach[blk] && len(blk.nodes) > 0 {
-			unreachable++
-		}
-	}
-	if unreachable == 0 {
-		t.Error("code after return should be in an unreachable block")
-	}
-}
-
-func TestCFGForLoopCycle(t *testing.T) {
-	g := buildCFG(parseFuncBody(t, `func f(n int) int {
-	s := 0
-	for i := 0; i < n; i++ {
-		s += i
-	}
-	return s
-}`))
-	reach := reachableBlocks(g)
-	if !reach[g.exit] {
-		t.Fatal("exit not reachable")
-	}
-	// The loop header must be reachable from itself (a back edge exists).
-	cyclic := false
-	for blk := range reach {
-		sub := map[*cfgBlock]bool{}
-		work := append([]*cfgBlock{}, blk.succs...)
-		for len(work) > 0 {
-			b := work[len(work)-1]
-			work = work[:len(work)-1]
-			if sub[b] {
-				continue
-			}
-			sub[b] = true
-			work = append(work, b.succs...)
-		}
-		if sub[blk] {
-			cyclic = true
-			break
-		}
-	}
-	if !cyclic {
-		t.Error("for loop produced no cycle in the CFG")
-	}
-}
-
-func TestCFGPanicTerminates(t *testing.T) {
-	g := buildCFG(parseFuncBody(t, `func f(b bool) {
-	if b {
-		panic("boom")
-	}
-	_ = b
-}`))
-	// The panic block must not flow into the statement after the if.
-	for _, blk := range g.blocks {
-		for _, n := range blk.nodes {
-			if es, ok := n.(*ast.ExprStmt); ok {
-				if call, ok := es.X.(*ast.CallExpr); ok {
-					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-						if len(blk.succs) != 1 || blk.succs[0] != g.exit {
-							t.Errorf("panic block succs = %d blocks, want only the exit", len(blk.succs))
-						}
-					}
-				}
-			}
-		}
-	}
-}
 
 // loadInline writes src into a temp dir and loads it as a one-file package.
 func loadInline(t *testing.T, pkgPath, src string) *Package {
@@ -178,62 +23,6 @@ func loadInline(t *testing.T, pkgPath, src string) *Package {
 		t.Fatal(err)
 	}
 	return p
-}
-
-// TestGuardedByLoopRelock: locking and unlocking inside each iteration keeps
-// every guarded access covered, including across the back edge.
-func TestGuardedByLoopRelock(t *testing.T) {
-	p := loadInline(t, "fixture/guardloop", `package guardloop
-
-import "sync"
-
-type C struct {
-	mu sync.Mutex
-	n  int // iam:guardedby mu
-}
-
-func Sum(c *C, k int) int {
-	s := 0
-	for i := 0; i < k; i++ {
-		c.mu.Lock()
-		s += c.n
-		c.mu.Unlock()
-	}
-	return s
-}
-`)
-	got := RunAnalyzers([]*Package{p}, []*Analyzer{AnalyzerGuardedBy})
-	if len(got) != 0 {
-		t.Errorf("loop relock reported %d diagnostics, want 0:\n%s", len(got), format(got))
-	}
-}
-
-// TestGuardedByLoopLostLock: unlocking mid-loop means the access at the top
-// of the next iteration is unprotected — the back-edge meet must catch it.
-func TestGuardedByLoopLostLock(t *testing.T) {
-	p := loadInline(t, "fixture/guardlost", `package guardlost
-
-import "sync"
-
-type C struct {
-	mu sync.Mutex
-	n  int // iam:guardedby mu
-}
-
-func Sum(c *C, k int) int {
-	s := 0
-	c.mu.Lock()
-	for i := 0; i < k; i++ {
-		s += c.n
-		c.mu.Unlock()
-	}
-	return s
-}
-`)
-	got := RunAnalyzers([]*Package{p}, []*Analyzer{AnalyzerGuardedBy})
-	if len(got) == 0 {
-		t.Error("lock released inside the loop body was not reported on the next iteration's access")
-	}
 }
 
 // TestSuppressionPlacement: a directive must keep suppressing its statement

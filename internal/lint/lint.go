@@ -3,20 +3,18 @@
 // go/types packages — matching the module's zero-dependency ethos.
 //
 // The engine loads every package in the module (parsing in parallel and
-// type-checking from source), then runs nine analyzers over it. Each encodes
+// type-checking from source), then runs six analyzers over it. Each encodes
 // one IAM-specific invariant whose silent violation would undermine the
-// estimator: library code returns errors instead of panicking, RNG draws and
-// seeds are reproducible, persisted state is written crash-safely, long
-// training loops are cancellable, writer Close errors are checked, float
-// accumulation does not follow map order, annotated fields are touched only
-// under their mutex, and layer shapes agree.
+// estimator: library code returns errors instead of panicking, RNG draws
+// come from a seeded generator, persisted state is written crash-safely,
+// long training loops are cancellable, writer Close errors are checked, and
+// float accumulation does not follow map order.
 //
-// Every analyzer is a per-package pass. guardedby walks a per-function
-// control-flow graph (cfg.go) tracking which mutexes are definitely held,
-// seedflow traces RNG seed expressions to their origins, and shapecheck
-// constant-propagates matrix and layer dimensions. Numerical safety (no NaN
-// or ±Inf out of the GMM and the sampler) is checked by executed tests and
-// fuzz targets, not statically.
+// Every analyzer is a syntactic, per-package pass over the typed AST.
+// Locking, seed reproducibility, layer shapes and numerical safety are
+// checked by executed tests instead: the -race tests, the same-seed
+// bit-identity tests, the constructors' and loaders' own validation, and the
+// fuzz targets.
 //
 // Every diagnostic fails the run. Run is the one driver: load the module,
 // analyze, report.
@@ -93,8 +91,7 @@ func diag(p *Package, check string, pos token.Pos, format string, args ...any) D
 	}
 }
 
-// Analyzers returns the full shipped analyzer set in a stable order: the six
-// syntactic checks, then the three dataflow-aware checks.
+// Analyzers returns the full shipped analyzer set in a stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerNoPanic,
@@ -103,9 +100,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerCtxTrain,
 		AnalyzerCloseCheck,
 		AnalyzerMapRange,
-		AnalyzerGuardedBy,
-		AnalyzerSeedFlow,
-		AnalyzerShapeCheck,
 	}
 }
 

@@ -317,8 +317,6 @@ func (l *Loader) LoadDir(dir, pkgPath string) (*Package, error) {
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
 	}
 	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
 		return l.importPkg(path)

@@ -103,3 +103,18 @@ func TestNeedsTrainingWorkload(t *testing.T) {
 		t.Fatal("expected error without training data")
 	}
 }
+
+// TestSameSeedBitIdentical: the bitmap sample, the initial weights and the
+// batch order come from the seed alone.
+func TestSameSeedBitIdentical(t *testing.T) {
+	tb := dataset.SynthTWI(2000, 13)
+	train := testutil.Workload(t, tb, query.GenConfig{NumQueries: 60, Seed: 14})
+	test := testutil.Workload(t, tb, query.GenConfig{NumQueries: 10, Seed: 15})
+	testutil.SameSeedTwice(t, func() []float64 {
+		e, err := New(tb, train, Config{Hidden: 16, PoolDim: 8, Samples: 100, Epochs: 2, BatchSize: 16, Seed: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testutil.Estimates(t, e, test.Queries)
+	})
+}

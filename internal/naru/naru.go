@@ -78,10 +78,10 @@ type Model struct {
 	// mu guards the shared inference state: Estimate may be called from
 	// multiple goroutines.
 	mu      sync.Mutex
-	sess    *nn.Session         // iam:guardedby mu
-	sessCap int                 // iam:guardedby mu
-	sc      *ar.EstimateScratch // iam:guardedby mu
-	rng     *rand.Rand          // iam:guardedby mu
+	sess    *nn.Session         // guarded by mu
+	sessCap int                 // guarded by mu
+	sc      *ar.EstimateScratch // guarded by mu
+	rng     *rand.Rand          // guarded by mu
 }
 
 // Train fits the model on t.

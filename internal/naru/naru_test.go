@@ -1,7 +1,9 @@
 package naru
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"iam/internal/dataset"
@@ -160,5 +162,67 @@ func TestCategoricalBoundsBeyondInt(t *testing.T) {
 		if math.Abs(est-want) > 1e-9 || (want == 0 && est != 0) {
 			t.Errorf("%s: estimate %v, want %v", sql, est, want)
 		}
+	}
+}
+
+// tinyCfg trains in well under a second, even under -race.
+func tinyCfg() Config {
+	return Config{MaxSubColumn: 64, Hidden: []int{16, 16}, EmbedDim: 8, Epochs: 1, BatchSize: 128, NumSamples: 64, Seed: 5}
+}
+
+// TestSameSeedBitIdentical: two models trained from the same seed answer a
+// workload bit-identically, so every random stream (initialization, batch
+// order, the per-query sampling seeds) derives from Config.Seed alone.
+func TestSameSeedBitIdentical(t *testing.T) {
+	tb := dataset.SynthWISDM(800, 21)
+	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 8, Seed: 22})
+	testutil.SameSeedTwice(t, func() []float64 {
+		m, err := Train(tb, tinyCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ests, err := m.EstimateBatch(w.Queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ests
+	})
+}
+
+// TestConcurrentEstimateBatch: EstimateBatch shares one session, scratch and
+// seed stream across callers, so concurrent calls must serialize on the
+// model's lock. Run under -race.
+func TestConcurrentEstimateBatch(t *testing.T) {
+	tb := dataset.SynthTWI(600, 23)
+	m, err := Train(tb, tinyCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 4, Seed: 24})
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				ests, err := m.EstimateBatch(w.Queries)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for _, e := range ests {
+					if !(e >= 0 && e <= 1) {
+						errs <- fmt.Errorf("estimate %v outside [0, 1]", e)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

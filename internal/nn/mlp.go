@@ -27,6 +27,11 @@ func NewMLP(dims []int, seed int64) (*MLP, error) {
 	if len(dims) < 2 {
 		return nil, fmt.Errorf("nn: MLP needs at least input and output dims")
 	}
+	for i, d := range dims {
+		if d < 1 {
+			return nil, fmt.Errorf("nn: MLP layer %d has width %d", i, d)
+		}
+	}
 	rng := rand.New(rand.NewSource(seed))
 	m := &MLP{dims: append([]int(nil), dims...)}
 	for i := 0; i+1 < len(dims); i++ {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"iam/internal/testutil"
 	"iam/internal/vecmath"
 )
 
@@ -140,4 +141,24 @@ func TestMLPSizes(t *testing.T) {
 	if _, err := NewMLP([]int{5}, 6); err == nil {
 		t.Fatal("expected error for single-dim MLP")
 	}
+	for _, dims := range [][]int{{4, 0, 1}, {4, -1, 1}, {0, 3, 1}, {4, 3, 0}} {
+		if _, err := NewMLP(dims, 6); err == nil {
+			t.Fatalf("layer widths %v accepted", dims)
+		}
+	}
+}
+
+// TestMLPSameSeedBitIdentical: the initial weights come from the seed alone.
+func TestMLPSameSeedBitIdentical(t *testing.T) {
+	in := vecmath.NewMatrix(2, 3)
+	copy(in.Data, []float64{0.1, -0.4, 0.7, 1, 0.2, -0.3})
+	testutil.SameSeedTwice(t, func() []float64 {
+		m, err := NewMLP([]int{3, 5, 2}, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := m.NewState(2)
+		m.Forward(st, in)
+		return append([]float64(nil), m.Output(st).Data...)
+	})
 }

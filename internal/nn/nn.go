@@ -266,6 +266,11 @@ func NewResMADE(cfg Config) (*ResMADE, error) {
 			return nil, fmt.Errorf("nn: column %d has cardinality %d", i, c)
 		}
 	}
+	for i, w := range cfg.Hidden {
+		if w < 1 {
+			return nil, fmt.Errorf("nn: hidden layer %d has width %d", i, w)
+		}
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	net := &ResMADE{
 		Cards:    append([]int(nil), cfg.Cards...),

@@ -34,6 +34,11 @@ func TestNewResMADEErrors(t *testing.T) {
 	if _, err := NewResMADE(Config{Cards: []int{5, 0}}); err == nil {
 		t.Fatal("expected error for zero cardinality")
 	}
+	for _, hidden := range [][]int{{0}, {-1}, {16, 0, 16}} {
+		if _, err := NewResMADE(Config{Cards: []int{5, 3}, Hidden: hidden}); err == nil {
+			t.Fatalf("hidden widths %v accepted", hidden)
+		}
+	}
 }
 
 // TestAutoregressiveProperty is the central MADE invariant: the logits of

@@ -114,3 +114,18 @@ func TestUnconstrainedIsOne(t *testing.T) {
 		t.Fatalf("unconstrained estimate %v", got)
 	}
 }
+
+// TestSameSeedBitIdentical: the kernel sample and the power-iteration start
+// vector (which sets the gradient step) come from the seed alone.
+func TestSameSeedBitIdentical(t *testing.T) {
+	tb := dataset.SynthTWI(2000, 17)
+	train := testutil.Workload(t, tb, query.GenConfig{NumQueries: 60, Seed: 18})
+	test := testutil.Workload(t, tb, query.GenConfig{NumQueries: 10, Seed: 19})
+	testutil.SameSeedTwice(t, func() []float64 {
+		e, err := New(tb, train, Config{MaxKernels: 30, Iters: 20, Seed: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testutil.Estimates(t, e, test.Queries)
+	})
+}

@@ -75,3 +75,16 @@ func TestSamplingEmptyTable(t *testing.T) {
 		t.Fatal("expected error on empty table")
 	}
 }
+
+// TestSameSeedBitIdentical: the sample is drawn from the seed alone.
+func TestSameSeedBitIdentical(t *testing.T) {
+	tb := dataset.SynthTWI(2000, 4)
+	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 20, Seed: 5})
+	testutil.SameSeedTwice(t, func() []float64 {
+		e, err := New(tb, 200, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testutil.Estimates(t, e, w.Queries)
+	})
+}

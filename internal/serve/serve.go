@@ -168,24 +168,24 @@ type Server struct {
 	// It is the top of serve's lock order: code holding closeMu or latMu must
 	// never wait on it.
 	swapMu sync.Mutex
-	prev   *version // iam:guardedby swapMu — rollback target; nil once used or superseded
-	nextID int      // iam:guardedby swapMu
+	prev   *version // guarded by swapMu — rollback target; nil once used or superseded
+	nextID int      // guarded by swapMu
 
 	queue chan *request
 	sem   chan struct{} // in-flight batch slots
 
 	closeMu     sync.RWMutex
-	closing     bool // iam:guardedby closeMu
+	closing     bool // guarded by closeMu
 	stop        chan struct{}
 	reqWG       sync.WaitGroup     // accepted requests not yet answered
 	dispWG      sync.WaitGroup     // running dispatch goroutines
 	bgWG        sync.WaitGroup     // retire watchers
 	trainWG     sync.WaitGroup     // background training loop
-	trainCancel context.CancelFunc // iam:guardedby swapMu
+	trainCancel context.CancelFunc // guarded by swapMu
 	batcherDone chan struct{}
 
 	latMu sync.Mutex
-	ewma  float64 // iam:guardedby latMu — EWMA batch latency, seconds
+	ewma  float64 // guarded by latMu — EWMA batch latency, seconds
 	shed  atomic.Bool
 	probe atomic.Uint64
 

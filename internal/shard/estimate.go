@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"iam/internal/core"
 	"iam/internal/guard"
 	"iam/internal/query"
 	"iam/internal/vecmath"
@@ -76,18 +77,6 @@ func (e *Ensemble) putScratch(ms *mergeScratch) {
 // multiple, mirroring core's stream-derivation style.
 func shardQuerySeed(base int64, si int) int64 {
 	return base + int64(uint64(si)*0x9e3779b97f4a7c15)
-}
-
-// positionSeed replicates core's position-derived stream (splitmix64 of the
-// model seed and the query's batch position) so the early-termination path
-// can hand a shard the very seeds the shard's model would derive for itself
-// on the exhaustive path — sub-batch compaction never shifts a query onto a
-// different stream.
-func positionSeed(seed int64, qi int) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*(uint64(qi)+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
 }
 
 // Estimate implements estimator.Estimator.
@@ -238,8 +227,9 @@ func (e *Ensemble) estimateSlot(slot *shardSlot, qs []*query.Query, seeds []int6
 // use EarlyStopRelErr = 0 for bitwise-exhaustive answers). Every decision
 // here is a pure function of (shard models, queries, seeds): the visit order
 // is fixed by the weights, per-(query, shard) streams come from
-// shardQuerySeed/positionSeed regardless of sub-batch composition, and the
-// threshold comparison reads only deterministic estimates and variances.
+// shardQuerySeed or core.PositionSeed regardless of sub-batch composition,
+// and the threshold comparison reads only deterministic estimates and
+// variances.
 func (e *Ensemble) estimateEarlyStop(st *state, qs []*query.Query, qseeds []int64) ([]float64, error) {
 	nq := len(qs)
 	k := len(st.slots)
@@ -305,7 +295,7 @@ func (ms *mergeScratch) rebindActive(slot *shardSlot, qs []*query.Query, qseeds 
 		if qseeds != nil {
 			ms.seeds[j] = shardQuerySeed(qseeds[qi], si)
 		} else {
-			ms.seeds[j] = positionSeed(slot.modelSeed, qi)
+			ms.seeds[j] = core.PositionSeed(slot.modelSeed, qi)
 		}
 	}
 	return ms.qptrs[:len(active)], ms.seeds[:len(active)]

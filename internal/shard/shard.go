@@ -133,7 +133,7 @@ type Ensemble struct {
 	// scratchMu guards the pool of merge scratches. It is a leaf lock: held
 	// only inside getScratch/putScratch, never across a model call.
 	scratchMu sync.Mutex
-	scratches []*mergeScratch // iam:guardedby scratchMu
+	scratches []*mergeScratch // guarded by scratchMu
 
 	// visited and skipped count (query, shard) pairs estimated vs. skipped
 	// by early termination — the skipped-shard fraction benchmarks report.

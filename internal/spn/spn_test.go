@@ -140,3 +140,28 @@ func TestSizeBytesAndWrongTable(t *testing.T) {
 		t.Fatal("expected wrong-table error")
 	}
 }
+
+// TestSameSeedBitIdentical: the row clustering behind sum nodes draws its
+// starting centres from the seed alone. Points on a circle have no best
+// two-way split, so where the centres start decides the partition.
+func TestSameSeedBitIdentical(t *testing.T) {
+	n := 2000
+	x := make([]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		theta := 2 * math.Pi * math.Mod(float64(i)*0.6180339887, 1)
+		x[i], y[i] = math.Cos(theta), math.Sin(theta)
+	}
+	tb := &dataset.Table{Name: "circle", Columns: []*dataset.Column{
+		{Name: "x", Kind: dataset.Continuous, Floats: x},
+		{Name: "y", Kind: dataset.Continuous, Floats: y},
+	}}
+	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 20, Seed: 11})
+	testutil.SameSeedTwice(t, func() []float64 {
+		e, err := New(tb, Config{MinRows: 200, Seed: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testutil.Estimates(t, e, w.Queries)
+	})
+}

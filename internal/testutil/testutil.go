@@ -5,6 +5,7 @@
 package testutil
 
 import (
+	"math"
 	"testing"
 
 	"iam/internal/dataset"
@@ -20,4 +21,37 @@ func Workload(tb testing.TB, t *dataset.Table, cfg query.GenConfig) *query.Workl
 		tb.Fatalf("generating workload: %v", err)
 	}
 	return w
+}
+
+// SameSeedTwice calls run twice and fails the test unless both calls return
+// bit-identical values. run builds whatever it measures from fixed seeds, so
+// a random stream seeded from anything else (the clock, a global source)
+// shows up as a difference.
+func SameSeedTwice(tb testing.TB, run func() []float64) {
+	tb.Helper()
+	a, b := run(), run()
+	if len(a) != len(b) {
+		tb.Fatalf("same seed gave %d values, then %d", len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			tb.Fatalf("value %d: %v, then %v from the same seed", i, a[i], b[i])
+		}
+	}
+}
+
+// Estimates answers qs one at a time with e and fails the test on an error.
+func Estimates(tb testing.TB, e interface {
+	Estimate(*query.Query) (float64, error)
+}, qs []*query.Query) []float64 {
+	tb.Helper()
+	out := make([]float64, len(qs))
+	for i, q := range qs {
+		est, err := e.Estimate(q)
+		if err != nil {
+			tb.Fatalf("query %d: %v", i, err)
+		}
+		out[i] = est
+	}
+	return out
 }

@@ -94,3 +94,19 @@ func TestUAENeedsWorkload(t *testing.T) {
 		t.Fatal("expected error without training queries")
 	}
 }
+
+// TestSameSeedBitIdentical: query training shuffles its workload from the
+// base seed alone, so two runs end at the same weights.
+func TestSameSeedBitIdentical(t *testing.T) {
+	tb := skewedTable(600, 5)
+	train := testutil.Workload(t, tb, query.GenConfig{NumQueries: 24, Seed: 6})
+	test := testutil.Workload(t, tb, query.GenConfig{NumQueries: 6, Seed: 7})
+	base := naru.Config{MaxSubColumn: 64, Hidden: []int{16, 16}, EmbedDim: 8, Epochs: 1, BatchSize: 128, NumSamples: 32, Seed: 8}
+	testutil.SameSeedTwice(t, func() []float64 {
+		m, err := TrainUAE(tb, train, Config{Base: base, QueryEpochs: 1, QueryBatch: 8, TrainSamples: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testutil.Estimates(t, m, test.Queries)
+	})
+}

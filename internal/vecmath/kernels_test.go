@@ -233,6 +233,45 @@ func TestParallelKernelsConcurrent(t *testing.T) {
 	}
 }
 
+// TestParallelismDuringMatMul retunes the worker budget while matmuls large
+// enough to split run: kernels read the budget under parMu, so results stay
+// bit-identical to the naive kernel and -race reports nothing.
+func TestParallelismDuringMatMul(t *testing.T) {
+	prev := Parallelism(2)
+	defer Parallelism(prev)
+	rng := rand.New(rand.NewSource(22))
+	a := randMat(200, 80, rng)
+	b := randMat(80, 120, rng)
+	want := NewMatrix(200, 120)
+	naiveMatMul(want, a, b)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+				Parallelism(1 + n%4)
+			}
+		}
+	}()
+	dst := NewMatrix(200, 120)
+	for it := 0; it < 20; it++ {
+		MatMul(dst, a, b)
+		for i := range want.Data {
+			if math.Float64bits(dst.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("iteration %d: MatMul diverged from the naive result", it)
+			}
+		}
+	}
+}
+
 func TestParallelismKnob(t *testing.T) {
 	prev := Parallelism(0) // query
 	if prev < 1 {

@@ -23,12 +23,12 @@ var parMu sync.Mutex
 
 // parMax is the worker budget: the maximum number of goroutines (including
 // the caller) that may cooperate on matmuls at any instant.
-var parMax int // iam:guardedby parMu
+var parMax int // guarded by parMu
 
 // parSem admits helper goroutines; capacity parMax-1 (nil when parMax <= 1).
 // Spawn sites capture the channel value they acquired from, so swapping it
 // under parMu while workers are in flight is safe.
-var parSem chan struct{} // iam:guardedby parMu
+var parSem chan struct{} // guarded by parMu
 
 func init() {
 	Parallelism(runtime.GOMAXPROCS(0))
