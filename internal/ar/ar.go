@@ -9,10 +9,10 @@
 package ar
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"iam/internal/dataset"
 	"iam/internal/nn"
@@ -228,13 +228,12 @@ var ErrNaNEstimate = errors.New("ar: the network produced a NaN probability")
 // EstimateBatchScratch. sc must already be sized by ensure and seeded;
 // consList must already be arity-checked (checkArity). It performs no heap
 // allocation beyond what Constraint implementations allocate (the built-in
-// ones allocate nothing) and the amortized packed-plan builds (once per new
-// query prefix per parameter generation).
+// ones allocate nothing).
 //
-// Each column's work goes to the packed sampler — one restricted forward per
-// group of queries sharing a constrained-prefix signature. Each query draws
-// in (column, sample) order from its own rng stream, so estimates stay pure
-// functions of (model, query, seed).
+// Each column's work goes to sampleColumn — one restricted forward over the
+// distinct live rows of every query constraining the column. Each query
+// draws in (column, sample) order from its own rng stream, so estimates stay
+// pure functions of (model, query, seed).
 //
 // iam:noalloc
 func (m *Model) estimateBatchInto(sess *nn.Session, sc *EstimateScratch, consList [][]Constraint, numSamples int) []float64 {
@@ -251,17 +250,9 @@ func (m *Model) estimateBatchInto(sess *nn.Session, sc *EstimateScratch, consLis
 	for i := range probs {
 		probs[i] = 1
 	}
-	clear(sc.sigs)
 
 	for c := 0; c < nCols; c++ {
-		m.sampleColumnPacked(sess, sc, consList, numSamples, c)
-		// The prefix signature of column c+1 gains every query's bit for
-		// c — constrained columns are live once sampled, dead or not.
-		for qi, cons := range consList {
-			if cons[c] != nil {
-				sc.sig(qi)[c>>3] |= 1 << uint(c&7)
-			}
-		}
+		m.sampleColumn(sess, sc, consList, numSamples, c)
 	}
 
 	out := sc.out[:nq]
@@ -291,77 +282,51 @@ func (m *Model) estimateBatchInto(sess *nn.Session, sc *EstimateScratch, consLis
 	return out
 }
 
-// sampleColumnPacked advances column c in groups of queries sharing a
-// constrained-prefix signature (the columns already sampled live). Each
-// group gets one packed restricted forward over its distinct live rows (see
-// groupRows): samples whose live-prefix codes agree share one forwarded row,
-// so a group whose prefix is empty forwards a single row. Forwards are
-// row-pure and each query keeps its own rng stream, so neither grouping nor
-// deduplication perturbs any query's draws.
+// sampleColumn advances column c for every query that constrains it, with
+// one restricted forward over their distinct live rows (see columnRows):
+// samples whose codes agree on every column < c share one forwarded row,
+// within a query and across queries, so a column whose queries all skipped
+// every earlier column forwards a single row. Forwards are row-pure and
+// each query keeps its own rng stream, so sharing rows perturbs no query's
+// draws.
 //
 // iam:noalloc
-func (m *Model) sampleColumnPacked(sess *nn.Session, sc *EstimateScratch, consList [][]Constraint, numSamples, c int) {
+func (m *Model) sampleColumn(sess *nn.Session, sc *EstimateScratch, consList [][]Constraint, numSamples, c int) {
 	subQs := sc.subQs[:0]
 	for qi, cons := range consList {
-		sc.claimed[qi] = false
 		if cons[c] != nil {
 			subQs = append(subQs, qi)
 		}
 	}
 	sc.subQs = subQs
-	for gi, qi0 := range subQs {
-		if sc.claimed[qi0] {
-			continue
-		}
-		sig := sc.sig(qi0)
-		plan := sc.planFor(m.Net, sig, len(m.Cards))
-		groupQs := sc.groupQs[:0]
-		for _, qi := range subQs[gi:] {
-			if sc.claimed[qi] || !bytes.Equal(sc.sig(qi), sig) {
-				continue
-			}
-			sc.claimed[qi] = true
-			groupQs = append(groupQs, qi)
-		}
-		sc.groupQs = groupQs
-		subRows := sc.groupRows(sig, c, numSamples)
-		if len(subRows) == 0 {
-			continue
-		}
-		sess.ForwardSampling(subRows, plan, c)
-		for _, qi := range groupQs {
-			m.sampleQueryColumn(sess, sc, consList[qi][c], qi, c, numSamples)
-		}
+	subRows := sc.columnRows(c, numSamples)
+	if len(subRows) == 0 {
+		return
+	}
+	sess.ForwardSampling(subRows, c)
+	for _, qi := range subQs {
+		m.sampleQueryColumn(sess, sc, consList[qi][c], qi, c, numSamples)
 	}
 }
 
-// prefixDedup lets the live samples of a group share forwarded rows.
-// Package-level so the tests can pin dedup on against off bit for bit;
-// production never flips it.
+// prefixDedup lets live samples share forwarded rows. Package-level so the
+// tests can pin dedup on against off bit for bit; production never flips it.
 var prefixDedup = true
 
-// groupRows builds the forwarded sub-batch of the group in sc.groupQs for
-// column c and points sc.subPos into it: -1 for a dead sample, else the row
-// forwarded for the group's first live sample with the same codes on the
-// live columns < c (the bits of sig). Those codes are all the packed
-// forward reads, and every other entry of a group row is the MASK token, so
-// rows matching there are equal as a whole and one forward answers for all
-// of them. Dead samples are never forwarded.
+// columnRows builds the forwarded sub-batch of column c over the queries in
+// sc.subQs and points sc.subPos into it: -1 for a dead sample, else the row
+// forwarded for the first live sample with the same codes on columns < c.
+// Those codes are all the sampling forward reads — a column a query skips
+// holds its MASK token there — so one forward answers for every sample
+// mapped to the row. Dead samples are never forwarded.
 //
 // iam:noalloc
-func (sc *EstimateScratch) groupRows(sig []byte, c, numSamples int) [][]int {
-	live := sc.liveCols[:0]
-	for k := 0; k < c; k++ {
-		if sig[k>>3]&(1<<uint(k&7)) != 0 {
-			live = append(live, k)
-		}
-	}
-	sc.liveCols = live
-	table := sc.dedup[:dedupSize(len(sc.groupQs)*numSamples)]
+func (sc *EstimateScratch) columnRows(c, numSamples int) [][]int {
+	table := sc.dedup[:dedupSize(len(sc.subQs)*numSamples)]
 	clear(table)
 	mask := uint64(len(table) - 1)
 	subRows := sc.subRows[:0]
-	for _, qi := range sc.groupQs {
+	for _, qi := range sc.subQs {
 		for s := 0; s < numSamples; s++ {
 			ri := qi*numSamples + s
 			if sc.probs[ri] == 0 {
@@ -372,13 +337,13 @@ func (sc *EstimateScratch) groupRows(sig []byte, c, numSamples int) [][]int {
 			pos := len(subRows)
 			if prefixDedup {
 				// Linear probing; a slot holds a forwarded row index + 1.
-				for h := prefixHash(row, live) & mask; ; h = (h + 1) & mask {
+				for h := prefixHash(row[:c]) & mask; ; h = (h + 1) & mask {
 					j := int(table[h]) - 1
 					if j < 0 {
 						table[h] = int32(pos + 1)
 						break
 					}
-					if samePrefix(subRows[j], row, live) {
+					if slices.Equal(subRows[j][:c], row[:c]) {
 						pos = j
 						break
 					}
@@ -394,31 +359,19 @@ func (sc *EstimateScratch) groupRows(sig []byte, c, numSamples int) [][]int {
 	return subRows
 }
 
-// prefixHash mixes row's codes on cols into a dedup-table hash.
+// prefixHash mixes the codes of prefix into a dedup-table hash.
 //
 // iam:noalloc
-func prefixHash(row, cols []int) uint64 {
+func prefixHash(prefix []int) uint64 {
 	h := uint64(0x9E3779B97F4A7C15)
-	for _, c := range cols {
-		h = (h ^ uint64(row[c])) * 0xBF58476D1CE4E5B9
+	for _, code := range prefix {
+		h = (h ^ uint64(code)) * 0xBF58476D1CE4E5B9
 	}
 	return h ^ h>>31
 }
 
-// samePrefix reports whether rows a and b hold the same codes on cols.
-//
-// iam:noalloc
-func samePrefix(a, b, cols []int) bool {
-	for _, c := range cols {
-		if a[c] != b[c] {
-			return false
-		}
-	}
-	return true
-}
-
 // sampleQueryColumn runs one query's per-sample draw loop for column c
-// against the logits of the last packed forward (sc.subPos maps each live
+// against the logits of the last sampling forward (sc.subPos maps each live
 // sample to its forwarded row). The weighted
 // conditional's prefix sums and mass depend only on the forwarded row
 // (Dist) and the sampled prefix (Fill reads codes < c only), both shared by

@@ -107,7 +107,7 @@ func runBoth(t *testing.T, m *Model, sess *nn.Session, consList [][]Constraint, 
 // TestPrefixDedupBitIdentical pins prefix deduplication as invisible in the
 // answers: with dedup on and off, every estimate and variance has the same
 // bits — over every wildcard pattern of
-// a 4-column model, random mixed batches with several signature groups,
+// a 4-column model, random mixed batches of several constrained-prefix patterns,
 // every constraint kind, and samples dying mid-way.
 func TestPrefixDedupBitIdentical(t *testing.T) {
 	m, fc := dedupModel(t)

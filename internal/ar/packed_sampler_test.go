@@ -3,13 +3,15 @@ package ar
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
 // distinctPrefixRows counts, from the final sample rows of a run, the rows
-// the deduplicating packed sampler must forward: per column c, the distinct
-// (constrained-prefix signature, codes on that prefix) pairs over the
-// samples still live at c. A sample was live at c exactly when its query
+// the deduplicating sampler must forward: per column c, the distinct
+// (constrained prefix, codes on that prefix) pairs over the samples still
+// live at c — the codes on every column < c, since each column a query
+// skips holds its MASK token. A sample was live at c exactly when its query
 // constrains c and row[c] left the MASK token — a pick, or the 0 written
 // where it died; a sample dead before c keeps MASK there.
 func distinctPrefixRows(m *Model, consList [][]Constraint, rows [][]int, ns int) int {
@@ -39,11 +41,11 @@ func distinctPrefixRows(m *Model, consList [][]Constraint, rows [][]int, ns int)
 	return n
 }
 
-// TestPackedGroupingSharesForwards pins the packed sampler's forward
-// accounting: each column forwards one row per distinct (prefix signature,
-// prefix codes) pair, shared across the samples and queries that hold it.
-// Columns with an empty constrained prefix therefore forward one row for
-// the whole batch.
+// TestPackedGroupingSharesForwards pins the sampler's forward accounting:
+// each column forwards one row per distinct (constrained prefix, prefix
+// codes) pair, shared across the samples and queries that hold it. Columns
+// with an empty constrained prefix therefore forward one row for the whole
+// batch.
 func TestPackedGroupingSharesForwards(t *testing.T) {
 	m := freshModel(t, []int{4, 4, 5})
 	ns := 16
@@ -61,9 +63,9 @@ func TestPackedGroupingSharesForwards(t *testing.T) {
 	got := sess.ForwardedRows() - before
 	// Column 0: queries 0,1 share the empty prefix — one row. Column 1:
 	// query 2's prefix is still empty (it skipped column 0) — one row.
-	// Column 2: queries 0,1 share signature {0} and forward one row per
-	// distinct column-0 code among their samples; query 2 (signature {1})
-	// one per distinct column-1 code.
+	// Column 2: queries 0,1 share the constrained prefix {0} and forward
+	// one row per distinct column-0 code among their samples; query 2
+	// (prefix {1}) one per distinct column-1 code.
 	want := distinctPrefixRows(m, consList, sc.rows, ns)
 	if got != want {
 		t.Fatalf("forwarded %d rows, want %d (prefix groups must share forwards)", got, want)
@@ -74,33 +76,47 @@ func TestPackedGroupingSharesForwards(t *testing.T) {
 }
 
 // TestPackedPlanCacheReusedAcrossCalls: repeating a workload on the same
-// scratch must not rebuild plans — the cache keys on (net, generation,
-// prefix signature bytes), all unchanged between calls.
+// session must not rebuild the sampling forward's first-layer table — it
+// keys on the network's parameter generation, unchanged between calls — and
+// answers stay bit-identical. A parameter edit between calls (the output
+// bias UAE and the mass calibration write) must rebuild it exactly once.
 func TestPackedPlanCacheReusedAcrossCalls(t *testing.T) {
 	m := freshModel(t, []int{4, 4, 5})
 	consList := [][]Constraint{
 		{RangeConstraint{0, 2}, nil, RangeConstraint{0, 3}},
+		{nil, RangeConstraint{1, 2}, RangeConstraint{2, 4}},
 	}
-	sess := m.Net.NewSession(8)
+	sess := m.Net.NewSession(16)
 	sc := NewEstimateScratch()
-	seeds := []int64{11}
+	seeds := []int64{11, 12}
+	first, err := m.EstimateBatchScratch(sess, sc, consList, 8, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first = append([]float64(nil), first...)
+	if sess.TableBuilds() != 1 {
+		t.Fatalf("first call built the table %d times, want 1", sess.TableBuilds())
+	}
+	again, err := m.EstimateBatchScratch(sess, sc, consList, 8, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sess.TableBuilds(); n != 1 {
+		t.Fatalf("table rebuilt across identical calls: %d builds, want 1", n)
+	}
+	for i := range first {
+		if math.Float64bits(first[i]) != math.Float64bits(again[i]) {
+			t.Fatalf("query %d: %v then %v on a reused table", i, first[i], again[i])
+		}
+	}
+	if err := m.Net.SetOutputBias(2, []float64{0.5, -0.5, 0, 1, -1}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := m.EstimateBatchScratch(sess, sc, consList, 8, seeds); err != nil {
 		t.Fatal(err)
 	}
-	nPlans := len(sc.plans)
-	if nPlans == 0 {
-		t.Fatal("packed sampler built no plans")
-	}
-	empty := string(make([]byte, sc.sigBytes)) // no column sampled yet
-	p0 := sc.plans[empty]
-	if _, err := m.EstimateBatchScratch(sess, sc, consList, 8, seeds); err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.plans) != nPlans {
-		t.Fatalf("plan count changed across identical calls: %d -> %d", nPlans, len(sc.plans))
-	}
-	if sc.plans[empty] != p0 {
-		t.Fatal("plan for the empty prefix was rebuilt despite unchanged parameters")
+	if n := sess.TableBuilds(); n != 2 {
+		t.Fatalf("%d table builds after a parameter edit, want 2", n)
 	}
 }
 
@@ -177,5 +193,53 @@ func TestSamplerMatchesEnumeration(t *testing.T) {
 	}
 	if sampled < 8 {
 		t.Fatalf("only %d queries carried Monte-Carlo error; the oracle check is near-vacuous", sampled)
+	}
+}
+
+// TestMixedPrefixBatchMatchesSolo pins row sharing across queries as
+// invisible in the answers: in a batch that mixes constrained-prefix
+// patterns, and whose queries share forwarded rows, every query's estimate
+// and variance have exactly the bits it gets when estimated alone.
+func TestMixedPrefixBatchMatchesSolo(t *testing.T) {
+	m, fc := dedupModel(t)
+	const ns = 64
+	rng := rand.New(rand.NewSource(47))
+	// Two queries per pattern, so equal prefixes meet across queries.
+	var batch [][]Constraint
+	for _, live := range []int{0b1111, 0b1011, 0b1100, 0b0110, 0b1111, 0b1011, 0b1100, 0b0110} {
+		batch = append(batch, randomQuery(rng, m, fc, live))
+	}
+	seeds := make([]int64, len(batch))
+	for i := range seeds {
+		seeds[i] = int64(900 + i)
+	}
+	sess := m.Net.NewSession(len(batch) * ns)
+	sc := NewEstimateScratch()
+	before := sess.ForwardedRows()
+	ests, err := m.EstimateBatchScratch(sess, sc, batch, ns, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	together := sess.ForwardedRows() - before
+	ests = append([]float64(nil), ests...)
+	vars := append([]float64(nil), sc.Variances()...)
+
+	alone := 0
+	for qi, q := range batch {
+		before := sess.ForwardedRows()
+		solo, err := m.EstimateBatchScratch(sess, sc, [][]Constraint{q}, ns, seeds[qi:qi+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone += sess.ForwardedRows() - before
+		if math.Float64bits(solo[0]) != math.Float64bits(ests[qi]) ||
+			math.Float64bits(sc.Variances()[0]) != math.Float64bits(vars[qi]) {
+			t.Fatalf("query %d (pattern of %v): batched %v (var %v), alone %v (var %v)",
+				qi, q, ests[qi], vars[qi], solo[0], sc.Variances()[0])
+		}
+	}
+	// Not vacuous: the batch must have shared rows between queries.
+	if together >= alone {
+		t.Fatalf("batch forwarded %d rows, the queries alone %d: no row was shared across queries", together, alone)
 	}
 }

@@ -1,10 +1,6 @@
 package ar
 
-import (
-	"math/rand"
-
-	"iam/internal/nn"
-)
+import "math/rand"
 
 // EstimateScratch owns every buffer one progressive-sampling run needs, so a
 // long-lived caller (one estimate worker) can run EstimateBatchScratch with
@@ -24,32 +20,14 @@ type EstimateScratch struct {
 	varOut  []float64    // per-query variance of the mean (see Variances)
 	rngs    []*rand.Rand // per-query sampling streams, reseeded by seed
 
-	// Packed-sampler state: per-query constrained-prefix signatures, the
-	// per-column group-claim flags, the member list of the current group,
-	// and the plan cache. A signature is a bitset over the AR columns (bit
-	// c set = column c constrained and already sampled) of sigBytes bytes;
-	// sigs holds every query's back to back. Plans key on the signature
-	// bytes alone and invalidate wholesale when the network or its
-	// parameter generation changes — the cache survives across calls, so a
-	// worker reuses a handful of plans for its whole workload.
-	sigs     []byte
-	sigBytes int
-	claimed  []bool
-	groupQs  []int
-	live     []bool // plan-building scratch, len nCols
-	planNet  *nn.ResMADE
-	planGen  int64
-	plans    map[string]*nn.SamplingPlan
-
 	// Prefix-dedup state. dedup is the open-addressing table that maps a
-	// sample's codes on the group's live columns (liveCols) to its forwarded
+	// sample's codes on the columns before the current one to its forwarded
 	// row (stored +1, 0 = empty). The memo holds, per distinct forwarded row
 	// of the current query, the prefix sums of the weighted conditional
 	// (memoCDF) and its mass; memoSlot maps a forwarded row to its memo
 	// slot, valid only while memoStamp matches epoch, so moving on to the
 	// next query clears nothing.
 	dedup     []int32
-	liveCols  []int
 	memoStamp []uint32
 	memoSlot  []int32
 	memoCDF   []float64
@@ -107,28 +85,8 @@ func (sc *EstimateScratch) ensure(nq, numSamples, nCols, maxCard int) {
 		sc.varOut = make([]float64, nq)
 	}
 	sc.varOut = sc.varOut[:nq]
-	sc.sigBytes = (nCols + 7) / 8
-	if cap(sc.sigs) < nq*sc.sigBytes {
-		sc.sigs = make([]byte, nq*sc.sigBytes)
-	}
-	sc.sigs = sc.sigs[:nq*sc.sigBytes]
-	if cap(sc.claimed) < nq {
-		sc.claimed = make([]bool, nq)
-	}
-	sc.claimed = sc.claimed[:nq]
-	if cap(sc.groupQs) < nq {
-		sc.groupQs = make([]int, 0, nq)
-	}
-	sc.groupQs = sc.groupQs[:0]
-	if cap(sc.live) < nCols {
-		sc.live = make([]bool, nCols)
-	}
-	sc.live = sc.live[:nCols]
 	if n := dedupSize(total); cap(sc.dedup) < n {
 		sc.dedup = make([]int32, n)
-	}
-	if cap(sc.liveCols) < nCols {
-		sc.liveCols = make([]int, 0, nCols)
 	}
 	if cap(sc.memoStamp) < total {
 		// Fresh stamps are 0 and epoch never is, so no slot reads as filled.
@@ -167,43 +125,6 @@ func (sc *EstimateScratch) nextEpoch() uint32 {
 		sc.epoch = 1
 	}
 	return sc.epoch
-}
-
-// sig returns query qi's constrained-prefix signature, aliasing sc.sigs.
-//
-// iam:noalloc
-func (sc *EstimateScratch) sig(qi int) []byte {
-	return sc.sigs[qi*sc.sigBytes : (qi+1)*sc.sigBytes]
-}
-
-// planFor returns the cached SamplingPlan for one constrained-prefix
-// signature, building and caching it on first sight. The cache is emptied
-// whenever the network or its parameter generation differs from the last
-// call — a hot-swapped or retrained model can never serve stale panels.
-// The lookup's string(sig) conversion does not allocate; only the insert
-// copies the key.
-//
-// iam:noalloc
-func (sc *EstimateScratch) planFor(net *nn.ResMADE, sig []byte, nCols int) *nn.SamplingPlan {
-	if sc.planNet != net || sc.planGen != net.ParamGen() {
-		sc.planNet, sc.planGen = net, net.ParamGen()
-		if sc.plans == nil {
-			//lint:ignore noalloc one-time cache construction; steady state hits the map lookup below
-			sc.plans = make(map[string]*nn.SamplingPlan)
-		} else {
-			clear(sc.plans)
-		}
-	}
-	if p, ok := sc.plans[string(sig)]; ok {
-		return p
-	}
-	for c := 0; c < nCols; c++ {
-		sc.live[c] = sig[c>>3]&(1<<uint(c&7)) != 0
-	}
-	p := net.NewSamplingPlan(sc.live[:nCols])
-	//lint:ignore noalloc amortized cold path: map insert once per new query prefix per parameter generation
-	sc.plans[string(sig)] = p
-	return p
 }
 
 // Variances returns the per-query sample variance of the *mean* estimator

@@ -164,9 +164,9 @@ func TestScratchBatchCompositionIndependent(t *testing.T) {
 
 // TestEstimateBatchScratchNoAlloc pins the tentpole property: after warm-up,
 // the scratch estimate path performs zero heap allocations per call. The
-// batch spans three signature groups at column 2 and its samples collide on
-// a handful of prefixes, so the dedup table and the per-(query, row) memo
-// are on the measured path.
+// batch spans three constrained-prefix patterns at column 2 and its samples
+// collide on a handful of prefixes, so the dedup table and the per-(query,
+// row) memo are on the measured path.
 func TestEstimateBatchScratchNoAlloc(t *testing.T) {
 	prev := vecmath.Parallelism(1)
 	defer vecmath.Parallelism(prev)
@@ -235,9 +235,9 @@ func TestScratchReuseAcrossShapes(t *testing.T) {
 	}
 }
 
-// TestWideSchemaNoAlloc runs the sampler on a 260-column schema, wider than
-// any fixed-width prefix signature of four 64-bit words: same-seed runs must
-// be bit-identical, the steady state must not allocate, and a query
+// TestWideSchemaNoAlloc runs the sampler on a 260-column schema, whose
+// prefix dedup keys rows on up to 259 codes: same-seed runs must be
+// bit-identical, the steady state must not allocate, and a query
 // constraining the first, a middle and the last column must match exact
 // enumeration within four standard errors.
 func TestWideSchemaNoAlloc(t *testing.T) {

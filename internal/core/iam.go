@@ -206,6 +206,32 @@ func (c *Config) fillDefaults() {
 	}
 }
 
+// Upper bounds on the sampling sizes a Config, and so a saved model, may
+// ask for. They sit far above the paper's settings (S_p = 8000, S = 10000)
+// and keep a damaged or crafted model file from sizing a session of 2^40
+// rows at its first estimate. TrainContext and Load enforce the same caps,
+// so every model that trains also loads.
+const (
+	MaxNumSamples    = 1 << 16 // S_p, progressive-sampling paths per query
+	MaxGMMSamples    = 1 << 20 // S, Monte-Carlo samples per GMM component
+	MaxMassCacheSize = 1 << 20 // entries of the §5.2 range-mass cache
+)
+
+// checkSampleSizes rejects sampling sizes above the caps above, or below one
+// sample per query and per component.
+func checkSampleSizes(numSamples, gmmSamples, massCacheSize int) error {
+	if numSamples < 1 || numSamples > MaxNumSamples {
+		return fmt.Errorf("%d samples per query, want 1 to %d", numSamples, MaxNumSamples)
+	}
+	if gmmSamples < 1 || gmmSamples > MaxGMMSamples {
+		return fmt.Errorf("%d samples per GMM component, want 1 to %d", gmmSamples, MaxGMMSamples)
+	}
+	if massCacheSize > MaxMassCacheSize {
+		return fmt.Errorf("mass cache of %d entries, want at most %d", massCacheSize, MaxMassCacheSize)
+	}
+	return nil
+}
+
 // colKind describes how an original column maps onto AR columns.
 type colKind int
 
@@ -288,6 +314,9 @@ func TrainContext(ctx context.Context, t *dataset.Table, cfg Config) (*Model, er
 	}
 	if !validMassMode(cfg.MassMode) {
 		return nil, fmt.Errorf("core: unknown mass mode %d", cfg.MassMode)
+	}
+	if err := checkSampleSizes(cfg.NumSamples, cfg.GMMSamples, cfg.MassCacheSize); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if cfg.Resume && cfg.CheckpointPath != "" {
 		if _, err := os.Stat(cfg.CheckpointPath); err == nil {

@@ -181,8 +181,8 @@ func (s *modelSnapshot) check(net *nn.ResMADE) error {
 	if !slices.Equal(s.Cards, net.Cards) {
 		return fmt.Errorf("core: snapshot cardinalities %v differ from the network's %v", s.Cards, net.Cards)
 	}
-	if s.Cfg.NumSamples < 1 || s.Cfg.GMMSamples < 1 {
-		return fmt.Errorf("core: snapshot has %d samples per query and %d per component", s.Cfg.NumSamples, s.Cfg.GMMSamples)
+	if err := checkSampleSizes(s.Cfg.NumSamples, s.Cfg.GMMSamples, s.Cfg.MassCacheSize); err != nil {
+		return fmt.Errorf("core: snapshot: %w", err)
 	}
 	if !validMassMode(RangeMassMode(s.Cfg.MassMode)) {
 		return fmt.Errorf("core: snapshot has unknown mass mode %d", s.Cfg.MassMode)

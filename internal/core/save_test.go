@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -117,15 +119,7 @@ func tinySavedModel(tb testing.TB) (*dataset.Table, []byte) {
 	tb.Helper()
 	tinyOnce.Do(func() {
 		tinyTable = dataset.SynthWISDM(1500, 47)
-		cfg := fastCfg()
-		cfg.Epochs = 1
-		cfg.MaxSubColumn = 20
-		cfg.Hidden = []int{4}
-		cfg.EmbedDim = 2
-		cfg.Components = 2
-		cfg.NumSamples = 16
-		cfg.GMMSamples = 200
-		m, err := Train(tinyTable, cfg)
+		m, err := Train(tinyTable, tinyCfg())
 		if err != nil {
 			tinyErr = err
 			return
@@ -138,6 +132,19 @@ func tinySavedModel(tb testing.TB) (*dataset.Table, []byte) {
 		tb.Fatal(tinyErr)
 	}
 	return tinyTable, tinyBytes
+}
+
+// tinyCfg is the configuration of the tiny saved model and checkpoint.
+func tinyCfg() Config {
+	cfg := fastCfg()
+	cfg.Epochs = 1
+	cfg.MaxSubColumn = 20
+	cfg.Hidden = []int{4}
+	cfg.EmbedDim = 2
+	cfg.Components = 2
+	cfg.NumSamples = 16
+	cfg.GMMSamples = 200
+	return cfg
 }
 
 // colOfKind returns the index of the first snapshot column of kind k.
@@ -184,6 +191,9 @@ var malformedSnapshots = []struct {
 		s.Cols[colOfKind(s, kindPassthrough)].EncCard++
 	}},
 	{"negative samples per component", func(s *modelSnapshot) { s.Cfg.GMMSamples = -5 }},
+	{"samples per query beyond the cap", func(s *modelSnapshot) { s.Cfg.NumSamples = 1 << 40 }},
+	{"samples per component beyond the cap", func(s *modelSnapshot) { s.Cfg.GMMSamples = 1 << 40 }},
+	{"mass cache beyond the cap", func(s *modelSnapshot) { s.Cfg.MassCacheSize = 1 << 40 }},
 	{"NaN GMM sigma", func(s *modelSnapshot) { s.Cols[colOfKind(s, kindGMM)].GMMSigmas[0] = math.NaN() }},
 }
 
@@ -219,6 +229,84 @@ func TestLoadRejectsMalformedSnapshots(t *testing.T) {
 	}
 }
 
+// TestSampleSizeCaps: Load accepts sampling sizes up to MaxNumSamples,
+// MaxGMMSamples and MaxMassCacheSize and rejects one more (the cases in
+// malformedSnapshots go far beyond), and TrainContext rejects a
+// configuration over any cap before it trains, so no model that trains
+// fails to load on its sizes.
+func TestSampleSizeCaps(t *testing.T) {
+	tb, valid := tinySavedModel(t)
+	atCaps := damagedSnapshot(t, valid, func(s *modelSnapshot) {
+		s.Cfg.NumSamples, s.Cfg.GMMSamples, s.Cfg.MassCacheSize = MaxNumSamples, MaxGMMSamples, MaxMassCacheSize
+	})
+	if _, err := Load(bytes.NewReader(atCaps), tb); err != nil {
+		t.Fatalf("sizes at the caps fail to load: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		over func(c *Config)
+	}{
+		{"samples per query", func(c *Config) { c.NumSamples = MaxNumSamples + 1 }},
+		{"samples per component", func(c *Config) { c.GMMSamples = MaxGMMSamples + 1 }},
+		{"mass cache", func(c *Config) { c.MassCacheSize = MaxMassCacheSize + 1 }},
+	} {
+		snap := damagedSnapshot(t, valid, func(s *modelSnapshot) {
+			c := Config{NumSamples: s.Cfg.NumSamples, GMMSamples: s.Cfg.GMMSamples, MassCacheSize: s.Cfg.MassCacheSize}
+			tc.over(&c)
+			s.Cfg.NumSamples, s.Cfg.GMMSamples, s.Cfg.MassCacheSize = c.NumSamples, c.GMMSamples, c.MassCacheSize
+		})
+		if _, err := Load(bytes.NewReader(snap), tb); err == nil {
+			t.Errorf("%s: loaded a snapshot one over the cap", tc.name)
+		}
+		cfg := fastCfg()
+		tc.over(&cfg)
+		if _, err := Train(tb, cfg); err == nil {
+			t.Errorf("%s: trained with a configuration one over the cap", tc.name)
+		}
+	}
+}
+
+// addEditSeed adds the fuzz seed (off, del, insert) that turns valid into
+// bad: the common prefix and suffix are kept and the middle replaced.
+func addEditSeed(f *testing.F, valid, bad []byte) {
+	p := 0
+	for p < len(valid) && p < len(bad) && valid[p] == bad[p] {
+		p++
+	}
+	q := 0
+	for q < len(valid)-p && q < len(bad)-p && valid[len(valid)-1-q] == bad[len(bad)-1-q] {
+		q++
+	}
+	f.Add(uint16(p), uint16(len(valid)-p-q), bad[p:len(bad)-q])
+}
+
+// applyEdit returns valid with data[off:off+del] replaced by insert, both
+// bounds clamped into valid.
+func applyEdit(valid []byte, off, del uint16, insert []byte) []byte {
+	o := min(int(off), len(valid))
+	d := min(int(del), len(valid)-o)
+	return append(append(append([]byte(nil), valid[:o]...), insert...), valid[o+d:]...)
+}
+
+// checkFullDomainAnswers caps a loaded model's sampling sizes, which only
+// cost time and memory, and requires a full-domain query on each column to
+// answer in [0, 1] or fail with an error.
+func checkFullDomainAnswers(t *testing.T, m *Model, tb *dataset.Table) {
+	t.Helper()
+	m.cfg.NumSamples = min(m.cfg.NumSamples, 64)
+	m.cfg.GMMSamples = min(m.cfg.GMMSamples, 1000)
+	m.cfg.MassCacheSize = min(m.cfg.MassCacheSize, 64)
+	for ci := range tb.Columns {
+		q := query.NewQuery(tb)
+		all := query.Everything()
+		q.Ranges[ci] = &all
+		est, err := m.Estimate(q)
+		if err == nil && !(est >= 0 && est <= 1) {
+			t.Fatalf("column %d: full-domain estimate %v outside [0, 1]", ci, est)
+		}
+	}
+}
+
 // FuzzCoreLoad loads a tiny saved model after one edit — data[off:off+del]
 // replaced by insert — seeded with the edits that produce every malformed
 // snapshot above. Editing a real snapshot keeps the gob framing mostly
@@ -231,36 +319,84 @@ func FuzzCoreLoad(f *testing.F) {
 	tb, valid := tinySavedModel(f)
 	f.Add(uint16(0), uint16(0), []byte{})
 	for _, tc := range malformedSnapshots {
-		bad := damagedSnapshot(f, valid, tc.mutate)
-		p := 0
-		for p < len(valid) && p < len(bad) && valid[p] == bad[p] {
-			p++
-		}
-		q := 0
-		for q < len(valid)-p && q < len(bad)-p && valid[len(valid)-1-q] == bad[len(bad)-1-q] {
-			q++
-		}
-		f.Add(uint16(p), uint16(len(valid)-p-q), bad[p:len(bad)-q])
+		addEditSeed(f, valid, damagedSnapshot(f, valid, tc.mutate))
 	}
 	f.Fuzz(func(t *testing.T, off, del uint16, insert []byte) {
-		o := min(int(off), len(valid))
-		d := min(int(del), len(valid)-o)
-		data := append(append(append([]byte(nil), valid[:o]...), insert...), valid[o+d:]...)
-		m, err := Load(bytes.NewReader(data), tb)
+		m, err := Load(bytes.NewReader(applyEdit(valid, off, del, insert)), tb)
 		if err != nil {
 			return
 		}
-		m.cfg.NumSamples = min(m.cfg.NumSamples, 64)
-		m.cfg.GMMSamples = min(m.cfg.GMMSamples, 1000)
-		m.cfg.MassCacheSize = min(m.cfg.MassCacheSize, 64)
-		for ci := range tb.Columns {
-			q := query.NewQuery(tb)
-			all := query.Everything()
-			q.Ranges[ci] = &all
-			est, err := m.Estimate(q)
-			if err == nil && !(est >= 0 && est <= 1) {
-				t.Fatalf("column %d: full-domain estimate %v outside [0, 1]", ci, est)
-			}
+		checkFullDomainAnswers(t, m, tb)
+	})
+}
+
+// damagedCheckpoints are checkpoint damages that seed FuzzCoreLoadCheckpoint:
+// a malformed model snapshot inside, and AR or GMM optimizer state that
+// does not fit the model.
+var damagedCheckpoints = []struct {
+	name   string
+	mutate func(tb testing.TB, s *checkpointSnapshot)
+}{
+	{"model cards differ from the network", func(tb testing.TB, s *checkpointSnapshot) {
+		s.Model = damagedSnapshot(tb, s.Model, func(m *modelSnapshot) { m.Cards[0]++ })
+	}},
+	{"model samples beyond the cap", func(tb testing.TB, s *checkpointSnapshot) {
+		s.Model = damagedSnapshot(tb, s.Model, func(m *modelSnapshot) { m.Cfg.NumSamples = 1 << 40 })
+	}},
+	{"short AR weights", func(_ testing.TB, s *checkpointSnapshot) { s.AR.Weights[0] = s.AR.Weights[0][1:] }},
+	{"missing AR layer", func(_ testing.TB, s *checkpointSnapshot) { s.AR.Biases = s.AR.Biases[1:] }},
+	{"missing GMM state", func(_ testing.TB, s *checkpointSnapshot) { s.GMM = s.GMM[1:] }},
+	{"short GMM sigmas", func(_ testing.TB, s *checkpointSnapshot) { s.GMM[0].Sigmas = s.GMM[0].Sigmas[1:] }},
+	{"no AR state", func(_ testing.TB, s *checkpointSnapshot) { s.AR = nil }},
+}
+
+// tinyCheckpoint trains the tiny model for its one epoch with a checkpoint
+// path and returns the checkpoint's bytes.
+func tinyCheckpoint(tb testing.TB, t *dataset.Table, dir string) []byte {
+	tb.Helper()
+	cfg := tinyCfg()
+	cfg.CheckpointPath = filepath.Join(dir, "tiny.ckpt")
+	if _, err := Train(t, cfg); err != nil {
+		tb.Fatal(err)
+	}
+	b, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// FuzzCoreLoadCheckpoint is FuzzCoreLoad for training checkpoints: it
+// writes a tiny checkpoint after one edit and opens it with LoadCheckpoint,
+// which must never panic. A model it returns must answer a full-domain
+// query on each column with a value in [0, 1] or an error.
+func FuzzCoreLoadCheckpoint(f *testing.F) {
+	tb, _ := tinySavedModel(f)
+	valid := tinyCheckpoint(f, tb, f.TempDir())
+	f.Add(uint16(0), uint16(0), []byte{})
+	for _, tc := range damagedCheckpoints {
+		var snap checkpointSnapshot
+		if err := gob.NewDecoder(bytes.NewReader(valid)).Decode(&snap); err != nil {
+			f.Fatal(err)
 		}
+		tc.mutate(f, &snap)
+		var bad bytes.Buffer
+		if err := gob.NewEncoder(&bad).Encode(&snap); err != nil {
+			f.Fatal(err)
+		}
+		addEditSeed(f, valid, bad.Bytes())
+	}
+	// Each fuzz worker is one process running one input at a time, so one
+	// file per process suffices.
+	path := filepath.Join(f.TempDir(), "edited.ckpt")
+	f.Fuzz(func(t *testing.T, off, del uint16, insert []byte) {
+		if err := os.WriteFile(path, applyEdit(valid, off, del, insert), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := LoadCheckpoint(path, tb)
+		if err != nil {
+			return
+		}
+		checkFullDomainAnswers(t, m, tb)
 	})
 }

@@ -191,10 +191,10 @@ type ResMADE struct {
 	cuts       []unitCut // per hidden layer, for the sampling forward
 	step       int
 	// gen counts parameter generations: every mutation of the weights
-	// (optimizer step, state restore, bias edit) bumps it, so cached
-	// SamplingPlans can detect staleness without comparing tensors. Plans
-	// additionally key on the network pointer — two networks both at
-	// generation k are unrelated.
+	// (optimizer step, state restore, bias edit) bumps it, so a session's
+	// first-layer sampling table can detect staleness without comparing
+	// tensors. A session belongs to one network, so the generation alone
+	// identifies the parameters it tabulated.
 	gen int64
 
 	// Pre-bound AdamStep task plus its per-step operands. A fresh func
@@ -403,7 +403,10 @@ type Session struct {
 	maxBatch int
 	B        int // current batch size
 
-	x      []*vecmath.Matrix // x[0]=embedded input, x[l+1]=output of layer l
+	// x[0] is the embedded input, x[l+1] the output of layer l. x[0] is
+	// allocated by the first dense Forward: a sampling forward reads the
+	// first-layer table instead, so sampling-only sessions never hold it.
+	x      []*vecmath.Matrix
 	pre    []*vecmath.Matrix // pre-activation of each hidden layer
 	logits *vecmath.Matrix
 
@@ -415,13 +418,18 @@ type Session struct {
 	preV, dpreV []vecmath.Matrix
 	logitsV     vecmath.Matrix
 
-	// Packed-forward headers (ForwardSampling): xpV aims at x[0]'s backing
-	// with the plan's packed stride, logitsPV at logits' backing with the
-	// sampling column's cardinality as stride, outWV at the out-layer weight
-	// rows of that column. samplingCol is the column the last forward served
-	// (−1 after a dense Forward), which is what Dist dispatches on.
-	xpV, logitsPV, outWV vecmath.Matrix
-	samplingCol          int
+	// Sampling-forward state (ForwardSampling): logitsPV aims at logits'
+	// backing with the sampling column's cardinality as stride, outWV at the
+	// out-layer weight rows of that column. samplingCol is the column the
+	// last forward served (−1 after a dense Forward), which is what Dist
+	// dispatches on. tab is the first-layer table of the network's
+	// generation tabGen (see sampleTable), tabOff each column's offset in it.
+	logitsPV, outWV vecmath.Matrix
+	samplingCol     int
+	tab             []float64
+	tabOff          []int
+	tabGen          int64
+	tableBuilds     int // lifetime count of sampleTable (re)builds
 
 	rows [][]int // codes of the current forward batch (for embedding grads)
 	buf  [][]int // owned storage for rows
@@ -442,12 +450,9 @@ type Session struct {
 // NewSession allocates buffers for batches up to maxBatch rows.
 func (n *ResMADE) NewSession(maxBatch int) *Session {
 	s := &Session{net: n, maxBatch: maxBatch, samplingCol: -1}
-	dims := []int{n.inDim}
+	s.x = []*vecmath.Matrix{nil}
 	for _, l := range n.layers {
-		dims = append(dims, l.out)
-	}
-	for _, d := range dims {
-		s.x = append(s.x, vecmath.NewMatrix(maxBatch, d))
+		s.x = append(s.x, vecmath.NewMatrix(maxBatch, l.out))
 	}
 	for _, l := range n.layers {
 		s.pre = append(s.pre, vecmath.NewMatrix(maxBatch, l.out))
@@ -485,6 +490,10 @@ func (s *Session) Forward(rows [][]int) {
 	}
 	s.rows = s.buf[:s.B]
 
+	if s.x[0] == nil {
+		//lint:ignore noalloc once per session: the first dense Forward allocates the embedded-input buffer
+		s.x[0] = vecmath.NewMatrix(s.maxBatch, n.inDim)
+	}
 	x0 := vecmath.ViewInto(&s.xV[0], s.x[0], s.B)
 	for r, row := range s.rows {
 		dst := x0.Row(r)
@@ -574,6 +583,12 @@ func activate(next, pre, res *vecmath.Matrix, keep, skip []int) {
 // samples are dropped from the sub-batches instead of being re-forwarded.
 func (s *Session) ForwardedRows() int { return s.forwardedRows }
 
+// TableBuilds returns how many times this session has built its first-layer
+// sampling table: once on the first ForwardSampling, then once per parameter
+// generation. The sampler tests use it to assert that repeated estimates on
+// unchanged parameters reuse the table.
+func (s *Session) TableBuilds() int { return s.tableBuilds }
+
 // Logits returns the logit slice of column col for batch row r. The slice
 // aliases session memory and is valid until the next Forward.
 func (s *Session) Logits(r, col int) []float64 {
@@ -593,7 +608,8 @@ func (s *Session) ensureGrads() *Grads {
 		for _, l := range s.net.allLayers() {
 			s.gtmp = append(s.gtmp, vecmath.NewMatrix(l.out, l.in))
 		}
-		for _, x := range s.x {
+		s.dx = append(s.dx, vecmath.NewMatrix(s.maxBatch, s.net.inDim))
+		for _, x := range s.x[1:] {
 			s.dx = append(s.dx, vecmath.NewMatrix(s.maxBatch, x.Cols))
 		}
 		for _, p := range s.pre {

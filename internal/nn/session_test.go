@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -97,9 +99,8 @@ func TestInferenceSessionHoldsNoGradients(t *testing.T) {
 	sess := net.NewSession(8)
 	rows := randRows(8, cards, rand.New(rand.NewSource(58)))
 	sess.Forward(rows)
-	plan := net.NewSamplingPlan([]bool{true, false, true})
 	for col := range cards {
-		sess.ForwardSampling(rows, plan, col)
+		sess.ForwardSampling(rows, col)
 	}
 	if sess.grads != nil || sess.gtmp != nil || sess.dx != nil || sess.dpre != nil {
 		t.Fatal("inference-only session allocated gradient buffers")
@@ -110,4 +111,56 @@ func TestInferenceSessionHoldsNoGradients(t *testing.T) {
 	if sess.grads == nil || len(sess.dx) != len(sess.x) || len(sess.dpre) != len(sess.pre) {
 		t.Fatal("Backward did not allocate its buffers")
 	}
+}
+
+// TestSamplingOnlySessionThenDense: a session that has only run
+// ForwardSampling holds no embedded-input buffer; its first dense Forward
+// allocates it, and that Forward and the Backward after it give the same
+// logits and gradients, bit for bit, as a fresh session's.
+func TestSamplingOnlySessionThenDense(t *testing.T) {
+	cards := []int{5, 7, 4, 6}
+	net := smallNet(t, cards, 59)
+	rng := rand.New(rand.NewSource(60))
+	rows := randRows(8, cards, rng)
+	targets := randRows(8, cards, rng)
+	sampled := net.NewSession(8)
+	for col := range cards {
+		sampled.ForwardSampling(rows, col)
+	}
+	if sampled.x[0] != nil {
+		t.Fatal("a sampling-only session allocated the embedded-input buffer")
+	}
+	fresh := net.NewSession(8)
+	var dls [2]*vecmath.Matrix
+	for i, sess := range []*Session{sampled, fresh} {
+		sess.Forward(rows)
+		dls[i] = vecmath.NewMatrix(len(rows), net.outDim)
+		sess.CrossEntropyGrad(targets, dls[i])
+		sess.ZeroGrad()
+		sess.Backward(dls[i])
+	}
+	if !slices.Equal(bitsOf(sampled.AllLogits().Data), bitsOf(fresh.AllLogits().Data)) {
+		t.Fatal("dense logits differ after sampling-only use")
+	}
+	ga, gb := sampled.Grads(), fresh.Grads()
+	for i := range ga.dEmbeds {
+		if !slices.Equal(bitsOf(ga.dEmbeds[i].Data), bitsOf(gb.dEmbeds[i].Data)) {
+			t.Fatalf("embedding %d gradient differs after sampling-only use", i)
+		}
+	}
+	for i := range ga.layers {
+		if !slices.Equal(bitsOf(ga.layers[i].dw.Data), bitsOf(gb.layers[i].dw.Data)) ||
+			!slices.Equal(bitsOf(ga.layers[i].db), bitsOf(gb.layers[i].db)) {
+			t.Fatalf("layer %d gradient differs after sampling-only use", i)
+		}
+	}
+}
+
+// bitsOf returns the bit patterns of xs, so slices.Equal compares bits.
+func bitsOf(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
 }
