@@ -237,10 +237,8 @@ func (cs *colSnapshot) check(cards []int) error {
 		if len(cards) != 1 || len(cs.GMMWeights) != k || len(cs.GMMMeans) != k || len(cs.GMMSigmas) != k {
 			return fmt.Errorf("GMM parameters do not match its %d components", k)
 		}
-		for j := range k {
-			if w, mu, sd := cs.GMMWeights[j], cs.GMMMeans[j], cs.GMMSigmas[j]; !(w >= 0) || !isFinite(w) || !isFinite(mu) || !(sd > 0) || !isFinite(sd) {
-				return fmt.Errorf("GMM component %d has weight %v, mean %v, sigma %v", j, w, mu, sd)
-			}
+		if err := gmm.CheckComponents(cs.GMMWeights, cs.GMMMeans, cs.GMMSigmas); err != nil {
+			return fmt.Errorf("has an invalid GMM: %w", err)
 		}
 	default:
 		return fmt.Errorf("has unknown kind %d", cs.Kind)

@@ -348,6 +348,57 @@ var damagedCheckpoints = []struct {
 	{"missing GMM state", func(_ testing.TB, s *checkpointSnapshot) { s.GMM = s.GMM[1:] }},
 	{"short GMM sigmas", func(_ testing.TB, s *checkpointSnapshot) { s.GMM[0].Sigmas = s.GMM[0].Sigmas[1:] }},
 	{"no AR state", func(_ testing.TB, s *checkpointSnapshot) { s.AR = nil }},
+	{"NaN GMM sigma", func(_ testing.TB, s *checkpointSnapshot) { s.GMM[0].Sigmas[0] = math.NaN() }},
+	{"negative GMM sigma", func(_ testing.TB, s *checkpointSnapshot) { s.GMM[0].Sigmas[0] = -1 }},
+	{"zero GMM sigma", func(_ testing.TB, s *checkpointSnapshot) { s.GMM[0].Sigmas[0] = 0 }},
+	{"infinite GMM sigma", func(_ testing.TB, s *checkpointSnapshot) { s.GMM[0].Sigmas[0] = math.Inf(1) }},
+	{"negative infinite GMM sigma", func(_ testing.TB, s *checkpointSnapshot) { s.GMM[0].Sigmas[0] = math.Inf(-1) }},
+	{"NaN GMM weight", func(_ testing.TB, s *checkpointSnapshot) { s.GMM[0].Weights[0] = math.NaN() }},
+	{"negative GMM weight", func(_ testing.TB, s *checkpointSnapshot) { s.GMM[0].Weights[0] = -1 }},
+}
+
+// damagedCheckpointBytes re-encodes the valid checkpoint bytes after mutate.
+func damagedCheckpointBytes(tb testing.TB, valid []byte, mutate func(tb testing.TB, s *checkpointSnapshot)) []byte {
+	tb.Helper()
+	var snap checkpointSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(valid)).Decode(&snap); err != nil {
+		tb.Fatal(err)
+	}
+	mutate(tb, &snap)
+	var bad bytes.Buffer
+	if err := gob.NewEncoder(&bad).Encode(&snap); err != nil {
+		tb.Fatal(err)
+	}
+	return bad.Bytes()
+}
+
+// TestLoadCheckpointRejectsMalformedSnapshots: LoadCheckpoint must reject
+// every damaged checkpoint above with an error — a model file's checks and
+// a trainer state's shape and mixture checks alike — and open the
+// undamaged one. A checkpoint without AR optimizer state is the one
+// exception: the state is optional, and the model opens without it.
+func TestLoadCheckpointRejectsMalformedSnapshots(t *testing.T) {
+	tb, _ := tinySavedModel(t)
+	dir := t.TempDir()
+	valid := tinyCheckpoint(t, tb, dir)
+	path := filepath.Join(dir, "damaged.ckpt")
+	for _, tc := range damagedCheckpoints {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(path, damagedCheckpointBytes(t, valid, tc.mutate), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := LoadCheckpoint(path, tb)
+			if optional := tc.name == "no AR state"; optional != (err == nil) {
+				t.Fatalf("LoadCheckpoint error = %v", err)
+			}
+		})
+	}
+	if err := os.WriteFile(path, valid, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadCheckpoint(path, tb); err != nil {
+		t.Fatalf("the undamaged checkpoint fails to load: %v", err)
+	}
 }
 
 // tinyCheckpoint trains the tiny model for its one epoch with a checkpoint
@@ -375,21 +426,18 @@ func FuzzCoreLoadCheckpoint(f *testing.F) {
 	valid := tinyCheckpoint(f, tb, f.TempDir())
 	f.Add(uint16(0), uint16(0), []byte{})
 	for _, tc := range damagedCheckpoints {
-		var snap checkpointSnapshot
-		if err := gob.NewDecoder(bytes.NewReader(valid)).Decode(&snap); err != nil {
-			f.Fatal(err)
-		}
-		tc.mutate(f, &snap)
-		var bad bytes.Buffer
-		if err := gob.NewEncoder(&bad).Encode(&snap); err != nil {
-			f.Fatal(err)
-		}
-		addEditSeed(f, valid, bad.Bytes())
+		addEditSeed(f, valid, damagedCheckpointBytes(f, valid, tc.mutate))
 	}
 	// Each fuzz worker is one process running one input at a time, so one
-	// file per process suffices.
+	// file per process suffices. It is removed before each write: rewriting
+	// it in place truncates it, and a filesystem may then flush it to disk
+	// synchronously (ext4 does, ~50 ms), which would cost far more than the
+	// load and estimates under test.
 	path := filepath.Join(f.TempDir(), "edited.ckpt")
 	f.Fuzz(func(t *testing.T, off, del uint16, insert []byte) {
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(path, applyEdit(valid, off, del, insert), 0o600); err != nil {
 			t.Fatal(err)
 		}

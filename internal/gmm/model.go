@@ -27,24 +27,36 @@ type Model struct {
 // K returns the number of components.
 func (m *Model) K() int { return len(m.Weights) }
 
-// Validate checks the model invariants.
+// Validate checks the model invariants: equal parameter lengths, valid
+// components (CheckComponents) and weights summing to 1.
 func (m *Model) Validate() error {
 	k := m.K()
 	if len(m.Means) != k || len(m.Sigmas) != k {
 		return fmt.Errorf("gmm: parameter length mismatch %d/%d/%d", k, len(m.Means), len(m.Sigmas))
 	}
+	if err := CheckComponents(m.Weights, m.Means, m.Sigmas); err != nil {
+		return err
+	}
 	var sum float64
-	for i := 0; i < k; i++ {
-		if m.Weights[i] < 0 {
-			return fmt.Errorf("gmm: negative weight %v", m.Weights[i])
-		}
-		if m.Sigmas[i] <= 0 {
-			return fmt.Errorf("gmm: non-positive sigma %v", m.Sigmas[i])
-		}
-		sum += m.Weights[i]
+	for _, w := range m.Weights {
+		sum += w
 	}
 	if math.Abs(sum-1) > 1e-6 {
 		return fmt.Errorf("gmm: weights sum to %v", sum)
+	}
+	return nil
+}
+
+// CheckComponents rejects a mixture component with a negative, NaN or
+// infinite weight, a non-finite mean, or a sigma that is not finite and
+// positive — the values a model file or a training checkpoint must not
+// carry into the sampler. The slices must have equal lengths.
+func CheckComponents(weights, means, sigmas []float64) error {
+	for j, w := range weights {
+		mu, sd := means[j], sigmas[j]
+		if !(w >= 0) || math.IsInf(w, 0) || math.IsNaN(mu) || math.IsInf(mu, 0) || !(sd > 0) || math.IsInf(sd, 0) {
+			return fmt.Errorf("gmm: component %d has weight %v, mean %v, sigma %v", j, w, mu, sd)
+		}
 	}
 	return nil
 }

@@ -32,9 +32,9 @@ func (t *SGDTrainer) CaptureState() *TrainerState {
 }
 
 // RestoreState copies st back into the trainer (and its wrapped Model). The
-// state must come from a trainer with the same component count: every slice
-// is checked before anything is copied, so a rejected state leaves the
-// trainer untouched.
+// state must come from a trainer with the same component count and hold a
+// valid mixture (CheckComponents): every slice is checked before anything
+// is copied, so a rejected state leaves the trainer untouched.
 func (t *SGDTrainer) RestoreState(st *TrainerState) error {
 	if st == nil {
 		return fmt.Errorf("gmm: nil trainer state")
@@ -52,6 +52,9 @@ func (t *SGDTrainer) RestoreState(st *TrainerState) error {
 		if len(f.s) != k {
 			return fmt.Errorf("gmm: trainer state %s has %d components, model has %d", f.name, len(f.s), k)
 		}
+	}
+	if err := CheckComponents(st.Weights, st.Means, st.Sigmas); err != nil {
+		return fmt.Errorf("gmm: trainer state: %w", err)
 	}
 	copy(t.Model.Weights, st.Weights)
 	copy(t.Model.Means, st.Means)

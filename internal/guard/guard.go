@@ -131,11 +131,11 @@ func (g *Guarded) tierBudget(ctx context.Context, last bool) (budget time.Durati
 	return budget, false
 }
 
-// call runs one tier's Estimate with panic recovery and, when positive, a
-// wall-clock budget. It reports the estimate, the failure (if any), and
-// records which counter the failure belongs to.
+// call runs one tier's Estimate with panic recovery, validation and, when
+// positive, a wall-clock budget. It reports the estimate, the failure (if
+// any), and records which counter the failure belongs to.
 func (g *Guarded) call(t *tier, q *query.Query, budget time.Duration) (float64, error) {
-	run := func() (res estResult) {
+	res, ok := withBudget(t, budget, func() (res estResult) {
 		defer func() {
 			if r := recover(); r != nil {
 				res = estResult{err: fmt.Errorf("guard: %s panicked: %v", t.est.Name(), r)}
@@ -149,26 +149,40 @@ func (g *Guarded) call(t *tier, q *query.Query, budget time.Duration) (float64, 
 		}
 		if !Valid(sel) {
 			t.invalid.Add(1)
-			return estResult{err: fmt.Errorf("guard: %s returned invalid selectivity %v", t.est.Name(), sel)}
+			return estResult{err: invalidErr(t, sel)}
 		}
 		return estResult{sel: sel}
+	})
+	if !ok {
+		return 0, fmt.Errorf("guard: %s timed out after %v", t.est.Name(), budget)
 	}
+	return res.sel, res.err
+}
 
+// invalidErr describes a tier's non-physical estimate.
+func invalidErr(t *tier, sel float64) error {
+	return fmt.Errorf("guard: %s returned invalid selectivity %v", t.est.Name(), sel)
+}
+
+// withBudget runs fn inline when budget ≤ 0. Otherwise fn runs on its own
+// goroutine raced against a budget timer: ok is false when the timer wins,
+// in which case the timeout is counted and the still-running call is left
+// to watchAbandoned.
+func withBudget[T any](t *tier, budget time.Duration, fn func() T) (res T, ok bool) {
 	if budget <= 0 {
-		res := run()
-		return res.sel, res.err
+		return fn(), true
 	}
-	ch := make(chan estResult, 1)
-	go func() { ch <- run() }()
+	ch := make(chan T, 1)
+	go func() { ch <- fn() }()
 	timer := time.NewTimer(budget)
 	defer timer.Stop()
 	select {
-	case res := <-ch:
-		return res.sel, res.err
+	case res = <-ch:
+		return res, true
 	case <-timer.C:
 		t.timeouts.Add(1)
 		watchAbandoned(t, ch)
-		return 0, fmt.Errorf("guard: %s timed out after %v", t.est.Name(), budget)
+		return res, false
 	}
 }
 
@@ -190,33 +204,14 @@ func (g *Guarded) Estimate(q *query.Query) (float64, error) {
 	return g.EstimateCtx(context.Background(), q)
 }
 
-// EstimateCtx is Estimate with a per-request deadline: the time remaining on
-// ctx caps each non-terminal tier's budget (on top of Config.Timeout), and a
-// tier whose turn comes after the deadline has passed is skipped and counted
-// as a timeout. The terminal tier always runs, so a late request still gets
-// the conservative fallback estimate rather than an error.
+// EstimateCtx is Estimate with a per-request deadline. A single query is a
+// batch of one: see EstimateBatchCtx.
 func (g *Guarded) EstimateCtx(ctx context.Context, q *query.Query) (float64, error) {
-	var firstErr error
-	for i, t := range g.tiers {
-		budget, expired := g.tierBudget(ctx, i == len(g.tiers)-1)
-		if expired {
-			t.timeouts.Add(1)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("guard: %s skipped: %w", t.est.Name(), ctx.Err())
-			}
-			continue
-		}
-		sel, err := g.call(t, q, budget)
-		if err == nil {
-			t.served.Add(1)
-			return sel, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
+	sels, err := g.EstimateBatchCtx(ctx, []*query.Query{q})
+	if err != nil {
+		return 0, err
 	}
-	g.exhausted.Add(1)
-	return 0, fmt.Errorf("guard: all %d estimators failed (first: %w)", len(g.tiers), firstErr)
+	return sels[0], nil
 }
 
 // EstimateBatch implements estimator.BatchEstimator. Tiers that themselves
@@ -227,10 +222,12 @@ func (g *Guarded) EstimateBatch(qs []*query.Query) ([]float64, error) {
 	return g.EstimateBatchCtx(context.Background(), qs)
 }
 
-// EstimateBatchCtx is EstimateBatch with a per-request deadline, with the
-// same semantics as EstimateCtx: ctx caps every non-terminal tier's budget
-// (shared across the whole batch call), expired non-terminal tiers are
-// skipped and counted as timeouts, and the terminal tier always answers.
+// EstimateBatchCtx is EstimateBatch with a per-request deadline: the time
+// remaining on ctx caps every non-terminal tier's budget (on top of
+// Config.Timeout, shared across the whole batch call), and a tier whose turn
+// comes after the deadline has passed is skipped and counted as a timeout
+// for every pending query. The terminal tier always runs, so a late request
+// still gets the conservative fallback estimate rather than an error.
 func (g *Guarded) EstimateBatchCtx(ctx context.Context, qs []*query.Query) ([]float64, error) {
 	out := make([]float64, len(qs))
 	pending := make([]int, len(qs)) // indices into qs still unanswered
@@ -262,10 +259,13 @@ func (g *Guarded) EstimateBatchCtx(ctx context.Context, qs []*query.Query) ([]fl
 					if Valid(sels[i]) {
 						out[qi] = sels[i]
 						t.served.Add(1)
-					} else {
-						t.invalid.Add(1)
-						next = append(next, qi)
+						continue
 					}
+					t.invalid.Add(1)
+					if firstErr == nil {
+						firstErr = invalidErr(t, sels[i])
+					}
+					next = append(next, qi)
 				}
 				pending = next
 				continue
@@ -295,8 +295,8 @@ func (g *Guarded) EstimateBatchCtx(ctx context.Context, qs []*query.Query) ([]fl
 	}
 	if len(pending) > 0 {
 		g.exhausted.Add(uint64(len(pending)))
-		return nil, fmt.Errorf("guard: %d of %d queries failed on every estimator (first: %w)",
-			len(pending), len(qs), firstErr)
+		return nil, fmt.Errorf("guard: all %d estimators failed on %d of %d queries (first: %w)",
+			len(g.tiers), len(pending), len(qs), firstErr)
 	}
 	return out, nil
 }
@@ -326,22 +326,11 @@ func (g *Guarded) callBatch(t *tier, be estimator.BatchEstimator, qs []*query.Qu
 		}
 		return batchResult{sels: sels}
 	}
-	if budget <= 0 {
-		res := run()
-		return res.sels, res.err
-	}
-	ch := make(chan batchResult, 1)
-	go func() { ch <- run() }()
-	timer := time.NewTimer(budget)
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		return res.sels, res.err
-	case <-timer.C:
-		t.timeouts.Add(1)
-		watchAbandoned(t, ch)
+	res, ok := withBudget(t, budget, run)
+	if !ok {
 		return nil, fmt.Errorf("guard: %s batch timed out after %v", be.Name(), budget)
 	}
+	return res.sels, res.err
 }
 
 // Stats snapshots the per-tier counters, in cascade order.

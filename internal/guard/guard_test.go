@@ -293,3 +293,36 @@ func TestEstimateBatchCtxDeadlineCapsModelTier(t *testing.T) {
 		t.Fatalf("slow tier timeouts = %d, want 2 (one per pending query)", st[0].Timeouts)
 	}
 }
+
+// outOfRangeBatch is a batch tier whose every estimate is non-physical.
+type outOfRangeBatch struct{}
+
+func (outOfRangeBatch) Name() string                           { return "out-of-range" }
+func (outOfRangeBatch) Estimate(*query.Query) (float64, error) { return 1.5, nil }
+func (outOfRangeBatch) EstimateBatch(qs []*query.Query) ([]float64, error) {
+	sels := make([]float64, len(qs))
+	for i := range sels {
+		sels[i] = 1.5
+	}
+	return sels, nil
+}
+
+// TestGuardedBatchInvalidNamesCause: when a batch tier's non-physical
+// answers exhaust the cascade, the error names them as its first cause —
+// for a batch and for a single query, which is a batch of one.
+func TestGuardedBatchInvalidNamesCause(t *testing.T) {
+	g, err := New(Config{}, outOfRangeBatch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := testQuery(t)
+	if _, err := g.EstimateBatch([]*query.Query{q, q}); err == nil || !strings.Contains(err.Error(), "out-of-range returned invalid selectivity 1.5") {
+		t.Fatalf("batch error = %v, want the invalid selectivity as its cause", err)
+	}
+	if _, err := g.Estimate(q); err == nil || !strings.Contains(err.Error(), "out-of-range returned invalid selectivity 1.5") {
+		t.Fatalf("single-query error = %v, want the invalid selectivity as its cause", err)
+	}
+	if st := g.Stats(); st[0].Invalid != 3 || g.Exhausted() != 3 {
+		t.Fatalf("invalid = %d, exhausted = %d; want 3 and 3", st[0].Invalid, g.Exhausted())
+	}
+}

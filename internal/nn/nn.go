@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"iam/internal/vecmath"
 )
@@ -403,12 +404,15 @@ type Session struct {
 	maxBatch int
 	B        int // current batch size
 
-	// x[0] is the embedded input, x[l+1] the output of layer l. x[0] is
-	// allocated by the first dense Forward: a sampling forward reads the
-	// first-layer table instead, so sampling-only sessions never hold it.
-	x      []*vecmath.Matrix
-	pre    []*vecmath.Matrix // pre-activation of each hidden layer
-	logits *vecmath.Matrix
+	// x[0] is the embedded input, x[l+1] the output of layer l. x[0] and
+	// the dense logits (maxBatch × Σ cards) are allocated by the first dense
+	// Forward: a sampling forward reads the first-layer table and writes one
+	// column's logits into sampLogits (maxBatch × max card), so
+	// sampling-only sessions hold neither.
+	x          []*vecmath.Matrix
+	pre        []*vecmath.Matrix // pre-activation of each hidden layer
+	logits     *vecmath.Matrix
+	sampLogits []float64
 
 	// Reusable batch-view headers over the buffers above. The matmul kernels
 	// may fan work out to goroutines, so their operands escape; aiming these
@@ -418,8 +422,8 @@ type Session struct {
 	preV, dpreV []vecmath.Matrix
 	logitsV     vecmath.Matrix
 
-	// Sampling-forward state (ForwardSampling): logitsPV aims at logits'
-	// backing with the sampling column's cardinality as stride, outWV at the
+	// Sampling-forward state (ForwardSampling): logitsPV aims at sampLogits
+	// with the sampling column's cardinality as stride, outWV at the
 	// out-layer weight rows of that column. samplingCol is the column the
 	// last forward served (−1 after a dense Forward), which is what Dist
 	// dispatches on. tab is the first-layer table of the network's
@@ -457,7 +461,7 @@ func (n *ResMADE) NewSession(maxBatch int) *Session {
 	for _, l := range n.layers {
 		s.pre = append(s.pre, vecmath.NewMatrix(maxBatch, l.out))
 	}
-	s.logits = vecmath.NewMatrix(maxBatch, n.outDim)
+	s.sampLogits = make([]float64, maxBatch*slices.Max(n.Cards))
 	s.xV = make([]vecmath.Matrix, len(s.x))
 	s.dxV = make([]vecmath.Matrix, len(s.x))
 	s.preV = make([]vecmath.Matrix, len(s.pre))
@@ -491,8 +495,8 @@ func (s *Session) Forward(rows [][]int) {
 	s.rows = s.buf[:s.B]
 
 	if s.x[0] == nil {
-		//lint:ignore noalloc once per session: the first dense Forward allocates the embedded-input buffer
-		s.x[0] = vecmath.NewMatrix(s.maxBatch, n.inDim)
+		//lint:ignore noalloc once per session: the first dense Forward allocates the embedded-input and logit buffers
+		s.x[0], s.logits = vecmath.NewMatrix(s.maxBatch, n.inDim), vecmath.NewMatrix(s.maxBatch, n.outDim)
 	}
 	x0 := vecmath.ViewInto(&s.xV[0], s.x[0], s.B)
 	for r, row := range s.rows {

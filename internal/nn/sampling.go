@@ -152,7 +152,7 @@ func (s *Session) ForwardSampling(rows [][]int, col int) {
 	lo, hi := n.LogitRange(col)
 	wsub := vecmath.ViewRowsInto(&s.outWV, n.outLayer.w, lo, hi)
 	card := hi - lo
-	s.logitsPV.Rows, s.logitsPV.Cols, s.logitsPV.Data = b, card, s.logits.Data[:b*card]
+	s.logitsPV.Rows, s.logitsPV.Cols, s.logitsPV.Data = b, card, s.sampLogits[:b*card]
 	vecmath.MatMulABT(&s.logitsPV, cur, wsub)
 	bias := n.outLayer.b[lo:hi]
 	for r := 0; r < b; r++ {

@@ -114,9 +114,11 @@ func TestInferenceSessionHoldsNoGradients(t *testing.T) {
 }
 
 // TestSamplingOnlySessionThenDense: a session that has only run
-// ForwardSampling holds no embedded-input buffer; its first dense Forward
-// allocates it, and that Forward and the Backward after it give the same
-// logits and gradients, bit for bit, as a fresh session's.
+// ForwardSampling holds neither the embedded-input buffer nor the dense
+// logits; its first dense Forward allocates them, and that Forward, the
+// Logits it serves and the Backward after it match a fresh session's bit
+// for bit. A sampling forward after the dense one still matches a fresh
+// sampling session's.
 func TestSamplingOnlySessionThenDense(t *testing.T) {
 	cards := []int{5, 7, 4, 6}
 	net := smallNet(t, cards, 59)
@@ -127,8 +129,8 @@ func TestSamplingOnlySessionThenDense(t *testing.T) {
 	for col := range cards {
 		sampled.ForwardSampling(rows, col)
 	}
-	if sampled.x[0] != nil {
-		t.Fatal("a sampling-only session allocated the embedded-input buffer")
+	if sampled.x[0] != nil || sampled.logits != nil {
+		t.Fatal("a sampling-only session allocated a dense-forward buffer")
 	}
 	fresh := net.NewSession(8)
 	var dls [2]*vecmath.Matrix
@@ -142,6 +144,13 @@ func TestSamplingOnlySessionThenDense(t *testing.T) {
 	if !slices.Equal(bitsOf(sampled.AllLogits().Data), bitsOf(fresh.AllLogits().Data)) {
 		t.Fatal("dense logits differ after sampling-only use")
 	}
+	for r := range rows {
+		for col := range cards {
+			if !slices.Equal(bitsOf(sampled.Logits(r, col)), bitsOf(fresh.Logits(r, col))) {
+				t.Fatalf("Logits(%d, %d) differ after sampling-only use", r, col)
+			}
+		}
+	}
 	ga, gb := sampled.Grads(), fresh.Grads()
 	for i := range ga.dEmbeds {
 		if !slices.Equal(bitsOf(ga.dEmbeds[i].Data), bitsOf(gb.dEmbeds[i].Data)) {
@@ -153,6 +162,13 @@ func TestSamplingOnlySessionThenDense(t *testing.T) {
 			!slices.Equal(bitsOf(ga.layers[i].db), bitsOf(gb.layers[i].db)) {
 			t.Fatalf("layer %d gradient differs after sampling-only use", i)
 		}
+	}
+	last := len(cards) - 1
+	sampled.ForwardSampling(rows, last)
+	other := net.NewSession(8)
+	other.ForwardSampling(rows, last)
+	if !slices.Equal(bitsOf(sampledLogits(sampled)), bitsOf(sampledLogits(other))) {
+		t.Fatal("sampling logits differ after dense use")
 	}
 }
 

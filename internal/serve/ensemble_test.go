@@ -24,7 +24,7 @@ func ensembleCfg(k int, seed int64) shard.Config {
 
 // TestServerEnsembleInstallAndSwap pins the serving contract over a sharded
 // ensemble: the batcher answers bit-identically to a direct content-seeded
-// ensemble estimate, and SwapEnsemble installs a new generation that serves
+// ensemble estimate, and Swap installs a new generation that serves
 // its own answers while the old one retires.
 func TestServerEnsembleInstallAndSwap(t *testing.T) {
 	_, tbl := testModel(t)
@@ -91,7 +91,7 @@ func TestServerEnsembleInstallAndSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := s.SwapEnsemble(e2)
+	id, err := s.Swap(e2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -495,29 +495,16 @@ func (s *Server) observeLatency(d time.Duration) {
 	}
 }
 
-// Swap atomically replaces the served model with m as a new version. The
-// previous version keeps serving its in-flight batches, is retained as the
+// Swap atomically replaces the served model with m — a *core.Model or a
+// *shard.Ensemble — as a new version. The previous version (single model
+// or ensemble) keeps serving its in-flight batches, is retained as the
 // rollback target, and has its worker pool released once it drains.
-func (s *Server) Swap(m *core.Model) (int, error) {
+// Mixed-kind swaps (model → ensemble and back) are fully supported —
+// versions only see the served interface.
+func (s *Server) Swap(m served) (int, error) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	v, err := newVersion(s.nextID+1, s.table, m, s.cfg.Seed, s.cfg.TierTimeout)
-	if err != nil {
-		return 0, err
-	}
-	s.installLocked(v)
-	return v.id, nil
-}
-
-// SwapEnsemble is Swap for a sharded ensemble: the ensemble becomes the new
-// version's primary tier, and the superseded version (single model or
-// ensemble) drains and is retained as the rollback target. Mixed-kind swaps
-// (model → ensemble and back) are fully supported — versions only see the
-// served interface.
-func (s *Server) SwapEnsemble(e *shard.Ensemble) (int, error) {
-	s.swapMu.Lock()
-	defer s.swapMu.Unlock()
-	v, err := newVersion(s.nextID+1, s.table, e, s.cfg.Seed, s.cfg.TierTimeout)
 	if err != nil {
 		return 0, err
 	}

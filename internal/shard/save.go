@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"time"
 
 	"iam/internal/core"
 	"iam/internal/dataset"
@@ -28,14 +27,14 @@ type ensSnapshot struct {
 	NumCols   int
 	Rows      []int // per-shard row counts, in shard order
 
+	// Files written before the early-stop z, minimum shard count and
+	// fallback sample size and timeout became constants also carry
+	// EarlyStopZ, MinShards, FallbackSamples and FallbackTimeout; gob skips
+	// fields the struct no longer has, so those files still load.
 	Seed            int64
 	TrainParallel   int
 	EarlyStopRelErr float64
-	EarlyStopZ      float64
-	MinShards       int
 	Fallback        bool
-	FallbackSamples int
-	FallbackTimeout int64 // nanoseconds
 
 	Models [][]byte
 }
@@ -49,11 +48,7 @@ func (e *Ensemble) Save(w io.Writer) error {
 		Seed:            e.cfg.Seed,
 		TrainParallel:   e.cfg.TrainParallel,
 		EarlyStopRelErr: e.cfg.EarlyStopRelErr,
-		EarlyStopZ:      e.cfg.EarlyStopZ,
-		MinShards:       e.cfg.MinShards,
 		Fallback:        e.cfg.Fallback,
-		FallbackSamples: e.cfg.FallbackSamples,
-		FallbackTimeout: int64(e.cfg.FallbackTimeout),
 	}
 	for _, slot := range st.slots {
 		snap.Rows = append(snap.Rows, slot.hi-slot.lo)
@@ -97,14 +92,9 @@ func Load(r io.Reader, t *dataset.Table) (*Ensemble, error) {
 		Shards:          k,
 		TrainParallel:   snap.TrainParallel,
 		EarlyStopRelErr: snap.EarlyStopRelErr,
-		EarlyStopZ:      snap.EarlyStopZ,
-		MinShards:       snap.MinShards,
 		Fallback:        snap.Fallback,
-		FallbackSamples: snap.FallbackSamples,
-		FallbackTimeout: time.Duration(snap.FallbackTimeout),
 	}
 	cfg.Seed = snap.Seed
-	cfg.fillDefaults()
 	parts := Partition(t, k)
 	models := make([]*core.Model, k)
 	for si, part := range parts {

@@ -8,6 +8,7 @@ import (
 
 	"iam/internal/dataset"
 	"iam/internal/query"
+	"iam/internal/testutil"
 )
 
 // tinySavedEnsemble trains a two-shard ensemble with fallbacks small enough
@@ -15,7 +16,7 @@ import (
 func tinySavedEnsemble(tb testing.TB) (*dataset.Table, []byte) {
 	tb.Helper()
 	t := dataset.SynthTWI(600, 51)
-	cfg := Config{Shards: 2, Fallback: true, FallbackSamples: 50}
+	cfg := Config{Shards: 2, Fallback: true}
 	cfg.GMMThreshold = 50
 	cfg.Components = 4
 	cfg.Hidden = []int{8}
@@ -41,9 +42,73 @@ var damagedEnsembles = []func(s *ensSnapshot){
 	func(s *ensSnapshot) { s.Models = s.Models[:1] },
 	func(s *ensSnapshot) { s.Models[1] = s.Models[1][:len(s.Models[1])/2] },
 	func(s *ensSnapshot) { s.NumCols++ },
-	func(s *ensSnapshot) { s.MinShards = -3 },
-	func(s *ensSnapshot) { s.EarlyStopRelErr, s.EarlyStopZ = 0.5, math.NaN() },
-	func(s *ensSnapshot) { s.FallbackSamples, s.FallbackTimeout = -1, -1 },
+	func(s *ensSnapshot) { s.EarlyStopRelErr = math.NaN() },
+	func(s *ensSnapshot) { s.TableName = "other" },
+	func(s *ensSnapshot) { s.Models[0], s.Models[1] = s.Models[1], s.Models[0] },
+}
+
+// legacySnapshot is the ensemble snapshot as files written before the
+// early-stop z, the minimum shard count and the fallback's sample size and
+// timeout became constants lay it out.
+type legacySnapshot struct {
+	TableName string
+	NumCols   int
+	Rows      []int
+
+	Seed            int64
+	TrainParallel   int
+	EarlyStopRelErr float64
+	EarlyStopZ      float64
+	MinShards       int
+	Fallback        bool
+	FallbackSamples int
+	FallbackTimeout int64
+
+	Models [][]byte
+}
+
+// TestLoadLegacySnapshot: a file that still carries the four retired
+// configuration fields loads, and answers bit for bit as the same ensemble
+// saved in the current layout.
+func TestLoadLegacySnapshot(t *testing.T) {
+	tb, valid := tinySavedEnsemble(t)
+	var snap ensSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(valid[len(Magic):])).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	legacy := legacySnapshot{
+		TableName: snap.TableName, NumCols: snap.NumCols, Rows: snap.Rows,
+		Seed: snap.Seed, TrainParallel: snap.TrainParallel, EarlyStopRelErr: snap.EarlyStopRelErr,
+		EarlyStopZ: 2, MinShards: 2, Fallback: snap.Fallback, FallbackSamples: 50, FallbackTimeout: 0,
+		Models: snap.Models,
+	}
+	var buf bytes.Buffer
+	buf.WriteString(Magic)
+	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	old, err := Load(bytes.NewReader(buf.Bytes()), tb)
+	if err != nil {
+		t.Fatalf("legacy snapshot fails to load: %v", err)
+	}
+	cur, err := Load(bytes.NewReader(valid), tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 8, Seed: 53, SkipExec: true})
+	want, err := cur.EstimateBatch(w.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := old.EstimateBatch(w.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("query %d: legacy file answers %v, current %v", i, got[i], want[i])
+		}
+	}
 }
 
 // sampleSizes bounds the sampling sizes a damaged file may carry before the

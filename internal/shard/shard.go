@@ -8,14 +8,16 @@
 //
 //	sel(q) = Σ_s (rows_s / rows_total) · sel_s(q)
 //
-// On top of the exact merge the ensemble offers variance-based early
-// termination (Config.EarlyStopRelErr): shards are visited in descending
-// row-weight order, each visit contributes its progressive-sampling variance
-// to a running confidence interval, and the remaining shards are skipped for
-// a query once its interval is tighter than the requested relative error.
-// Early termination is off by default, in which case answers are bitwise
-// identical to the plain merge — and an ensemble of one shard is bitwise
-// identical to the plain core.Model path.
+// Every estimate walks one visit loop: shards are visited in descending
+// row-weight order, and each visit contributes its estimate and its
+// progressive-sampling variance to a running confidence interval. With
+// variance-based early termination (Config.EarlyStopRelErr > 0) the
+// remaining shards are skipped for a query once its interval is tighter than
+// the requested relative error; without it every query visits every shard.
+// Early termination is off by default; an ensemble of up to 5 (or 8)
+// equally sized shards then answers bit for bit with the plain weighted
+// merge, and an ensemble of one shard bit for bit with the plain core.Model
+// path.
 package shard
 
 import (
@@ -24,7 +26,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"iam/internal/core"
 	"iam/internal/dataset"
@@ -52,47 +53,31 @@ type Config struct {
 
 	// EarlyStopRelErr enables variance-based early termination when > 0: a
 	// query stops visiting shards once its running confidence half-interval
-	// drops below EarlyStopRelErr times its running estimate. 0 (the
-	// default) disables early termination, and answers are bitwise identical
-	// to the exhaustive merge.
+	// (earlyStopZ standard errors, after earlyStopMinShards visits) drops
+	// below EarlyStopRelErr times its running estimate. 0 (the default)
+	// disables early termination: every query visits every shard.
 	EarlyStopRelErr float64
-	// EarlyStopZ is the z-multiplier of the confidence half-interval
-	// (default 2, ≈95% under a normal approximation).
-	EarlyStopZ float64
-	// MinShards is the minimum number of shards every query visits before
-	// early termination may trigger (default 2, clamped to K).
-	MinShards int
 
-	// Fallback builds a per-shard guard cascade (uniform sample → histogram
-	// over the shard's rows). When a shard's model errors or returns a
-	// non-physical estimate — e.g. a stale model mid hot-swap — that shard's
-	// contribution is answered by its fallback so the merge stays exact,
-	// instead of failing the whole batch.
+	// Fallback builds a per-shard guard cascade (uniform sample of up to
+	// fallbackSamples rows → histogram over the shard's rows). When a
+	// shard's model errors or returns a non-physical estimate — e.g. a stale
+	// model mid hot-swap — that shard's contribution is answered by its
+	// fallback so the merge stays exact, instead of failing the whole batch.
 	Fallback bool
-	// FallbackSamples is the per-shard uniform-sample size of the fallback
-	// tier (default 2000, clamped to the shard's row count).
-	FallbackSamples int
-	// FallbackTimeout bounds each fallback tier call. Zero disables.
-	FallbackTimeout time.Duration
 }
 
-func (c *Config) fillDefaults() {
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.EarlyStopZ <= 0 {
-		c.EarlyStopZ = 2
-	}
-	if c.MinShards <= 0 {
-		c.MinShards = 2
-	}
-	if c.MinShards > c.Shards {
-		c.MinShards = c.Shards
-	}
-	if c.FallbackSamples <= 0 {
-		c.FallbackSamples = 2000
-	}
-}
+// The fixed parameters of early termination and of the per-shard fallback.
+const (
+	// earlyStopZ is the z-multiplier of the confidence half-interval (≈95%
+	// under a normal approximation).
+	earlyStopZ = 2
+	// earlyStopMinShards is the number of shards every query visits before
+	// early termination may trigger (an ensemble of fewer shards visits all).
+	earlyStopMinShards = 2
+	// fallbackSamples is the uniform-sample size of a shard's fallback tier,
+	// capped at the shard's row count. The fallback tiers have no timeout.
+	fallbackSamples = 2000
+)
 
 // shardSlot is one shard of an ensemble state: the sub-table view of the
 // shard's rows, its trained model, its merge weight, and (optionally) its
@@ -109,7 +94,7 @@ type shardSlot struct {
 }
 
 // state is one immutable generation of the ensemble: the slot list plus the
-// weight-descending visit order the early-termination path walks. Published
+// weight-descending visit order every estimate walks. Published
 // via Ensemble.state; never mutated after Store.
 type state struct {
 	slots []*shardSlot
@@ -179,7 +164,9 @@ func Train(t *dataset.Table, cfg Config) (*Ensemble, error) {
 // cfg.Seed + s through the unmodified core pipeline, so every shard's
 // trajectory is bit-identical no matter how many shards train at once.
 func TrainContext(ctx context.Context, t *dataset.Table, cfg Config) (*Ensemble, error) {
-	cfg.fillDefaults()
+	if cfg.Shards <= 0 {
+		cfg.Shards = 1
+	}
 	k := cfg.Shards
 	if t.NumRows() < k {
 		return nil, fmt.Errorf("shard: %d shards for %d rows", k, t.NumRows())
@@ -277,11 +264,7 @@ func assemble(t *dataset.Table, cfg Config, parts []*dataset.Table, models []*co
 // this shard, so a fallback answer weighs into the merge exactly like a
 // model answer would.
 func buildFallback(part *dataset.Table, cfg Config, si int) (*guard.Guarded, error) {
-	size := cfg.FallbackSamples
-	if size > part.NumRows() {
-		size = part.NumRows()
-	}
-	samp, err := sampling.New(part, size, cfg.Seed+int64(si)+5)
+	samp, err := sampling.New(part, min(fallbackSamples, part.NumRows()), cfg.Seed+int64(si)+5)
 	if err != nil {
 		return nil, fmt.Errorf("shard: shard %d sampling fallback: %w", si, err)
 	}
@@ -289,7 +272,7 @@ func buildFallback(part *dataset.Table, cfg Config, si int) (*guard.Guarded, err
 	if err != nil {
 		return nil, fmt.Errorf("shard: shard %d histogram fallback: %w", si, err)
 	}
-	return guard.New(guard.Config{Timeout: cfg.FallbackTimeout, Name: fmt.Sprintf("shard%d-fallback", si)}, samp, hist)
+	return guard.New(guard.Config{Name: fmt.Sprintf("shard%d-fallback", si)}, samp, hist)
 }
 
 // visitOrder returns slot indices sorted by descending weight, ties broken

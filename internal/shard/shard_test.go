@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -223,7 +224,6 @@ func TestEarlyStopDeterministicSkips(t *testing.T) {
 	const k = 4
 	cfg := testCfg(k)
 	cfg.EarlyStopRelErr = 0.5
-	cfg.MinShards = 2
 	e := trainEnsemble(t, tb, cfg)
 	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 24, Seed: 19})
 
@@ -259,8 +259,8 @@ func TestEarlyStopDeterministicSkips(t *testing.T) {
 }
 
 // TestEarlyStopOffIsExhaustive pins the default-off contract from the other
-// side: EarlyStopRelErr=0 routes through the exhaustive merge and never
-// skips a shard.
+// side: with EarlyStopRelErr=0 the visit loop never runs its stop test and
+// never skips a shard.
 func TestEarlyStopOffIsExhaustive(t *testing.T) {
 	tb := dataset.SynthTWI(2400, 11)
 	const k = 3
@@ -278,13 +278,68 @@ func TestEarlyStopOffIsExhaustive(t *testing.T) {
 	}
 }
 
+// TestUnequalShardsVisitAllInWeightOrder: 2401 rows in 3 shards give the
+// last shard one row more, so the visit order is [2, 0, 1]. With early stop
+// off every query still visits all 3 shards, and each answer is bit for bit
+// Σ w_s·est_s / Σ w_s accumulated in that order — under position seeds and
+// under caller seeds.
+func TestUnequalShardsVisitAllInWeightOrder(t *testing.T) {
+	tb := dataset.SynthTWI(2401, 11)
+	const k = 3
+	e := trainEnsemble(t, tb, testCfg(k))
+	if order := e.st.Load().order; !slices.Equal(order, []int{2, 0, 1}) {
+		t.Fatalf("visit order %v, want [2 0 1]", order)
+	}
+	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 16, Seed: 61})
+	seeds := make([]int64, len(w.Queries))
+	for i, q := range w.Queries {
+		seeds[i] = e.QuerySeed(q)
+	}
+	for _, qseeds := range [][]int64{nil, seeds} {
+		e.ResetEarlyStopStats()
+		got, err := e.EstimateBatchSeeded(w.Queries, qseeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if visited, skipped := e.EarlyStopStats(); visited != uint64(k*len(w.Queries)) || skipped != 0 {
+			t.Fatalf("visited %d, skipped %d shard pairs; want %d, 0", visited, skipped, k*len(w.Queries))
+		}
+		acc := make([]float64, len(w.Queries))
+		wSum := make([]float64, len(w.Queries))
+		for _, si := range []int{2, 0, 1} {
+			part := e.ShardTable(si)
+			sub := make([]*query.Query, len(w.Queries))
+			var subSeeds []int64
+			for i, q := range w.Queries {
+				sub[i] = &query.Query{Table: part, Ranges: q.Ranges}
+				if qseeds != nil {
+					subSeeds = append(subSeeds, shardQuerySeed(qseeds[i], si))
+				}
+			}
+			ests, err := e.ShardModel(si).EstimateBatchSeeded(sub, subSeeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			weight := float64(part.NumRows()) / float64(tb.NumRows())
+			for i, v := range ests {
+				acc[i] += weight * v
+				wSum[i] += weight
+			}
+		}
+		for i := range got {
+			if want := acc[i] / wSum[i]; math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("seeded=%v query %d: ensemble %v != weighted mean in visit order %v", qseeds != nil, i, got[i], want)
+			}
+		}
+	}
+}
+
 // TestFallbackAnswersForBrokenShard wedges one shard with a model bound to
 // the wrong table (every estimate against it errors — the stale-model
 // failure a hot swap can race into) and checks the guard cascade silently
 // answers that shard's contribution, while a fallback-less ensemble
-// surfaces the error. It runs on the exhaustive merge and on the early-stop
-// path, whose shard visits carry variances; with the default MinShards of
-// 2, every query visits the wedged slot 1.
+// surfaces the error. It runs with early stop off and on; with at least 2
+// visits before any stop, every query visits the wedged slot 1.
 func TestFallbackAnswersForBrokenShard(t *testing.T) {
 	for _, relErr := range []float64{0, 0.2} {
 		t.Run(fmt.Sprintf("earlystop=%v", relErr), func(t *testing.T) {
@@ -299,7 +354,6 @@ func testFallbackAnswersForBrokenShard(t *testing.T, relErr float64) {
 	cfg := testCfg(k)
 	cfg.EarlyStopRelErr = relErr
 	cfg.Fallback = true
-	cfg.FallbackSamples = 500
 	e := trainEnsemble(t, tb, cfg)
 	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 8, Seed: 29})
 
@@ -450,7 +504,6 @@ func TestEnsembleSwapRaceStress(t *testing.T) {
 	const k = 2
 	cfg := testCfg(k)
 	cfg.Fallback = true
-	cfg.FallbackSamples = 400
 	e := trainEnsemble(t, tb, cfg)
 	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 8, Seed: 47})
 	seeds := make([]int64, len(w.Queries))
