@@ -45,7 +45,8 @@ func TestEstimateWithCI(t *testing.T) {
 // sharded early stop feeds on: its estimates are bitwise the plain seeded
 // path's, every variance is a non-negative number, an unconstrained query is
 // exactly 1 with variance 0, and queries answered by exhaustive enumeration
-// are exact and so report variance 0.
+// are exact and so report variance 0. EstimateBatchVarInto gives the same
+// bits into a reused buffer.
 func TestEstimateBatchVarSeededContract(t *testing.T) {
 	m, tb := trainTWI(t, fastCfg())
 	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 16, Seed: 44})
@@ -110,6 +111,25 @@ func TestEstimateBatchVarSeededContract(t *testing.T) {
 	}
 	if enumerated == 0 {
 		t.Fatal("no query was answered by enumeration")
+	}
+
+	// A caller-owned buffer holding stale values gives the same bits: the
+	// enumerated queries' variances are reset to 0, not left as they were.
+	buf := make([]float64, len(qs))
+	for i := range buf {
+		buf[i] = -1
+	}
+	into, err := me.EstimateBatchVarInto(buf, qs, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range qs {
+		if math.Float64bits(into[i]) != math.Float64bits(ests[i]) || math.Float64bits(buf[i]) != math.Float64bits(vars[i]) {
+			t.Fatalf("query %d: EstimateBatchVarInto gave (%v, %v), EstimateBatchVarSeeded (%v, %v)", i, into[i], buf[i], ests[i], vars[i])
+		}
+	}
+	if _, err := me.EstimateBatchVarInto(buf[:1], qs, seeds); err == nil {
+		t.Fatal("a variance buffer shorter than the batch was accepted")
 	}
 }
 

@@ -691,10 +691,22 @@ func (m *Model) EstimateBatchSeeded(qs []*query.Query, qseeds []int64) ([]float6
 // variance is a read-only second pass over the same path probabilities.
 func (m *Model) EstimateBatchVarSeeded(qs []*query.Query, qseeds []int64) (ests, vars []float64, err error) {
 	vars = make([]float64, len(qs))
-	if ests, err = m.estimateBatch(qs, qseeds, vars); err != nil {
+	if ests, err = m.EstimateBatchVarInto(vars, qs, qseeds); err != nil {
 		return nil, nil, err
 	}
 	return ests, vars, nil
+}
+
+// EstimateBatchVarInto is EstimateBatchVarSeeded with a caller-owned
+// variance buffer: vars (len(qs)) is overwritten with each query's sampling
+// variance, so a caller that reuses it — the sharded ensemble, once per
+// shard visit — allocates no variance slice per call.
+func (m *Model) EstimateBatchVarInto(vars []float64, qs []*query.Query, qseeds []int64) ([]float64, error) {
+	if len(vars) != len(qs) {
+		return nil, fmt.Errorf("core: variance buffer of %d for %d queries", len(vars), len(qs))
+	}
+	clear(vars)
+	return m.estimateBatch(qs, qseeds, vars)
 }
 
 // estimateBatch is the one seeded estimate body behind both entry points. A

@@ -72,7 +72,7 @@ type MLPState struct {
 	maxBatch int
 	B        int
 	x        []*vecmath.Matrix // x[0] = input copy, x[i+1] = layer i output
-	pre      []*vecmath.Matrix
+	pre      []*vecmath.Matrix // hidden-layer pre-activations (not the linear output's)
 	dx       []*vecmath.Matrix
 }
 
@@ -81,10 +81,12 @@ func (m *MLP) NewState(maxBatch int) *MLPState {
 	st := &MLPState{maxBatch: maxBatch}
 	st.x = append(st.x, vecmath.NewMatrix(maxBatch, m.dims[0]))
 	st.dx = append(st.dx, vecmath.NewMatrix(maxBatch, m.dims[0]))
+	for _, l := range m.layers[:len(m.layers)-1] {
+		st.pre = append(st.pre, vecmath.NewMatrix(maxBatch, l.out))
+	}
 	for _, l := range m.layers {
 		st.x = append(st.x, vecmath.NewMatrix(maxBatch, l.out))
 		st.dx = append(st.dx, vecmath.NewMatrix(maxBatch, l.out))
-		st.pre = append(st.pre, vecmath.NewMatrix(maxBatch, l.out))
 	}
 	return st
 }
@@ -100,19 +102,11 @@ func (m *MLP) Forward(st *MLPState, in *vecmath.Matrix) {
 	cur := vecmath.View(st.x[0], st.B)
 	last := len(m.layers) - 1
 	for li, l := range m.layers {
-		pre := vecmath.View(st.pre[li], st.B)
-		l.forward(pre, cur, nil)
 		next := vecmath.View(st.x[li+1], st.B)
 		if li == last {
-			copy(next.Data, pre.Data) // linear output
+			l.forward(next, cur) // linear output
 		} else {
-			for i, v := range pre.Data {
-				if v > 0 {
-					next.Data[i] = v
-				} else {
-					next.Data[i] = 0
-				}
-			}
+			l.forwardReLU(next, cur, vecmath.View(st.pre[li], st.B), nil)
 		}
 		cur = next
 	}

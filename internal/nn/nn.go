@@ -87,25 +87,33 @@ func newMaskedLinear(in, out int, mask *vecmath.Matrix, rng *rand.Rand) *maskedL
 	return l
 }
 
-// forward computes y = x·Wᵀ + b for batch x (B×in), y (B×out), over the
-// output units sel lists (every unit when sel is nil); the other columns of
-// y are left as they were.
+// forward computes y = x·Wᵀ + b for batch x (B×in), y (B×out): the output
+// layers' linear forward.
 //
 // iam:noalloc
-func (l *maskedLinear) forward(y, x *vecmath.Matrix, sel []int) {
-	vecmath.MatMulABTRows(y, x, l.w, sel)
+func (l *maskedLinear) forward(y, x *vecmath.Matrix) {
+	vecmath.MatMulABT(y, x, l.w)
 	for r := 0; r < y.Rows; r++ {
 		row := y.Row(r)
-		if sel == nil {
-			for i := range row {
-				row[i] += l.b[i]
-			}
-			continue
-		}
-		for _, i := range sel {
+		for i := range row {
 			row[i] += l.b[i]
 		}
 	}
+}
+
+// forwardReLU computes a hidden layer in one fused pass (vecmath.Epilogue):
+// y = ReLU(x·Wᵀ + b), plus res when the layer has a residual connection (res
+// is then its input x), over the units sel lists (every unit when sel is
+// nil); pre, when non-nil, receives x·Wᵀ + b for the backward pass. The other
+// columns of y and pre are left as they were.
+//
+// iam:noalloc
+func (l *maskedLinear) forwardReLU(y, x, pre *vecmath.Matrix, sel []int) {
+	var res *vecmath.Matrix
+	if l.hasResidue {
+		res = x
+	}
+	vecmath.MatMulABTReLU(y, x, l.w, sel, vecmath.Epilogue{Bias: l.b, Res: res, Pre: pre})
 }
 
 // backward accumulates parameter gradients into g and computes dx = dy·W.
@@ -404,13 +412,15 @@ type Session struct {
 	maxBatch int
 	B        int // current batch size
 
-	// x[0] is the embedded input, x[l+1] the output of layer l. x[0] and
+	// x[0] is the embedded input, x[l+1] the output of layer l, pre[l] the
+	// pre-activation of hidden layer l that Backward gates on. x[0], pre and
 	// the dense logits (maxBatch × Σ cards) are allocated by the first dense
-	// Forward: a sampling forward reads the first-layer table and writes one
-	// column's logits into sampLogits (maxBatch × max card), so
-	// sampling-only sessions hold neither.
+	// Forward: a sampling forward reads the first-layer table, computes each
+	// hidden layer's activation in one fused pass without a pre-activation,
+	// and writes one column's logits into sampLogits (maxBatch × max card),
+	// so sampling-only sessions hold none of them.
 	x          []*vecmath.Matrix
-	pre        []*vecmath.Matrix // pre-activation of each hidden layer
+	pre        []*vecmath.Matrix
 	logits     *vecmath.Matrix
 	sampLogits []float64
 
@@ -445,7 +455,7 @@ type Session struct {
 	grads *Grads
 	gtmp  []*vecmath.Matrix // per-layer out×in backward scratch (then outLayer)
 	dx    []*vecmath.Matrix // backward activation gradients, shaped like x
-	dpre  []*vecmath.Matrix // backward pre-activation gradients, shaped like pre
+	dpre  []*vecmath.Matrix // backward pre-activation gradients, one per hidden layer
 	probs []float64         // softmax scratch for CrossEntropyGrad
 
 	forwardedRows int // lifetime row count across Forward calls
@@ -458,9 +468,7 @@ func (n *ResMADE) NewSession(maxBatch int) *Session {
 	for _, l := range n.layers {
 		s.x = append(s.x, vecmath.NewMatrix(maxBatch, l.out))
 	}
-	for _, l := range n.layers {
-		s.pre = append(s.pre, vecmath.NewMatrix(maxBatch, l.out))
-	}
+	s.pre = make([]*vecmath.Matrix, len(n.layers))
 	s.sampLogits = make([]float64, maxBatch*slices.Max(n.Cards))
 	s.xV = make([]vecmath.Matrix, len(s.x))
 	s.dxV = make([]vecmath.Matrix, len(s.x))
@@ -495,8 +503,7 @@ func (s *Session) Forward(rows [][]int) {
 	s.rows = s.buf[:s.B]
 
 	if s.x[0] == nil {
-		//lint:ignore noalloc once per session: the first dense Forward allocates the embedded-input and logit buffers
-		s.x[0], s.logits = vecmath.NewMatrix(s.maxBatch, n.inDim), vecmath.NewMatrix(s.maxBatch, n.outDim)
+		s.allocDense() // once per session, on the first dense Forward
 	}
 	x0 := vecmath.ViewInto(&s.xV[0], s.x[0], s.B)
 	for r, row := range s.rows {
@@ -512,73 +519,20 @@ func (s *Session) Forward(rows [][]int) {
 
 	cur := x0
 	for li, l := range n.layers {
-		pre := vecmath.ViewInto(&s.preV[li], s.pre[li], s.B)
-		l.forward(pre, cur, nil)
 		next := vecmath.ViewInto(&s.xV[li+1], s.x[li+1], s.B)
-		activate(next, pre, residue(l, cur), nil, nil)
+		l.forwardReLU(next, cur, vecmath.ViewInto(&s.preV[li], s.pre[li], s.B), nil)
 		cur = next
 	}
-	n.outLayer.forward(vecmath.ViewInto(&s.logitsV, s.logits, s.B), cur, nil)
+	n.outLayer.forward(vecmath.ViewInto(&s.logitsV, s.logits, s.B), cur)
 }
 
-// residue returns the residual input of layer l — its input activation cur
-// when the layer has a residual connection, nil otherwise.
-func residue(l *maskedLinear, cur *vecmath.Matrix) *vecmath.Matrix {
-	if l.hasResidue {
-		return cur
-	}
-	return nil
-}
-
-// activate writes a hidden layer's output: next = ReLU(pre) (+ res, the
-// residual input, when non-nil) for the units keep lists, and exactly 0 for
-// the units skip lists. A nil keep covers every unit.
-//
-// iam:noalloc
-func activate(next, pre, res *vecmath.Matrix, keep, skip []int) {
-	if keep == nil {
-		if res != nil {
-			for i, v := range pre.Data {
-				if v > 0 {
-					next.Data[i] = v + res.Data[i]
-				} else {
-					next.Data[i] = res.Data[i]
-				}
-			}
-			return
-		}
-		for i, v := range pre.Data {
-			if v > 0 {
-				next.Data[i] = v
-			} else {
-				next.Data[i] = 0
-			}
-		}
-		return
-	}
-	for r := 0; r < next.Rows; r++ {
-		nrow, prow := next.Row(r), pre.Row(r)
-		for _, j := range skip {
-			nrow[j] = 0
-		}
-		if res == nil {
-			for _, j := range keep {
-				if v := prow[j]; v > 0 {
-					nrow[j] = v
-				} else {
-					nrow[j] = 0
-				}
-			}
-			continue
-		}
-		rrow := res.Row(r)
-		for _, j := range keep {
-			if v := prow[j]; v > 0 {
-				nrow[j] = v + rrow[j]
-			} else {
-				nrow[j] = rrow[j]
-			}
-		}
+// allocDense allocates the buffers only a dense Forward writes: the embedded
+// input, the hidden pre-activations and the dense logits.
+func (s *Session) allocDense() {
+	n := s.net
+	s.x[0], s.logits = vecmath.NewMatrix(s.maxBatch, n.inDim), vecmath.NewMatrix(s.maxBatch, n.outDim)
+	for li, l := range n.layers {
+		s.pre[li] = vecmath.NewMatrix(s.maxBatch, l.out)
 	}
 }
 
@@ -616,8 +570,8 @@ func (s *Session) ensureGrads() *Grads {
 		for _, x := range s.x[1:] {
 			s.dx = append(s.dx, vecmath.NewMatrix(s.maxBatch, x.Cols))
 		}
-		for _, p := range s.pre {
-			s.dpre = append(s.dpre, vecmath.NewMatrix(s.maxBatch, p.Cols))
+		for _, l := range s.net.layers {
+			s.dpre = append(s.dpre, vecmath.NewMatrix(s.maxBatch, l.out))
 		}
 	}
 	return s.grads
@@ -654,12 +608,10 @@ func (s *Session) Backward(dLogits *vecmath.Matrix) {
 		l := n.layers[li]
 		pre := vecmath.ViewInto(&s.preV[li], s.pre[li], b)
 		dpre := vecmath.ViewInto(&s.dpreV[li], s.dpre[li], b)
-		for i := range dpre.Data[:b*l.out] {
-			if pre.Data[i] > 0 {
-				dpre.Data[i] = dcur.Data[i]
-			} else {
-				dpre.Data[i] = 0
-			}
+		// The ReLU gate: dcur where pre > 0, +0 elsewhere (NaN included) —
+		// the forward's select, through the same branchless mask.
+		for i, v := range pre.Data[:b*l.out] {
+			dpre.Data[i] = math.Float64frombits(math.Float64bits(dcur.Data[i]) & vecmath.PosMask(v))
 		}
 		dprev := vecmath.ViewInto(&s.dxV[li], s.dx[li], b)
 		l.backward(dprev, dpre, vecmath.ViewInto(&s.xV[li], s.x[li], b), &g.layers[li], s.gtmp[li])

@@ -73,7 +73,8 @@ func (s *Session) sampleTable() []float64 {
 // ForwardSampling runs the inference forward for sampling column col: the
 // first layer from the session's table (bias plus one table row per column
 // < col), then the hidden layers, each computing only the units of degree
-// ≤ col (the rest are exactly 0), and the output layer restricted to col's
+// ≤ col (the rest are exactly 0) in one fused matmul pass that writes the
+// activation and no pre-activation, and the output layer restricted to col's
 // logit rows (identical accumulation chains to the dense output layer, so
 // the restricted logits are bit-equal to Session.Forward's for the same
 // activations). The degree cut moves no bit: a skipped unit reaches col's
@@ -100,13 +101,16 @@ func (s *Session) ForwardSampling(rows [][]int, col int) {
 
 	// Column col's logits read only the hidden units of degree ≤ col, and
 	// those read only lower-layer units of degree ≤ col, so every other unit
-	// is skipped and left at exactly 0 (see DESIGN.md §12).
+	// is skipped and left at exactly 0 (see DESIGN.md §12). The first layer
+	// sums bias and table rows straight into x[1] and applies its ReLU in
+	// place (it never has a residual connection: hasResidue starts at layer
+	// 1); every later layer is one fused matmul pass (forwardReLU).
 	l0 := n.layers[0]
 	h0 := l0.out
-	pre0 := vecmath.ViewInto(&s.preV[0], s.pre[0], b)
+	cur := vecmath.ViewInto(&s.xV[1], s.x[1], b)
 	keep, skip := n.cut(0, col)
 	for r, row := range rows {
-		dst := pre0.Row(r)
+		dst := cur.Row(r)
 		if keep == nil {
 			copy(dst, l0.b)
 		} else {
@@ -132,18 +136,29 @@ func (s *Session) ForwardSampling(rows [][]int, col int) {
 				dst[o] += t[o]
 			}
 		}
+		if keep == nil {
+			for o, v := range dst {
+				dst[o] = vecmath.ReLU(v)
+			}
+			continue
+		}
+		for _, o := range keep {
+			dst[o] = vecmath.ReLU(dst[o])
+		}
+		for _, o := range skip {
+			dst[o] = 0
+		}
 	}
-	cur := vecmath.ViewInto(&s.xV[1], s.x[1], b)
-	// The first layer never has a residual connection (hasResidue starts at
-	// layer 1), so this is a plain ReLU.
-	activate(cur, pre0, nil, keep, skip)
 	for li := 1; li < len(n.layers); li++ {
-		l := n.layers[li]
 		keep, skip := n.cut(li, col)
-		pre := vecmath.ViewInto(&s.preV[li], s.pre[li], b)
-		l.forward(pre, cur, keep)
 		next := vecmath.ViewInto(&s.xV[li+1], s.x[li+1], b)
-		activate(next, pre, residue(l, cur), keep, skip)
+		for r := 0; r < b; r++ {
+			nrow := next.Row(r)
+			for _, o := range skip {
+				nrow[o] = 0
+			}
+		}
+		n.layers[li].forwardReLU(next, cur, nil, keep)
 		cur = next
 	}
 

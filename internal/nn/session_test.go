@@ -114,11 +114,11 @@ func TestInferenceSessionHoldsNoGradients(t *testing.T) {
 }
 
 // TestSamplingOnlySessionThenDense: a session that has only run
-// ForwardSampling holds neither the embedded-input buffer nor the dense
-// logits; its first dense Forward allocates them, and that Forward, the
-// Logits it serves and the Backward after it match a fresh session's bit
-// for bit. A sampling forward after the dense one still matches a fresh
-// sampling session's.
+// ForwardSampling holds neither the embedded-input buffer, the hidden
+// pre-activations nor the dense logits; its first dense Forward allocates
+// them, and that Forward, the pre-activations and Logits it leaves and the
+// Backward after it match a fresh session's bit for bit. A sampling forward
+// after the dense one still matches a fresh sampling session's.
 func TestSamplingOnlySessionThenDense(t *testing.T) {
 	cards := []int{5, 7, 4, 6}
 	net := smallNet(t, cards, 59)
@@ -129,7 +129,7 @@ func TestSamplingOnlySessionThenDense(t *testing.T) {
 	for col := range cards {
 		sampled.ForwardSampling(rows, col)
 	}
-	if sampled.x[0] != nil || sampled.logits != nil {
+	if sampled.x[0] != nil || sampled.logits != nil || slices.ContainsFunc(sampled.pre, func(m *vecmath.Matrix) bool { return m != nil }) {
 		t.Fatal("a sampling-only session allocated a dense-forward buffer")
 	}
 	fresh := net.NewSession(8)
@@ -149,6 +149,11 @@ func TestSamplingOnlySessionThenDense(t *testing.T) {
 			if !slices.Equal(bitsOf(sampled.Logits(r, col)), bitsOf(fresh.Logits(r, col))) {
 				t.Fatalf("Logits(%d, %d) differ after sampling-only use", r, col)
 			}
+		}
+	}
+	for li := range sampled.pre {
+		if !slices.Equal(bitsOf(sampled.pre[li].Data), bitsOf(fresh.pre[li].Data)) {
+			t.Fatalf("layer %d pre-activations differ after sampling-only use", li)
 		}
 	}
 	ga, gb := sampled.Grads(), fresh.Grads()

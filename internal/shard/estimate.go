@@ -12,13 +12,15 @@ import (
 
 // mergeScratch owns the per-call buffers of one batched ensemble estimate:
 // the rebound sub-batch (query values re-aimed at a shard's sub-table, with
-// Ranges shared), the per-shard seed table, the queries still visiting
-// shards, and the per-query merge accumulators. Scratches are pooled on the ensemble and reused, so a warm
-// estimate allocates only what the per-shard model calls allocate.
+// Ranges shared), the per-shard seed table and variance buffer, the queries
+// still visiting shards, and the per-query merge accumulators. Scratches are
+// pooled on the ensemble and reused, so a warm estimate allocates only what
+// the per-shard model calls allocate.
 type mergeScratch struct {
 	qvals  []query.Query  // rebound query storage, one slot per batch query
 	qptrs  []*query.Query // sub-batch view: qptrs[j] = &qvals[j]
 	seeds  []int64        // per-sub-batch-position sampling seeds
+	vars   []float64      // per-sub-batch-position sampling variances
 	active []int          // batch indices still visiting shards
 	acc    []float64      // Σ w_s · est_s per query
 	varAcc []float64      // Σ w_s² · var_s per query
@@ -30,6 +32,7 @@ func (ms *mergeScratch) prep(nq int) {
 		ms.qvals = make([]query.Query, nq)
 		ms.qptrs = make([]*query.Query, nq)
 		ms.seeds = make([]int64, nq)
+		ms.vars = make([]float64, nq)
 		ms.active = make([]int, 0, nq)
 		ms.acc = make([]float64, nq)
 		ms.varAcc = make([]float64, nq)
@@ -38,6 +41,7 @@ func (ms *mergeScratch) prep(nq int) {
 	ms.qvals = ms.qvals[:nq]
 	ms.qptrs = ms.qptrs[:nq]
 	ms.seeds = ms.seeds[:nq]
+	ms.vars = ms.vars[:nq]
 	ms.active = ms.active[:0]
 	ms.acc = ms.acc[:nq]
 	ms.varAcc = ms.varAcc[:nq]
@@ -143,7 +147,7 @@ func (e *Ensemble) EstimateBatchSeeded(qs []*query.Query, qseeds []int64) ([]flo
 		}
 		slot := st.slots[si]
 		sub, seeds := ms.rebind(slot, qs, qseeds, active)
-		ests, vars, err := e.estimateSlot(slot, sub, seeds)
+		ests, vars, err := e.estimateSlot(slot, sub, seeds, ms.vars[:len(sub)])
 		if err != nil {
 			return nil, err
 		}
@@ -197,24 +201,25 @@ func (ms *mergeScratch) rebind(slot *shardSlot, qs []*query.Query, qseeds []int6
 }
 
 // estimateSlot runs one shard's batched estimate with each query's
-// progressive-sampling variance, degrading per shard to the guard-cascade
-// fallback (when configured) if the model errors, and per query if the
-// model returns a non-physical value — a stale or mid-swap shard degrades
-// gracefully instead of failing the whole merge. Fallback answers are
-// deterministic sample/histogram scans and report variance 0 — they tighten
-// the interval rather than widening it, which only ever keeps *more* shards
-// in the visit (the conservative direction).
+// progressive-sampling variance (written into vars, len(qs)), degrading per
+// shard to the guard-cascade fallback (when configured) if the model errors,
+// and per query if the model returns a non-physical value — a stale or
+// mid-swap shard degrades gracefully instead of failing the whole merge.
+// Fallback answers are deterministic sample/histogram scans and report
+// variance 0 — they tighten the interval rather than widening it, which only
+// ever keeps *more* shards in the visit (the conservative direction).
 //
 // The model path is a pure function of (model, qs, seeds); the fallback,
 // whose deadline reads the clock, runs only after the model has failed.
-func (e *Ensemble) estimateSlot(slot *shardSlot, qs []*query.Query, seeds []int64) (ests, vars []float64, err error) {
-	ests, vars, err = slot.model.EstimateBatchVarSeeded(qs, seeds)
+func (e *Ensemble) estimateSlot(slot *shardSlot, qs []*query.Query, seeds []int64, vars []float64) ([]float64, []float64, error) {
+	ests, err := slot.model.EstimateBatchVarInto(vars, qs, seeds)
 	if err != nil {
 		if slot.fallback == nil {
 			return nil, nil, err
 		}
+		clear(vars)
 		ests, err = slot.fallback.EstimateBatch(qs)
-		return ests, make([]float64, len(qs)), err
+		return ests, vars, err
 	}
 	for i, v := range ests {
 		if guard.Valid(v) {

@@ -470,6 +470,7 @@ func TestShardedEstimateAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	t.Logf("exhaustive merge: %v allocations per %d-shard batch", n, k)
 	if n > budget {
 		t.Fatalf("steady-state sharded EstimateBatch allocates %v per op, budget %d", n, budget)
 	}
@@ -483,6 +484,7 @@ func TestShardedEstimateAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	t.Logf("early stop: %v allocations per %d-shard batch", n, k)
 	if n > budget {
 		t.Fatalf("steady-state early-stop EstimateBatch allocates %v per op, budget %d", n, budget)
 	}

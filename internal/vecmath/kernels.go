@@ -1,6 +1,9 @@
 package vecmath
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Dense matmul kernels. All three are cache-blocked and register-tiled, and
 // parallelize over contiguous output-row blocks via parPlan/fanOut when the
@@ -136,7 +139,44 @@ func MatMulABT(dst, a, b *Matrix) { MatMulABTRows(dst, a, b, nil) }
 // to the full product's. A nil sel computes every column.
 //
 // iam:noalloc
-func MatMulABTRows(dst, a, b *Matrix, sel []int) {
+func MatMulABTRows(dst, a, b *Matrix, sel []int) { matMulABT(dst, a, b, sel, Epilogue{}) }
+
+// Epilogue is the store of a fused hidden layer (MatMulABTReLU). With p the
+// product a_i·b_j and v = p + Bias[j], the kernel stores
+//
+//	dst[i][j] = ReLU(v)             without a residual,
+//	dst[i][j] = v > 0 ? v + r : r   with r = Res[i][j],
+//
+// and, when Pre is non-nil, Pre[i][j] = v (the pre-activation a backward
+// pass gates on). The select is a bit mask (PosMask), so NaN and −0
+// pre-activations give +0 (or r) exactly as the branch would.
+type Epilogue struct {
+	Bias     []float64 // one per output column; required
+	Res, Pre *Matrix   // optional, shaped like dst
+}
+
+// MatMulABTReLU is MatMulABTRows with the store replaced by ep: each selected
+// element is accumulated through exactly MatMulABT's chain, then gets the
+// same p + Bias[j] and the same select a separate bias pass and ReLU would
+// give it, inside the tile that computed it (and so inside the parallel
+// fan-out). Unselected columns of dst and ep.Pre are left as they were.
+//
+// iam:noalloc
+func MatMulABTReLU(dst, a, b *Matrix, sel []int, ep Epilogue) {
+	if len(ep.Bias) != dst.Cols || !sameShape(ep.Res, dst) || !sameShape(ep.Pre, dst) {
+		panic("vecmath: matmulABTReLU epilogue shape mismatch")
+	}
+	matMulABT(dst, a, b, sel, ep)
+}
+
+// sameShape reports whether m is nil or shaped like dst.
+func sameShape(m, dst *Matrix) bool {
+	return m == nil || (m.Rows == dst.Rows && m.Cols == dst.Cols)
+}
+
+// matMulABT is the one entry behind MatMulABTRows and MatMulABTReLU; a nil
+// ep.Bias selects the plain store.
+func matMulABT(dst, a, b *Matrix, sel []int, ep Epilogue) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic("vecmath: matmulABT shape mismatch")
 	}
@@ -149,119 +189,103 @@ func MatMulABTRows(dst, a, b *Matrix, sel []int) {
 	}
 	nw, chunk, sem := parPlan(a.Rows, a.Cols*m)
 	if nw <= 1 {
-		matMulABTBlock(dst, a, b, sel, 0, a.Rows)
+		matMulABTBlock(dst, a, b, sel, ep, 0, a.Rows)
 		return
 	}
 	//lint:ignore noalloc parallel-path closure, amortized over targetChunkFlops of work per helper
-	fanOut(a.Rows, chunk, sem, func(lo, hi int) { matMulABTBlock(dst, a, b, sel, lo, hi) })
+	fanOut(a.Rows, chunk, sem, func(lo, hi int) { matMulABTBlock(dst, a, b, sel, ep, lo, hi) })
+}
+
+// PosMask returns all ones when v > 0 and zero otherwise — for NaN, ±0 and
+// every negative — without a branch: on amd64 the comparison compiles to
+// UCOMISD + SETHI + NEG, not a jump, so the ~50/50 signs of pre-activations
+// cost no mispredictions. ReLU(v) is Float64bits(v) & PosMask(v); math.Max
+// would propagate NaN.
+//
+// iam:noalloc
+func PosMask(v float64) uint64 {
+	var b uint64
+	if v > 0 {
+		b = 1
+	}
+	return -b
+}
+
+// ReLU returns v when v > 0 and +0 otherwise (NaN and −0 included).
+//
+// iam:noalloc
+func ReLU(v float64) float64 { return math.Float64frombits(math.Float64bits(v) & PosMask(v)) }
+
+// rowOut is one output row of matMulABTBlock: the destination row, and for
+// the fused store the epilogue's rows (nil when absent) and its bias.
+type rowOut struct {
+	d, res, pre, bias []float64
+}
+
+// aim points o at row i of dst and of ep's matrices.
+func (o *rowOut) aim(dst *Matrix, ep *Epilogue, i int) {
+	o.d = dst.Row(i)
+	o.bias = ep.Bias
+	if ep.Res != nil {
+		o.res = ep.Res.Row(i)
+	}
+	if ep.Pre != nil {
+		o.pre = ep.Pre.Row(i)
+	}
+}
+
+// put stores output element j = p, through the epilogue when there is one.
+// The epilogue lives in fused so that put stays small enough to inline and
+// the plain store costs no call.
+func (o *rowOut) put(j int, p float64) {
+	if o.bias == nil {
+		o.d[j] = p
+		return
+	}
+	o.fused(j, p)
+}
+
+// fused is the epilogue's store of element j: see Epilogue.
+func (o *rowOut) fused(j int, p float64) {
+	v := p + o.bias[j]
+	if o.pre != nil {
+		o.pre[j] = v
+	}
+	m := PosMask(v)
+	if o.res == nil {
+		o.d[j] = math.Float64frombits(math.Float64bits(v) & m)
+		return
+	}
+	r := o.res[j]
+	o.d[j] = math.Float64frombits(math.Float64bits(v+r)&m | math.Float64bits(r)&^m)
 }
 
 // matMulABTBlock computes rows [lo, hi) of dst = a·bᵀ, over the b rows sel
 // lists (all of them when sel is nil). b is consumed in panels of jBlockABT
 // selected rows that stay cache-resident while the a rows of the block
-// stream past. The register tile is 2 a-rows × 2 b-rows × 4 lanes
-// (sixteen accumulators): each pass over the reduction produces four output
-// elements, so every load of an a or b element feeds two chains. Each
-// individual output element still accumulates through the exact four-lane
-// chain of the untiled kernel — the tile widens reuse, never reassociates —
-// so the naive-reference bit tests hold for every tile path.
-func matMulABTBlock(dst, a, b *Matrix, sel []int, lo, hi int) {
+// stream past. The register tile is 1 a-row × 2 b-rows × 4 lanes (eight
+// accumulators): each pass over the reduction produces two output elements,
+// so every load of an a element feeds two chains. Each output element still
+// accumulates through the exact four-lane chain of the untiled kernel — the
+// tile widens reuse, never reassociates — so the naive-reference bit tests
+// hold for every tile path. A 2 × 2 tile (sixteen accumulators) does not fit
+// the fifteen float registers Go's amd64 ABI leaves free: it spilled its
+// accumulators to the stack on every step and ran ~35 % slower. Every tile
+// path stores through rowOut.put, which applies ep's epilogue when it has
+// one.
+func matMulABTBlock(dst, a, b *Matrix, sel []int, ep Epilogue, lo, hi int) {
 	c := a.Cols
 	c4 := c - c%4
 	m := b.Rows
 	if sel != nil {
 		m = len(sel)
 	}
+	var od rowOut
 	for t0 := 0; t0 < m; t0 += jBlockABT {
 		t1 := min(t0+jBlockABT, m)
-		i := lo
-		for ; i+1 < hi; i += 2 {
+		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
-			crow := a.Row(i + 1)
-			drow := dst.Row(i)
-			erow := dst.Row(i + 1)
-			t := t0
-			for ; t+1 < t1; t += 2 {
-				j, jn := t, t+1
-				if sel != nil {
-					j, jn = sel[t], sel[t+1]
-				}
-				b0 := b.Row(j)
-				b1 := b.Row(jn)
-				var p0, p1, p2, p3 float64
-				var q0, q1, q2, q3 float64
-				var r0, r1, r2, r3 float64
-				var s0, s1, s2, s3 float64
-				for k := 0; k < c4; k += 4 {
-					a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-					c0, c1, c2, c3 := crow[k], crow[k+1], crow[k+2], crow[k+3]
-					w0, w1, w2, w3 := b0[k], b0[k+1], b0[k+2], b0[k+3]
-					v0, v1, v2, v3 := b1[k], b1[k+1], b1[k+2], b1[k+3]
-					p0 += a0 * w0
-					p1 += a1 * w1
-					p2 += a2 * w2
-					p3 += a3 * w3
-					q0 += a0 * v0
-					q1 += a1 * v1
-					q2 += a2 * v2
-					q3 += a3 * v3
-					r0 += c0 * w0
-					r1 += c1 * w1
-					r2 += c2 * w2
-					r3 += c3 * w3
-					s0 += c0 * v0
-					s1 += c1 * v1
-					s2 += c2 * v2
-					s3 += c3 * v3
-				}
-				p := p0 + p1 + p2 + p3
-				q := q0 + q1 + q2 + q3
-				r := r0 + r1 + r2 + r3
-				s := s0 + s1 + s2 + s3
-				for k := c4; k < c; k++ {
-					a0, c0 := arow[k], crow[k]
-					p += a0 * b0[k]
-					q += a0 * b1[k]
-					r += c0 * b0[k]
-					s += c0 * b1[k]
-				}
-				drow[j] = p
-				drow[jn] = q
-				erow[j] = r
-				erow[jn] = s
-			}
-			for ; t < t1; t++ {
-				j := t
-				if sel != nil {
-					j = sel[t]
-				}
-				brow := b.Row(j)
-				var p0, p1, p2, p3 float64
-				var r0, r1, r2, r3 float64
-				for k := 0; k < c4; k += 4 {
-					w0, w1, w2, w3 := brow[k], brow[k+1], brow[k+2], brow[k+3]
-					p0 += arow[k] * w0
-					p1 += arow[k+1] * w1
-					p2 += arow[k+2] * w2
-					p3 += arow[k+3] * w3
-					r0 += crow[k] * w0
-					r1 += crow[k+1] * w1
-					r2 += crow[k+2] * w2
-					r3 += crow[k+3] * w3
-				}
-				p := p0 + p1 + p2 + p3
-				r := r0 + r1 + r2 + r3
-				for k := c4; k < c; k++ {
-					p += arow[k] * brow[k]
-					r += crow[k] * brow[k]
-				}
-				drow[j] = p
-				erow[j] = r
-			}
-		}
-		for ; i < hi; i++ {
-			arow := a.Row(i)
-			drow := dst.Row(i)
+			od.aim(dst, &ep, i)
 			t := t0
 			for ; t+1 < t1; t += 2 {
 				j, jn := t, t+1
@@ -289,8 +313,8 @@ func matMulABTBlock(dst, a, b *Matrix, sel []int, lo, hi int) {
 					p += arow[k] * b0[k]
 					q += arow[k] * b1[k]
 				}
-				drow[j] = p
-				drow[jn] = q
+				od.put(j, p)
+				od.put(jn, q)
 			}
 			for ; t < t1; t++ {
 				j := t
@@ -309,7 +333,7 @@ func matMulABTBlock(dst, a, b *Matrix, sel []int, lo, hi int) {
 				for k := c4; k < c; k++ {
 					s += arow[k] * brow[k]
 				}
-				drow[j] = s
+				od.put(j, s)
 			}
 		}
 	}

@@ -360,3 +360,136 @@ func BenchmarkMatMulNaiveABT(b *testing.B) {
 	flops := 2 * 256 * 128 * 256
 	b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }
+
+// naiveReLULayer is the reference for MatMulABTReLU: the naive product, then
+// a separate bias pass, then the branchy select the fused store replaces —
+// dst = v > 0 ? v (+ r) : +0 (or r), pre = v.
+func naiveReLULayer(dst, pre, a, b *Matrix, bias []float64, res *Matrix) {
+	naiveMatMulABT(pre, a, b)
+	for i := 0; i < pre.Rows; i++ {
+		prow, drow := pre.Row(i), dst.Row(i)
+		for j := range prow {
+			v := prow[j] + bias[j]
+			prow[j] = v
+			var r float64
+			if res != nil {
+				r = res.Row(i)[j]
+			}
+			if v > 0 {
+				if res != nil {
+					drow[j] = v + r
+				} else {
+					drow[j] = v
+				}
+			} else {
+				drow[j] = r
+			}
+		}
+	}
+}
+
+// withSpecials plants the values the fused select must get right: −0 and
+// negative entries, and a NaN that poisons one whole product row (a) or
+// column (bias). The kernel's sums start at +0, so its pre-activations
+// are never −0 (TestReLUBits pins −0 → +0 on ReLU itself), but a −0
+// residual must pass through as −0 where the pre-activation is ≤ 0.
+func withSpecials(m *Matrix, nan bool, rng *rand.Rand) *Matrix {
+	for i := range m.Data {
+		switch rng.Intn(10) {
+		case 0:
+			m.Data[i] = math.Copysign(0, -1)
+		case 1:
+			m.Data[i] = -math.Abs(m.Data[i])
+		}
+	}
+	if nan && len(m.Data) > 0 {
+		m.Data[rng.Intn(len(m.Data))] = math.NaN()
+	}
+	return m
+}
+
+// TestMatMulABTReLUMatchesNaive: the fused kernel's dst and pre equal the
+// naive product + bias pass + branchy ReLU (+ residual) bit for bit on every
+// tile path — odd row counts (the single-row tail), odd widths (the
+// single-column tail), shapes that fan out over helpers under Parallelism 4,
+// full and selected columns — while unselected columns of dst and pre keep
+// their sentinel.
+func TestMatMulABTReLUMatchesNaive(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		prev := Parallelism(par)
+		rng := rand.New(rand.NewSource(17))
+		for _, sh := range kernelShapes {
+			n, k, m := sh[0], sh[1], sh[2]
+			a := withSpecials(randMat(n, k, rng), true, rng)
+			b := withSpecials(randMat(m, k, rng), false, rng)
+			bias := withSpecials(randMat(1, m, rng), true, rng).Data
+			for _, withRes := range []bool{false, true} {
+				var res *Matrix
+				if withRes {
+					res = withSpecials(randMat(n, m, rng), true, rng)
+				}
+				want, wantPre := NewMatrix(n, m), NewMatrix(n, m)
+				naiveReLULayer(want, wantPre, a, b, bias, res)
+				for trial := 0; trial < 3; trial++ {
+					var sel []int // trial 0: every column
+					if trial > 0 {
+						sel = randSel(m, rng)
+					}
+					got, gotPre := filledMat(n, m, -7), filledMat(n, m, -7)
+					MatMulABTReLU(got, a, b, sel, Epilogue{Bias: bias, Res: res, Pre: gotPre})
+					noPre := filledMat(n, m, -7)
+					MatMulABTReLU(noPre, a, b, sel, Epilogue{Bias: bias, Res: res})
+					if sel == nil {
+						bitEqual(t, "MatMulABTReLU", got, want)
+						bitEqual(t, "MatMulABTReLU pre", gotPre, wantPre)
+						bitEqual(t, "MatMulABTReLU without pre", noPre, want)
+						continue
+					}
+					selectedBitEqual(t, "MatMulABTReLU", got, want, sel, -7)
+					selectedBitEqual(t, "MatMulABTReLU pre", gotPre, wantPre, sel, -7)
+					selectedBitEqual(t, "MatMulABTReLU without pre", noPre, want, sel, -7)
+				}
+			}
+		}
+		Parallelism(prev)
+	}
+}
+
+// TestReLUBits pins the select's bit semantics: v > 0 keeps v, and every
+// other value — −0, NaN of either sign, negatives, −Inf — gives +0.
+func TestReLUBits(t *testing.T) {
+	negNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)
+	for _, v := range []float64{1, 5e-324, math.MaxFloat64, math.Inf(1)} {
+		if math.Float64bits(ReLU(v)) != math.Float64bits(v) || PosMask(v) != ^uint64(0) {
+			t.Fatalf("ReLU(%v) = %v, mask %x", v, ReLU(v), PosMask(v))
+		}
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), math.NaN(), negNaN, -1, -5e-324, math.Inf(-1)} {
+		if math.Float64bits(ReLU(v)) != 0 || PosMask(v) != 0 {
+			t.Fatalf("ReLU(%v) bits %x, mask %x; want +0 and 0", v, math.Float64bits(ReLU(v)), PosMask(v))
+		}
+	}
+}
+
+// TestSerialMatMulABTReLUNoAlloc: the fused kernel, with a residual, a
+// pre-activation store and a column selection, allocates nothing on the
+// serial path — the sampling forward calls it once per hidden layer.
+func TestSerialMatMulABTReLUNoAlloc(t *testing.T) {
+	prev := Parallelism(1)
+	defer Parallelism(prev)
+	rng := rand.New(rand.NewSource(19))
+	a, w := randMat(64, 48, rng), randMat(80, 48, rng)
+	dst, res, pre := NewMatrix(64, 80), randMat(64, 80, rng), NewMatrix(64, 80)
+	bias := randMat(1, 80, rng).Data
+	sel := []int{79, 3, 40, 41, 0}
+	if n := testing.AllocsPerRun(20, func() {
+		MatMulABTReLU(dst, a, w, sel, Epilogue{Bias: bias, Res: res, Pre: pre})
+	}); n > 0 {
+		t.Fatalf("serial MatMulABTReLU allocates %v per op", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		MatMulABTReLU(dst, a, w, nil, Epilogue{Bias: bias})
+	}); n > 0 {
+		t.Fatalf("serial MatMulABTReLU without sel allocates %v per op", n)
+	}
+}
