@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -165,7 +166,8 @@ func (l *Loader) preparse(dirs []string) error {
 	return nil
 }
 
-// sourceFileNames lists the non-test Go files of dir in sorted order.
+// sourceFileNames lists the non-test Go files of dir that build for the
+// host's GOOS and GOARCH, in sorted order.
 func sourceFileNames(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -180,6 +182,15 @@ func sourceFileNames(dir string) ([]string, error) {
 		// Test files are deliberately out of scope: they panic and write
 		// scratch files on purpose, and the invariants guard library code.
 		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Build constraints (a _amd64 suffix, a //go:build line) pick one
+		// of several files declaring the same names, as the go tool does.
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
 		names = append(names, name)

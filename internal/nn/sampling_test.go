@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	_ "unsafe" // go:linkname
 
 	"iam/internal/vecmath"
 )
@@ -339,27 +340,47 @@ func TestForwardSamplingNoAlloc(t *testing.T) {
 	}
 }
 
+// vecmathAVX2 is vecmath's matmul tile switch (its unexported useAVX2),
+// reached by linkname so BenchmarkForwardSampling can time both paths
+// without vecmath exporting an option for it.
+//
+//go:linkname vecmathAVX2 iam/internal/vecmath.useAVX2
+var vecmathAVX2 bool
+
 // BenchmarkForwardSampling reports the sampling forward's rows/s at each
 // sampling column 1–4 of a 5-column net: column c adds c first-layer table
 // rows per row and computes only the hidden units of degree ≤ c, so column
-// 4 is the cut-free worst case.
+// 4 is the cut-free worst case. Each column runs once on vecmath's Go tile
+// (generic) and once on its AVX2 tile where the CPU has one (avx2).
 func BenchmarkForwardSampling(b *testing.B) {
 	cards := []int{51, 18, 30, 30, 30}
 	hidden := []int{128, 64, 64, 128}
 	const batch = 256
+	have := vecmathAVX2
+	defer func() { vecmathAVX2 = have }()
 	for col := 1; col < len(cards); col++ {
-		b.Run(fmt.Sprintf("col%d", col), func(b *testing.B) {
-			net := benchNet(b, cards, hidden)
-			sess := net.NewSession(batch)
-			rows := randRows(batch, cards, rand.New(rand.NewSource(2)))
-			sess.ForwardSampling(rows, col) // builds the table
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sess.ForwardSampling(rows, col)
+		for _, avx2 := range []bool{false, true} {
+			path := "generic"
+			if avx2 {
+				path = "avx2"
 			}
-			b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
+			b.Run(fmt.Sprintf("col%d/%s", col, path), func(b *testing.B) {
+				if avx2 && !have {
+					b.Skip("no AVX2 tile on this CPU or GOARCH")
+				}
+				vecmathAVX2 = avx2
+				net := benchNet(b, cards, hidden)
+				sess := net.NewSession(batch)
+				rows := randRows(batch, cards, rand.New(rand.NewSource(2)))
+				sess.ForwardSampling(rows, col) // builds the table
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sess.ForwardSampling(rows, col)
+				}
+				b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "rows/s")
+			})
+		}
 	}
 }
 

@@ -11,7 +11,11 @@ import (
 // accumulated by a single chain of additions in exactly the reduction order
 // of the straightforward triple loop, so results are bit-identical to the
 // naive kernels for every block size and Parallelism setting — the
-// equivalence tests in kernels_test.go enforce this property.
+// equivalence tests in kernels_test.go enforce this property. Every product
+// here and in PackedBlockDot is written float64(x*y), and the AVX2 tile
+// multiplies and adds in separate instructions: the Go spec lets a compiler
+// fuse x*y + z into one FMA, which rounds once, and arm64's does, so bits
+// would otherwise depend on GOARCH.
 
 // kBlock is the reduction-panel height of MatMul: up to kBlock rows of b are
 // reused across a whole row block of a before moving on, keeping the panel
@@ -64,13 +68,13 @@ func matMulBlock(dst, a, b *Matrix, lo, hi int) {
 				}
 				brow := b.Row(k)
 				for j := 0; j < n4; j += 4 {
-					drow[j] += av * brow[j]
-					drow[j+1] += av * brow[j+1]
-					drow[j+2] += av * brow[j+2]
-					drow[j+3] += av * brow[j+3]
+					drow[j] += float64(av * brow[j])
+					drow[j+1] += float64(av * brow[j+1])
+					drow[j+2] += float64(av * brow[j+2])
+					drow[j+3] += float64(av * brow[j+3])
 				}
 				for j := n4; j < dst.Cols; j++ {
-					drow[j] += av * brow[j]
+					drow[j] += float64(av * brow[j])
 				}
 			}
 		}
@@ -113,21 +117,22 @@ func matMulATBBlock(dst, a, b *Matrix, lo, hi int) {
 			}
 			drow := dst.Row(i)
 			for j := 0; j < c4; j += 4 {
-				drow[j] += av * brow[j]
-				drow[j+1] += av * brow[j+1]
-				drow[j+2] += av * brow[j+2]
-				drow[j+3] += av * brow[j+3]
+				drow[j] += float64(av * brow[j])
+				drow[j+1] += float64(av * brow[j+1])
+				drow[j+2] += float64(av * brow[j+2])
+				drow[j+3] += float64(av * brow[j+3])
 			}
 			for j := c4; j < b.Cols; j++ {
-				drow[j] += av * brow[j]
+				drow[j] += float64(av * brow[j])
 			}
 		}
 	}
 }
 
 // MatMulABT computes dst = a·bᵀ, where a is n×c and b is m×c; dst is n×m.
-// The inner dot product is unrolled four-wide with two output columns per
-// pass — this is the hottest kernel of the neural-network engine.
+// Each dot product runs as four lane chains over k in steps of 4, on a
+// 2 × 4 AVX2 tile where the CPU has one and a 1 × 2 Go tile otherwise (see
+// matMulABTBlock) — this is the hottest kernel of the neural-network engine.
 //
 // iam:noalloc
 func MatMulABT(dst, a, b *Matrix) { MatMulABTRows(dst, a, b, nil) }
@@ -263,16 +268,15 @@ func (o *rowOut) fused(j int, p float64) {
 // matMulABTBlock computes rows [lo, hi) of dst = a·bᵀ, over the b rows sel
 // lists (all of them when sel is nil). b is consumed in panels of jBlockABT
 // selected rows that stay cache-resident while the a rows of the block
-// stream past. The register tile is 1 a-row × 2 b-rows × 4 lanes (eight
-// accumulators): each pass over the reduction produces two output elements,
-// so every load of an a element feeds two chains. Each output element still
-// accumulates through the exact four-lane chain of the untiled kernel — the
-// tile widens reuse, never reassociates — so the naive-reference bit tests
-// hold for every tile path. A 2 × 2 tile (sixteen accumulators) does not fit
-// the fifteen float registers Go's amd64 ABI leaves free: it spilled its
-// accumulators to the stack on every step and ran ~35 % slower. Every tile
-// path stores through rowOut.put, which applies ep's epilogue when it has
-// one.
+// stream past. Every output element accumulates through one fixed chain:
+// four lanes over k in steps of 4, summed ((l0+l1)+l2)+l3, then the scalar
+// tail c%4 in ascending k. The tiles widen reuse and never reassociate, so
+// the naive-reference bit tests hold for every tile path. With AVX2
+// (useAVX2) and c ≥ 4, rows go in pairs and b rows in quads through
+// dotTile2x4, which keeps the 2 × 4 tile's eight four-lane chains in YMM
+// registers; the tail, the leftover row and the leftover columns stay in
+// Go. Otherwise every row runs matMulABTRow's Go tile. Every path stores
+// through rowOut.put, which applies ep's epilogue when it has one.
 func matMulABTBlock(dst, a, b *Matrix, sel []int, ep Epilogue, lo, hi int) {
 	c := a.Cols
 	c4 := c - c%4
@@ -280,61 +284,101 @@ func matMulABTBlock(dst, a, b *Matrix, sel []int, ep Epilogue, lo, hi int) {
 	if sel != nil {
 		m = len(sel)
 	}
-	var od rowOut
+	pairs := useAVX2 && c4 > 0
+	var o0, o1 rowOut
 	for t0 := 0; t0 < m; t0 += jBlockABT {
 		t1 := min(t0+jBlockABT, m)
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			od.aim(dst, &ep, i)
+		i := lo
+		for ; pairs && i+1 < hi; i += 2 {
+			a0, a1 := a.Row(i), a.Row(i+1)
+			o0.aim(dst, &ep, i)
+			o1.aim(dst, &ep, i+1)
 			t := t0
-			for ; t+1 < t1; t += 2 {
-				j, jn := t, t+1
+			for ; t+3 < t1; t += 4 {
+				js := [4]int{t, t + 1, t + 2, t + 3}
 				if sel != nil {
-					j, jn = sel[t], sel[t+1]
+					js = [4]int{sel[t], sel[t+1], sel[t+2], sel[t+3]}
 				}
-				b0 := b.Row(j)
-				b1 := b.Row(jn)
-				var p0, p1, p2, p3 float64
-				var q0, q1, q2, q3 float64
-				for k := 0; k < c4; k += 4 {
-					a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-					p0 += a0 * b0[k]
-					p1 += a1 * b0[k+1]
-					p2 += a2 * b0[k+2]
-					p3 += a3 * b0[k+3]
-					q0 += a0 * b1[k]
-					q1 += a1 * b1[k+1]
-					q2 += a2 * b1[k+2]
-					q3 += a3 * b1[k+3]
+				bs := [4][]float64{b.Row(js[0]), b.Row(js[1]), b.Row(js[2]), b.Row(js[3])}
+				var s [8]float64
+				dotTile2x4(&a0[0], &a1[0], &bs[0][0], &bs[1][0], &bs[2][0], &bs[3][0], c4, &s)
+				for q := range bs {
+					brow := bs[q]
+					p, r := s[q], s[4+q]
+					for k := c4; k < c; k++ {
+						p += float64(a0[k] * brow[k])
+						r += float64(a1[k] * brow[k])
+					}
+					o0.put(js[q], p)
+					o1.put(js[q], r)
 				}
-				p := p0 + p1 + p2 + p3
-				q := q0 + q1 + q2 + q3
-				for k := c4; k < c; k++ {
-					p += arow[k] * b0[k]
-					q += arow[k] * b1[k]
-				}
-				od.put(j, p)
-				od.put(jn, q)
 			}
-			for ; t < t1; t++ {
-				j := t
-				if sel != nil {
-					j = sel[t]
-				}
-				brow := b.Row(j)
-				var s0, s1, s2, s3 float64
-				for k := 0; k < c4; k += 4 {
-					s0 += arow[k] * brow[k]
-					s1 += arow[k+1] * brow[k+1]
-					s2 += arow[k+2] * brow[k+2]
-					s3 += arow[k+3] * brow[k+3]
-				}
-				s := s0 + s1 + s2 + s3
-				for k := c4; k < c; k++ {
-					s += arow[k] * brow[k]
-				}
-				od.put(j, s)
-			}
+			matMulABTRow(a0, b, sel, &o0, t, t1)
+			matMulABTRow(a1, b, sel, &o1, t, t1)
 		}
+		for ; i < hi; i++ {
+			o0.aim(dst, &ep, i)
+			matMulABTRow(a.Row(i), b, sel, &o0, t0, t1)
+		}
+	}
+}
+
+// matMulABTRow is matMulABTBlock's Go tile: output row od = arow·bᵀ over
+// the selected b rows [t, t1). The register tile is 1 a-row × 2 b-rows × 4
+// lanes (eight accumulators): each pass over the reduction produces two
+// output elements, so every load of an a element feeds two chains. A 2 × 2
+// tile (sixteen accumulators) does not fit the fifteen float registers Go's
+// amd64 ABI leaves free: it spilled its accumulators to the stack on every
+// step and ran ~35 % slower.
+func matMulABTRow(arow []float64, b *Matrix, sel []int, od *rowOut, t, t1 int) {
+	c := len(arow)
+	c4 := c - c%4
+	for ; t+1 < t1; t += 2 {
+		j, jn := t, t+1
+		if sel != nil {
+			j, jn = sel[t], sel[t+1]
+		}
+		b0 := b.Row(j)
+		b1 := b.Row(jn)
+		var p0, p1, p2, p3 float64
+		var q0, q1, q2, q3 float64
+		for k := 0; k < c4; k += 4 {
+			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+			p0 += float64(a0 * b0[k])
+			p1 += float64(a1 * b0[k+1])
+			p2 += float64(a2 * b0[k+2])
+			p3 += float64(a3 * b0[k+3])
+			q0 += float64(a0 * b1[k])
+			q1 += float64(a1 * b1[k+1])
+			q2 += float64(a2 * b1[k+2])
+			q3 += float64(a3 * b1[k+3])
+		}
+		p := p0 + p1 + p2 + p3
+		q := q0 + q1 + q2 + q3
+		for k := c4; k < c; k++ {
+			p += float64(arow[k] * b0[k])
+			q += float64(arow[k] * b1[k])
+		}
+		od.put(j, p)
+		od.put(jn, q)
+	}
+	for ; t < t1; t++ {
+		j := t
+		if sel != nil {
+			j = sel[t]
+		}
+		brow := b.Row(j)
+		var s0, s1, s2, s3 float64
+		for k := 0; k < c4; k += 4 {
+			s0 += float64(arow[k] * brow[k])
+			s1 += float64(arow[k+1] * brow[k+1])
+			s2 += float64(arow[k+2] * brow[k+2])
+			s3 += float64(arow[k+3] * brow[k+3])
+		}
+		s := s0 + s1 + s2 + s3
+		for k := c4; k < c; k++ {
+			s += float64(arow[k] * brow[k])
+		}
+		od.put(j, s)
 	}
 }

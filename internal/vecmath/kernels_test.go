@@ -3,6 +3,10 @@ package vecmath
 import (
 	"math"
 	"math/rand"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -95,6 +99,30 @@ func bitEqual(t *testing.T, name string, got, want *Matrix) {
 	}
 }
 
+// eachPath runs f as subtests "generic" (useAVX2 cleared: the Go tile) and
+// "avx2" (the assembly tile, skipped where the CPU or GOARCH lacks it), and
+// restores useAVX2 afterwards. tb is a *testing.T or a *testing.B.
+func eachPath[T interface {
+	Run(string, func(T)) bool
+	Skip(...any)
+}](tb T, f func(T)) {
+	have := useAVX2
+	defer func() { useAVX2 = have }()
+	for _, avx2 := range []bool{false, true} {
+		name := "generic"
+		if avx2 {
+			name = "avx2"
+		}
+		tb.Run(name, func(tb T) {
+			if avx2 && !have {
+				tb.Skip("no AVX2 tile on this CPU or GOARCH")
+			}
+			useAVX2 = avx2
+			f(tb)
+		})
+	}
+}
+
 // kernelShapes spans tiny, tail (non-multiple of the unroll/block sizes),
 // and large-enough-to-parallelize shapes.
 var kernelShapes = [][3]int{
@@ -104,35 +132,37 @@ var kernelShapes = [][3]int{
 }
 
 func TestBlockedKernelsBitIdenticalToNaive(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		prev := Parallelism(par)
-		rng := rand.New(rand.NewSource(11))
-		for _, sh := range kernelShapes {
-			n, k, m := sh[0], sh[1], sh[2]
+	eachPath(t, func(t *testing.T) {
+		for _, par := range []int{1, 4} {
+			prev := Parallelism(par)
+			rng := rand.New(rand.NewSource(11))
+			for _, sh := range kernelShapes {
+				n, k, m := sh[0], sh[1], sh[2]
 
-			a := randMat(n, k, rng)
-			b := randMat(k, m, rng)
-			got, want := NewMatrix(n, m), NewMatrix(n, m)
-			MatMul(got, a, b)
-			naiveMatMul(want, a, b)
-			bitEqual(t, "MatMul", got, want)
+				a := randMat(n, k, rng)
+				b := randMat(k, m, rng)
+				got, want := NewMatrix(n, m), NewMatrix(n, m)
+				MatMul(got, a, b)
+				naiveMatMul(want, a, b)
+				bitEqual(t, "MatMul", got, want)
 
-			at := randMat(n, k, rng)
-			bt := randMat(n, m, rng)
-			got, want = NewMatrix(k, m), NewMatrix(k, m)
-			MatMulATB(got, at, bt)
-			naiveMatMulATB(want, at, bt)
-			bitEqual(t, "MatMulATB", got, want)
+				at := randMat(n, k, rng)
+				bt := randMat(n, m, rng)
+				got, want = NewMatrix(k, m), NewMatrix(k, m)
+				MatMulATB(got, at, bt)
+				naiveMatMulATB(want, at, bt)
+				bitEqual(t, "MatMulATB", got, want)
 
-			aa := randMat(n, k, rng)
-			bb := randMat(m, k, rng)
-			got, want = NewMatrix(n, m), NewMatrix(n, m)
-			MatMulABT(got, aa, bb)
-			naiveMatMulABT(want, aa, bb)
-			bitEqual(t, "MatMulABT", got, want)
+				aa := randMat(n, k, rng)
+				bb := randMat(m, k, rng)
+				got, want = NewMatrix(n, m), NewMatrix(n, m)
+				MatMulABT(got, aa, bb)
+				naiveMatMulABT(want, aa, bb)
+				bitEqual(t, "MatMulABT", got, want)
+			}
+			Parallelism(prev)
 		}
-		Parallelism(prev)
-	}
+	})
 }
 
 // randSel draws a random subset of [0, m) in random order — empty, full and
@@ -176,61 +206,144 @@ func selectedBitEqual(t *testing.T, name string, got, full *Matrix, sel []int, s
 // bit-identical to the full MatMulABT product, and unselected outputs are
 // never written — the contract the degree-pruned sampling forward rests on.
 func TestMatMulABTRowsMatchesFull(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		prev := Parallelism(par)
-		rng := rand.New(rand.NewSource(13))
-		for _, sh := range kernelShapes {
-			n, k, m := sh[0], sh[1], sh[2]
-			a := randMat(n, k, rng)
-			b := randMat(m, k, rng)
-			full := NewMatrix(n, m)
-			MatMulABT(full, a, b)
-			for trial := 0; trial < 4; trial++ {
-				sel := randSel(m, rng)
-				got := filledMat(n, m, -7)
-				MatMulABTRows(got, a, b, sel)
-				selectedBitEqual(t, "MatMulABTRows", got, full, sel, -7)
+	eachPath(t, func(t *testing.T) {
+		for _, par := range []int{1, 4} {
+			prev := Parallelism(par)
+			rng := rand.New(rand.NewSource(13))
+			for _, sh := range kernelShapes {
+				n, k, m := sh[0], sh[1], sh[2]
+				a := randMat(n, k, rng)
+				b := randMat(m, k, rng)
+				full := NewMatrix(n, m)
+				MatMulABT(full, a, b)
+				for trial := 0; trial < 4; trial++ {
+					sel := randSel(m, rng)
+					got := filledMat(n, m, -7)
+					MatMulABTRows(got, a, b, sel)
+					selectedBitEqual(t, "MatMulABTRows", got, full, sel, -7)
+				}
 			}
+			Parallelism(prev)
 		}
-		Parallelism(prev)
-	}
+	})
 }
 
-// TestParallelKernelsConcurrent runs many large matmuls from several
-// goroutines at once: the bounded pool must neither deadlock nor mix up
-// outputs when every caller competes for the same worker budget.
-func TestParallelKernelsConcurrent(t *testing.T) {
-	prev := Parallelism(4)
-	defer Parallelism(prev)
-	rng := rand.New(rand.NewSource(21))
-	a := randMat(200, 80, rng)
-	b := randMat(80, 120, rng)
-	want := NewMatrix(200, 120)
-	naiveMatMul(want, a, b)
+// spreadMat fills a rows×cols matrix with ±e^u, u uniform on [−9, 9]: the
+// magnitudes span 26 binary orders, so adding a chain's terms in another
+// order, or rounding a product and its add once (FMA), changes low bits.
+func spreadMat(rows, cols int, rng *rand.Rand) *Matrix {
+	m := NewMatrix(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = math.Exp(18*rng.Float64() - 9)
+		if rng.Intn(2) == 0 {
+			m.Data[i] = -m.Data[i]
+		}
+	}
+	return m
+}
 
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dst := NewMatrix(200, 120)
-			for it := 0; it < 20; it++ {
-				MatMul(dst, a, b)
-				for i := range want.Data {
-					if math.Float64bits(dst.Data[i]) != math.Float64bits(want.Data[i]) {
-						errs <- "concurrent MatMul diverged from naive result"
-						return
+// TestAVX2TileEdges: MatMulABTRows equals the naive chain bit for bit at
+// every edge of the 2 × 4 tile: reduction widths c = 1…67 (each tail
+// length, and c < 4, where the assembly is skipped), output counts m = 1…9
+// (quads plus leftover columns), odd and even row counts (the leftover
+// row), and column selections that are permuted or repeat a column, with
+// inputs spread over e^±9.
+func TestAVX2TileEdges(t *testing.T) {
+	eachPath(t, func(t *testing.T) {
+		prev := Parallelism(1)
+		defer Parallelism(prev)
+		rng := rand.New(rand.NewSource(23))
+		for c := 1; c <= 67; c++ {
+			for m := 1; m <= 9; m++ {
+				for n := 1; n <= 4; n++ {
+					a, b := spreadMat(n, c, rng), spreadMat(m, c, rng)
+					want := NewMatrix(n, m)
+					naiveMatMulABT(want, a, b)
+					dup := make([]int, m+3)
+					for i := range dup {
+						dup[i] = rng.Intn(m)
+					}
+					dup[m+2] = dup[0]
+					for _, sel := range [][]int{nil, rng.Perm(m), dup} {
+						got := filledMat(n, m, -7)
+						MatMulABTRows(got, a, b, sel)
+						if sel == nil {
+							bitEqual(t, "MatMulABTRows", got, want)
+							continue
+						}
+						selectedBitEqual(t, "MatMulABTRows", got, want, sel, -7)
 					}
 				}
 			}
-		}()
+		}
+	})
+}
+
+// TestCPUFeatures logs which matmul path this host takes. It fails when an
+// amd64 CPU whose /proc/cpuinfo lists avx2 was given the Go tile, which
+// would leave the AVX2 tile untested while every "avx2" subtest skips.
+func TestCPUFeatures(t *testing.T) {
+	t.Logf("GOARCH %s, AVX2 tile %v", runtime.GOARCH, useAVX2)
+	if runtime.GOARCH != "amd64" || useAVX2 {
+		return
 	}
-	wg.Wait()
-	close(errs)
-	if msg, ok := <-errs; ok {
-		t.Fatal(msg)
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("cannot cross-check the CPU flags: %v", err)
 	}
+	for _, line := range strings.Split(string(info), "\n") {
+		if strings.HasPrefix(line, "flags") && slices.Contains(strings.Fields(line), "avx2") {
+			t.Fatal("/proc/cpuinfo lists avx2, but the dispatcher chose the Go tile")
+		}
+	}
+}
+
+// TestParallelKernelsConcurrent runs many large matmuls (MatMul and
+// MatMulABT) from several goroutines at once: the bounded pool must neither
+// deadlock nor mix up outputs when every caller competes for the same
+// worker budget.
+func TestParallelKernelsConcurrent(t *testing.T) {
+	eachPath(t, func(t *testing.T) {
+		prev := Parallelism(4)
+		defer Parallelism(prev)
+		rng := rand.New(rand.NewSource(21))
+		a := randMat(200, 80, rng)
+		b := randMat(80, 120, rng)
+		want := NewMatrix(200, 120)
+		naiveMatMul(want, a, b)
+		bt := randMat(120, 80, rng)
+		wantABT := NewMatrix(200, 120)
+		naiveMatMulABT(wantABT, a, bt)
+
+		var wg sync.WaitGroup
+		errs := make(chan string, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				dst, dstABT := NewMatrix(200, 120), NewMatrix(200, 120)
+				for it := 0; it < 20; it++ {
+					MatMul(dst, a, b)
+					MatMulABT(dstABT, a, bt)
+					for i := range want.Data {
+						if math.Float64bits(dst.Data[i]) != math.Float64bits(want.Data[i]) {
+							errs <- "concurrent MatMul diverged from naive result"
+							return
+						}
+						if math.Float64bits(dstABT.Data[i]) != math.Float64bits(wantABT.Data[i]) {
+							errs <- "concurrent MatMulABT diverged from naive result"
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		if msg, ok := <-errs; ok {
+			t.Fatal(msg)
+		}
+	})
 }
 
 // TestParallelismDuringMatMul retunes the worker budget while matmuls large
@@ -288,35 +401,37 @@ func TestParallelismKnob(t *testing.T) {
 // TestSerialMatMulNoAlloc pins the allocation-free property the estimate hot
 // path depends on: with a worker budget of 1 no kernel may heap-allocate.
 func TestSerialMatMulNoAlloc(t *testing.T) {
-	prev := Parallelism(1)
-	defer Parallelism(prev)
-	a := NewMatrix(64, 48)   // 64×48
-	b := NewMatrix(48, 80)   // 48×80: a·b
-	bt := NewMatrix(80, 48)  // 80×48: a·btᵀ
-	b2 := NewMatrix(64, 80)  // 64×80: aᵀ·b2
-	dst := NewMatrix(64, 80) // a·b and a·btᵀ
-	dstATB := NewMatrix(48, 80)
-	for i := range a.Data {
-		a.Data[i] = float64(i%7) + 0.5
-	}
-	for i := range b.Data {
-		b.Data[i] = float64(i%5) - 1.5
-	}
-	copy(bt.Data, b.Data[:len(bt.Data)])
-	copy(b2.Data, b.Data)
-	if n := testing.AllocsPerRun(20, func() { MatMul(dst, a, b) }); n > 0 {
-		t.Fatalf("serial MatMul allocates %v per op", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { MatMulABT(dst, a, bt) }); n > 0 {
-		t.Fatalf("serial MatMulABT allocates %v per op", n)
-	}
-	sel := []int{79, 3, 40, 41, 0}
-	if n := testing.AllocsPerRun(20, func() { MatMulABTRows(dst, a, bt, sel) }); n > 0 {
-		t.Fatalf("serial MatMulABTRows allocates %v per op", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { MatMulATB(dstATB, a, b2) }); n > 0 {
-		t.Fatalf("serial MatMulATB allocates %v per op", n)
-	}
+	eachPath(t, func(t *testing.T) {
+		prev := Parallelism(1)
+		defer Parallelism(prev)
+		a := NewMatrix(64, 48)   // 64×48
+		b := NewMatrix(48, 80)   // 48×80: a·b
+		bt := NewMatrix(80, 48)  // 80×48: a·btᵀ
+		b2 := NewMatrix(64, 80)  // 64×80: aᵀ·b2
+		dst := NewMatrix(64, 80) // a·b and a·btᵀ
+		dstATB := NewMatrix(48, 80)
+		for i := range a.Data {
+			a.Data[i] = float64(i%7) + 0.5
+		}
+		for i := range b.Data {
+			b.Data[i] = float64(i%5) - 1.5
+		}
+		copy(bt.Data, b.Data[:len(bt.Data)])
+		copy(b2.Data, b.Data)
+		if n := testing.AllocsPerRun(20, func() { MatMul(dst, a, b) }); n > 0 {
+			t.Fatalf("serial MatMul allocates %v per op", n)
+		}
+		if n := testing.AllocsPerRun(20, func() { MatMulABT(dst, a, bt) }); n > 0 {
+			t.Fatalf("serial MatMulABT allocates %v per op", n)
+		}
+		sel := []int{79, 3, 40, 41, 0}
+		if n := testing.AllocsPerRun(20, func() { MatMulABTRows(dst, a, bt, sel) }); n > 0 {
+			t.Fatalf("serial MatMulABTRows allocates %v per op", n)
+		}
+		if n := testing.AllocsPerRun(20, func() { MatMulATB(dstATB, a, b2) }); n > 0 {
+			t.Fatalf("serial MatMulATB allocates %v per op", n)
+		}
+	})
 }
 
 func benchMats(n, k, m int) (a, b, bt, dst *Matrix) {
@@ -341,13 +456,14 @@ func BenchmarkMatMul(b *testing.B) {
 
 func BenchmarkMatMulABT(b *testing.B) {
 	a, _, bt, dst := benchMats(256, 128, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulABT(dst, a, bt)
-	}
-	flops := 2 * 256 * 128 * 256
-	b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+	eachPath(b, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			MatMulABT(dst, a, bt)
+		}
+		flops := 2 * 256 * 128 * 256
+		b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+	})
 }
 
 func BenchmarkMatMulNaiveABT(b *testing.B) {
@@ -415,44 +531,46 @@ func withSpecials(m *Matrix, nan bool, rng *rand.Rand) *Matrix {
 // full and selected columns — while unselected columns of dst and pre keep
 // their sentinel.
 func TestMatMulABTReLUMatchesNaive(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		prev := Parallelism(par)
-		rng := rand.New(rand.NewSource(17))
-		for _, sh := range kernelShapes {
-			n, k, m := sh[0], sh[1], sh[2]
-			a := withSpecials(randMat(n, k, rng), true, rng)
-			b := withSpecials(randMat(m, k, rng), false, rng)
-			bias := withSpecials(randMat(1, m, rng), true, rng).Data
-			for _, withRes := range []bool{false, true} {
-				var res *Matrix
-				if withRes {
-					res = withSpecials(randMat(n, m, rng), true, rng)
-				}
-				want, wantPre := NewMatrix(n, m), NewMatrix(n, m)
-				naiveReLULayer(want, wantPre, a, b, bias, res)
-				for trial := 0; trial < 3; trial++ {
-					var sel []int // trial 0: every column
-					if trial > 0 {
-						sel = randSel(m, rng)
+	eachPath(t, func(t *testing.T) {
+		for _, par := range []int{1, 4} {
+			prev := Parallelism(par)
+			rng := rand.New(rand.NewSource(17))
+			for _, sh := range kernelShapes {
+				n, k, m := sh[0], sh[1], sh[2]
+				a := withSpecials(randMat(n, k, rng), true, rng)
+				b := withSpecials(randMat(m, k, rng), false, rng)
+				bias := withSpecials(randMat(1, m, rng), true, rng).Data
+				for _, withRes := range []bool{false, true} {
+					var res *Matrix
+					if withRes {
+						res = withSpecials(randMat(n, m, rng), true, rng)
 					}
-					got, gotPre := filledMat(n, m, -7), filledMat(n, m, -7)
-					MatMulABTReLU(got, a, b, sel, Epilogue{Bias: bias, Res: res, Pre: gotPre})
-					noPre := filledMat(n, m, -7)
-					MatMulABTReLU(noPre, a, b, sel, Epilogue{Bias: bias, Res: res})
-					if sel == nil {
-						bitEqual(t, "MatMulABTReLU", got, want)
-						bitEqual(t, "MatMulABTReLU pre", gotPre, wantPre)
-						bitEqual(t, "MatMulABTReLU without pre", noPre, want)
-						continue
+					want, wantPre := NewMatrix(n, m), NewMatrix(n, m)
+					naiveReLULayer(want, wantPre, a, b, bias, res)
+					for trial := 0; trial < 3; trial++ {
+						var sel []int // trial 0: every column
+						if trial > 0 {
+							sel = randSel(m, rng)
+						}
+						got, gotPre := filledMat(n, m, -7), filledMat(n, m, -7)
+						MatMulABTReLU(got, a, b, sel, Epilogue{Bias: bias, Res: res, Pre: gotPre})
+						noPre := filledMat(n, m, -7)
+						MatMulABTReLU(noPre, a, b, sel, Epilogue{Bias: bias, Res: res})
+						if sel == nil {
+							bitEqual(t, "MatMulABTReLU", got, want)
+							bitEqual(t, "MatMulABTReLU pre", gotPre, wantPre)
+							bitEqual(t, "MatMulABTReLU without pre", noPre, want)
+							continue
+						}
+						selectedBitEqual(t, "MatMulABTReLU", got, want, sel, -7)
+						selectedBitEqual(t, "MatMulABTReLU pre", gotPre, wantPre, sel, -7)
+						selectedBitEqual(t, "MatMulABTReLU without pre", noPre, want, sel, -7)
 					}
-					selectedBitEqual(t, "MatMulABTReLU", got, want, sel, -7)
-					selectedBitEqual(t, "MatMulABTReLU pre", gotPre, wantPre, sel, -7)
-					selectedBitEqual(t, "MatMulABTReLU without pre", noPre, want, sel, -7)
 				}
 			}
+			Parallelism(prev)
 		}
-		Parallelism(prev)
-	}
+	})
 }
 
 // TestReLUBits pins the select's bit semantics: v > 0 keeps v, and every
@@ -475,21 +593,23 @@ func TestReLUBits(t *testing.T) {
 // pre-activation store and a column selection, allocates nothing on the
 // serial path — the sampling forward calls it once per hidden layer.
 func TestSerialMatMulABTReLUNoAlloc(t *testing.T) {
-	prev := Parallelism(1)
-	defer Parallelism(prev)
-	rng := rand.New(rand.NewSource(19))
-	a, w := randMat(64, 48, rng), randMat(80, 48, rng)
-	dst, res, pre := NewMatrix(64, 80), randMat(64, 80, rng), NewMatrix(64, 80)
-	bias := randMat(1, 80, rng).Data
-	sel := []int{79, 3, 40, 41, 0}
-	if n := testing.AllocsPerRun(20, func() {
-		MatMulABTReLU(dst, a, w, sel, Epilogue{Bias: bias, Res: res, Pre: pre})
-	}); n > 0 {
-		t.Fatalf("serial MatMulABTReLU allocates %v per op", n)
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		MatMulABTReLU(dst, a, w, nil, Epilogue{Bias: bias})
-	}); n > 0 {
-		t.Fatalf("serial MatMulABTReLU without sel allocates %v per op", n)
-	}
+	eachPath(t, func(t *testing.T) {
+		prev := Parallelism(1)
+		defer Parallelism(prev)
+		rng := rand.New(rand.NewSource(19))
+		a, w := randMat(64, 48, rng), randMat(80, 48, rng)
+		dst, res, pre := NewMatrix(64, 80), randMat(64, 80, rng), NewMatrix(64, 80)
+		bias := randMat(1, 80, rng).Data
+		sel := []int{79, 3, 40, 41, 0}
+		if n := testing.AllocsPerRun(20, func() {
+			MatMulABTReLU(dst, a, w, sel, Epilogue{Bias: bias, Res: res, Pre: pre})
+		}); n > 0 {
+			t.Fatalf("serial MatMulABTReLU allocates %v per op", n)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			MatMulABTReLU(dst, a, w, nil, Epilogue{Bias: bias})
+		}); n > 0 {
+			t.Fatalf("serial MatMulABTReLU without sel allocates %v per op", n)
+		}
+	})
 }

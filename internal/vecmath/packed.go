@@ -14,14 +14,14 @@ func PackedBlockDot(w, x []float64) float64 {
 	n4 := n - n%4
 	var s0, s1, s2, s3 float64
 	for k := 0; k < n4; k += 4 {
-		s0 += x[k] * w[k]
-		s1 += x[k+1] * w[k+1]
-		s2 += x[k+2] * w[k+2]
-		s3 += x[k+3] * w[k+3]
+		s0 += float64(x[k] * w[k])
+		s1 += float64(x[k+1] * w[k+1])
+		s2 += float64(x[k+2] * w[k+2])
+		s3 += float64(x[k+3] * w[k+3])
 	}
 	s := s0 + s1 + s2 + s3
 	for k := n4; k < n; k++ {
-		s += x[k] * w[k]
+		s += float64(x[k] * w[k])
 	}
 	return s
 }
