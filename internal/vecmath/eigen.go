@@ -21,7 +21,7 @@ func SymEigenvalues(a *Matrix) []float64 {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				v := w.At(i, j)
-				off += v * v
+				off += float64(v * v)
 			}
 		}
 		if off < 1e-22 {
@@ -38,24 +38,24 @@ func SymEigenvalues(a *Matrix) []float64 {
 				theta := (aqq - app) / (2 * apq)
 				var t float64
 				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
+					t = 1 / (theta + math.Sqrt(1+float64(theta*theta)))
 				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
+					t = -1 / (-theta + math.Sqrt(1+float64(theta*theta)))
 				}
-				c := 1 / math.Sqrt(1+t*t)
+				c := 1 / math.Sqrt(1+float64(t*t))
 				s := t * c
 				// Apply the rotation G(p,q,θ)ᵀ · W · G(p,q,θ).
 				for k := 0; k < n; k++ {
 					wkp := w.At(k, p)
 					wkq := w.At(k, q)
-					w.Set(k, p, c*wkp-s*wkq)
-					w.Set(k, q, s*wkp+c*wkq)
+					w.Set(k, p, float64(c*wkp)-float64(s*wkq))
+					w.Set(k, q, float64(s*wkp)+float64(c*wkq))
 				}
 				for k := 0; k < n; k++ {
 					wpk := w.At(p, k)
 					wqk := w.At(q, k)
-					w.Set(p, k, c*wpk-s*wqk)
-					w.Set(q, k, s*wpk+c*wqk)
+					w.Set(p, k, float64(c*wpk)-float64(s*wqk))
+					w.Set(q, k, float64(s*wpk)+float64(c*wqk))
 				}
 			}
 		}

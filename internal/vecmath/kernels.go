@@ -10,10 +10,13 @@ import (
 // operation is large enough (see parallel.go). Each output element is
 // accumulated by a single chain of additions in exactly the reduction order
 // of the straightforward triple loop, so results are bit-identical to the
-// naive kernels for every block size and Parallelism setting — the
-// equivalence tests in kernels_test.go enforce this property. Every product
-// here and in PackedBlockDot is written float64(x*y), and the AVX2 tile
-// multiplies and adds in separate instructions: the Go spec lets a compiler
+// naive kernels for every block size, Parallelism setting and tile path —
+// the equivalence tests in kernels_test.go enforce this property on both.
+// Where the CPU has AVX2 (useAVX2), MatMulABT's dot products run on
+// dotTile2x4 and MatMul's and MatMulATB's column blocks on axpyTile16
+// (kernels_amd64.s); Go tiles cover their edges and every other CPU. Every
+// product in this package is written float64(x*y), and the AVX2 tiles
+// multiply and add in separate instructions: the Go spec lets a compiler
 // fuse x*y + z into one FMA, which rounds once, and arm64's does, so bits
 // would otherwise depend on GOARCH.
 
@@ -28,6 +31,9 @@ const kBlock = 256
 const jBlockABT = 64
 
 // MatMul computes dst = a·b. dst must be a.Rows×b.Cols and distinct from a, b.
+// dst[i][j] accumulates a[i][k]·b[k][j] in ascending k, skipping a[i][k] == ±0
+// (so a ±Inf or NaN in b meets no zero), 16 columns at a time on the AVX2
+// tile where the CPU has one (see matMulBlock) — the backward pass's dx = dy·W.
 //
 // iam:noalloc
 func MatMul(dst, a, b *Matrix) {
@@ -44,13 +50,21 @@ func MatMul(dst, a, b *Matrix) {
 	fanOut(a.Rows, chunk, sem, func(lo, hi int) { matMulBlock(dst, a, b, lo, hi) })
 }
 
-// matMulBlock computes rows [lo, hi) of dst = a·b.
+// matMulBlock computes rows [lo, hi) of dst = a·b. With AVX2 (useAVX2) each
+// row's leading cols − cols%16 outputs run through axpyTile16 once per kBlock
+// panel, 16 at a time; the Go loop covers the rest, and every column on
+// other CPUs. Either way dst[i][j] is one chain over ascending k that skips
+// a[i][k] == ±0.
 func matMulBlock(dst, a, b *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		drow := dst.Row(i)
 		for j := range drow {
 			drow[j] = 0
 		}
+	}
+	n16 := 0
+	if useAVX2 {
+		n16 = dst.Cols - dst.Cols%16
 	}
 	n4 := dst.Cols - dst.Cols%4
 	for k0 := 0; k0 < a.Cols; k0 += kBlock {
@@ -61,13 +75,19 @@ func matMulBlock(dst, a, b *Matrix, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
 			drow := dst.Row(i)
+			for j := 0; j < n16; j += 16 {
+				axpyTile16(&drow[j], &arow[k0], 1, &b.Row(k0)[j], b.Cols, k1-k0)
+			}
+			if n16 == dst.Cols {
+				continue
+			}
 			for k := k0; k < k1; k++ {
 				av := arow[k]
 				if av == 0 {
 					continue
 				}
 				brow := b.Row(k)
-				for j := 0; j < n4; j += 4 {
+				for j := n16; j < n4; j += 4 {
 					drow[j] += float64(av * brow[j])
 					drow[j+1] += float64(av * brow[j+1])
 					drow[j+2] += float64(av * brow[j+2])
@@ -82,6 +102,9 @@ func matMulBlock(dst, a, b *Matrix, lo, hi int) {
 }
 
 // MatMulATB computes dst = aᵀ·b, where a is n×r and b is n×c; dst is r×c.
+// dst[i][j] accumulates a[n][i]·b[n][j] in ascending n, skipping a[n][i] == ±0,
+// 16 columns at a time on the AVX2 tile where the CPU has one (see
+// matMulATBBlock) — the backward pass's weight gradient dW = dyᵀ·x.
 //
 // iam:noalloc
 func MatMulATB(dst, a, b *Matrix) {
@@ -98,13 +121,30 @@ func MatMulATB(dst, a, b *Matrix) {
 }
 
 // matMulATBBlock computes rows [lo, hi) of dst = aᵀ·b; row i of dst reduces
-// over column i of a, so splitting dst rows never splits a reduction.
+// over column i of a, so splitting dst rows never splits a reduction. With
+// AVX2 (useAVX2) each row's leading cols − cols%16 outputs run through
+// axpyTile16 over all n, reading column i of a with stride a.Cols; the Go
+// loop covers the rest, and every column on other CPUs. Either way
+// dst[i][j] is one chain over ascending n that skips a[n][i] == ±0.
 func matMulATBBlock(dst, a, b *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		drow := dst.Row(i)
 		for j := range drow {
 			drow[j] = 0
 		}
+	}
+	c16 := 0
+	if useAVX2 && a.Rows > 0 {
+		c16 = b.Cols - b.Cols%16
+	}
+	for i := lo; i < hi; i++ {
+		drow := dst.Row(i)
+		for j := 0; j < c16; j += 16 {
+			axpyTile16(&drow[j], &a.Data[i], a.Cols, &b.Data[j], b.Cols, a.Rows)
+		}
+	}
+	if c16 == b.Cols {
+		return
 	}
 	c4 := b.Cols - b.Cols%4
 	for n := 0; n < a.Rows; n++ {
@@ -116,7 +156,7 @@ func matMulATBBlock(dst, a, b *Matrix, lo, hi int) {
 				continue
 			}
 			drow := dst.Row(i)
-			for j := 0; j < c4; j += 4 {
+			for j := c16; j < c4; j += 4 {
 				drow[j] += float64(av * brow[j])
 				drow[j+1] += float64(av * brow[j+1])
 				drow[j+2] += float64(av * brow[j+2])

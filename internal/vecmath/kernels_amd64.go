@@ -1,7 +1,9 @@
 package vecmath
 
-// useAVX2 routes matMulABTBlock's 2 × 4 tiles through dotTile2x4. It is set
-// once, here, from CPUID; only tests clear it, to run the Go tile.
+// useAVX2 routes matMulABTBlock's 2 × 4 tiles through dotTile2x4, and
+// matMulBlock's and matMulATBBlock's 16-wide column blocks through
+// axpyTile16. It is set once, here, from CPUID; only tests clear it, to run
+// the Go tiles.
 var useAVX2 = cpuHasAVX2()
 
 // dotTile2x4 sets out[4r+q] = a_r·b_q over the first n elements, for r in
@@ -12,6 +14,15 @@ var useAVX2 = cpuHasAVX2()
 //
 //go:noescape
 func dotTile2x4(a0, a1, b0, b1, b2, b3 *float64, n int, out *[8]float64)
+
+// axpyTile16 adds a[k*as]·b[k*bs+j] into dst[j] for j in [0, 16), for k
+// ascending over [0, n), skipping every k whose a[k*as] is ±0 as
+// matMulBlock's and matMulATBBlock's Go loops do. Each dst[j] is one chain
+// of separately rounded products and adds, the Go loops' chain, held in a
+// register across all n steps. It needs AVX2 (useAVX2).
+//
+//go:noescape
+func axpyTile16(dst, a *float64, as int, b *float64, bs, n int)
 
 // cpuid executes CPUID with EAX = leaf and ECX = sub.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

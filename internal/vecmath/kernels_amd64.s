@@ -80,6 +80,58 @@ reduce:
 	VZEROUPPER
 	RET
 
+// func axpyTile16(dst, a *float64, as int, b *float64, bs, n int)
+//
+// Y0..Y3 hold dst[0:16] across the whole reduction. Step k reads a[k*as];
+// when it is ±0 (its bits shifted left past the sign are zero) the step is
+// skipped, as the Go kernels' av == 0 test does, while NaN is not. Otherwise
+// VBROADCASTSD spreads it over Y4, and each four-lane quad of b[k*bs:][0:16]
+// is multiplied by it, then added (VMULPD, VADDPD: two roundings, as the
+// scalar d += a*b), never a fused multiply-add.
+TEXT ·axpyTile16(SB), NOSPLIT, $0-48
+	MOVQ    dst+0(FP), DX
+	MOVQ    a+8(FP), SI
+	MOVQ    as+16(FP), R8
+	MOVQ    b+24(FP), DI
+	MOVQ    bs+32(FP), R9
+	MOVQ    n+40(FP), CX
+	SHLQ    $3, R8
+	SHLQ    $3, R9
+	VMOVUPD 0(DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVUPD 64(DX), Y2
+	VMOVUPD 96(DX), Y3
+	TESTQ   CX, CX
+	JLE     store
+
+step:
+	MOVQ         (SI), AX
+	SHLQ         $1, AX
+	JZ           next
+	VBROADCASTSD (SI), Y4
+	VMULPD       0(DI), Y4, Y5
+	VMULPD       32(DI), Y4, Y6
+	VMULPD       64(DI), Y4, Y7
+	VMULPD       96(DI), Y4, Y8
+	VADDPD       Y5, Y0, Y0
+	VADDPD       Y6, Y1, Y1
+	VADDPD       Y7, Y2, Y2
+	VADDPD       Y8, Y3, Y3
+
+next:
+	ADDQ R8, SI
+	ADDQ R9, DI
+	DECQ CX
+	JNZ  step
+
+store:
+	VMOVUPD Y0, 0(DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

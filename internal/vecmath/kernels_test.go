@@ -279,6 +279,88 @@ func TestAVX2TileEdges(t *testing.T) {
 	})
 }
 
+// axpyOperands builds the operands of an r-output-row product reduced over
+// kk steps into m columns: a (r×kk, output row by reduction step) and b
+// (kk×m), spread over e^±9 so that any other chain order shows in low bits.
+// When specials is set, every third reduction step is a trap: its b row
+// holds ±Inf and NaN, and a's column there is ±0 in every output row, so a
+// kernel that multiplies instead of skipping a ±0 turns those rows into
+// NaN. One a element off the traps is NaN, so a kernel that skips NaN as it
+// skips zero gives that row finite answers.
+func axpyOperands(r, kk, m int, specials bool, rng *rand.Rand) (a, b *Matrix) {
+	a, b = spreadMat(r, kk, rng), spreadMat(kk, m, rng)
+	for i := range a.Data {
+		if rng.Intn(5) == 0 {
+			a.Data[i] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+		}
+	}
+	if !specials {
+		return a, b
+	}
+	inf := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	for k := 0; k < kk; k += 3 {
+		for i := 0; i < r; i++ {
+			a.Row(i)[k] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+		}
+		for j := range b.Row(k) {
+			if rng.Intn(2) == 0 {
+				b.Row(k)[j] = inf[rng.Intn(len(inf))]
+			}
+		}
+	}
+	if kk > 1 {
+		a.Row(rng.Intn(r))[1] = math.NaN()
+	}
+	return a, b
+}
+
+// transposed returns mᵀ.
+func transposed(m *Matrix) *Matrix {
+	t := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for k, v := range m.Row(i) {
+			t.Row(k)[i] = v
+		}
+	}
+	return t
+}
+
+// TestAxpyTileEdges: MatMul and MatMulATB equal the naive kernels bit for
+// bit at every edge of the 16-wide AVX2 column tile: widths around and
+// between whole tiles (the Go loop takes cols%16), reduction lengths 0, 1
+// and either side of a kBlock panel (for MatMulATB, a.Rows of 0 and 1
+// included), one and several output rows, serially and split over helpers
+// at Parallelism 4. The special operands pin the zero skip: ±0 in a against
+// ±Inf and NaN in b is skipped, NaN in a is not.
+func TestAxpyTileEdges(t *testing.T) {
+	eachPath(t, func(t *testing.T) {
+		for _, par := range []int{1, 4} {
+			prev := Parallelism(par)
+			rng := rand.New(rand.NewSource(29))
+			for _, m := range []int{1, 15, 16, 17, 33, 64, 65} {
+				for _, kk := range []int{0, 1, 256, kBlock + 1} {
+					for _, r := range []int{1, 7} {
+						for _, specials := range []bool{false, true} {
+							a, b := axpyOperands(r, kk, m, specials, rng)
+							got, want := filledMat(r, m, -7), NewMatrix(r, m)
+							MatMul(got, a, b)
+							naiveMatMul(want, a, b)
+							bitEqual(t, "MatMul", got, want)
+
+							at := transposed(a)
+							got = filledMat(r, m, -7)
+							MatMulATB(got, at, b)
+							naiveMatMulATB(want, at, b)
+							bitEqual(t, "MatMulATB", got, want)
+						}
+					}
+				}
+			}
+			Parallelism(prev)
+		}
+	})
+}
+
 // TestCPUFeatures logs which matmul path this host takes. It fails when an
 // amd64 CPU whose /proc/cpuinfo lists avx2 was given the Go tile, which
 // would leave the AVX2 tile untested while every "avx2" subtest skips.
@@ -445,13 +527,29 @@ func benchMats(n, k, m int) (a, b, bt, dst *Matrix) {
 
 func BenchmarkMatMul(b *testing.B) {
 	a, bm, _, dst := benchMats(256, 128, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(dst, a, bm)
-	}
-	flops := 2 * 256 * 128 * 256
-	b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+	eachPath(b, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			MatMul(dst, a, bm)
+		}
+		flops := 2 * 256 * 128 * 256
+		b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+	})
+}
+
+// BenchmarkMatMulATB times a weight gradient dW = dyᵀ·x at a backward shape:
+// a batch of 256 rows, dy 128 wide (the layer's outputs), x 64 wide.
+func BenchmarkMatMulATB(b *testing.B) {
+	rng := rand.New(rand.NewSource(31))
+	dy, x, dw := randMat(256, 128, rng), randMat(256, 64, rng), NewMatrix(128, 64)
+	eachPath(b, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			MatMulATB(dw, dy, x)
+		}
+		flops := 2 * 256 * 128 * 64
+		b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+	})
 }
 
 func BenchmarkMatMulABT(b *testing.B) {

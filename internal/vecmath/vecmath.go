@@ -123,7 +123,7 @@ func Dot(x, y []float64) float64 {
 	}
 	var s float64
 	for i, v := range x {
-		s += v * y[i]
+		s += float64(v * y[i])
 	}
 	return s
 }
@@ -134,7 +134,7 @@ func Axpy(alpha float64, x, y []float64) {
 		panic("vecmath: axpy length mismatch")
 	}
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += float64(alpha * v)
 	}
 }
 
@@ -260,12 +260,12 @@ func NormalPDF(x, mu, sigma float64) float64 {
 // NormalLogPDF returns the log-density of N(mu, sigma²) at x.
 func NormalLogPDF(x, mu, sigma float64) float64 {
 	z := (x - mu) / sigma
-	return -0.5*z*z - math.Log(sigma) - 0.9189385332046727 // log √(2π)
+	return float64(-0.5*z*z) - math.Log(sigma) - 0.9189385332046727 // log √(2π)
 }
 
 // NormalCDF returns P(X ≤ x) for X ~ N(mu, sigma²).
 func NormalCDF(x, mu, sigma float64) float64 {
-	return 0.5 * (1 + math.Erf((x-mu)/sigma*invSqrt2))
+	return float64(0.5 * (1 + math.Erf((x-mu)/sigma*invSqrt2)))
 }
 
 // NormalRangeMass returns P(lo ≤ X ≤ hi) for X ~ N(mu, sigma²). A reversed
@@ -295,13 +295,13 @@ func Quantile(sorted []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[n-1]
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1))
 	lo := int(math.Floor(pos))
 	frac := pos - float64(lo)
 	if lo+1 >= n {
 		return sorted[n-1]
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[lo+1]*frac)
 }
 
 // Mean returns the arithmetic mean of x (0 for empty input).
@@ -321,7 +321,7 @@ func Variance(x []float64) float64 {
 	var s float64
 	for _, v := range x {
 		d := v - mu
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(x))
 }
