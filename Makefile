@@ -7,7 +7,7 @@ GO ?= go
 # Extra `go test` flags for bench-json; CI's short-scale run uses
 # BENCHFLAGS='-short -benchtime=1x'.
 BENCHFLAGS ?=
-BENCH_PATTERN = ^(BenchmarkEstimateBatch|BenchmarkResMADEForward256|BenchmarkMatMul|BenchmarkMatMulATB|BenchmarkMatMulABT|BenchmarkForwardSampling|BenchmarkShardedEstimate)$$
+BENCH_PATTERN = ^(BenchmarkEstimateBatch|BenchmarkResMADEForward256|BenchmarkMatMul|BenchmarkMatMulATB|BenchmarkMatMulABT|BenchmarkForwardSampling|BenchmarkSoftmax|BenchmarkShardedEstimate)$$
 TRAIN_BENCH_PATTERN = ^(BenchmarkTrainJoint|BenchmarkShardedTrain)$$
 SERVE_BENCH_PATTERN = ^BenchmarkServeLatency$$
 

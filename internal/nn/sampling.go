@@ -72,16 +72,16 @@ func (s *Session) sampleTable() []float64 {
 
 // ForwardSampling runs the inference forward for sampling column col: the
 // first layer from the session's table (bias plus one table row per column
-// < col), then the hidden layers, each computing only the units of degree
-// ≤ col (the rest are exactly 0) in one fused matmul pass that writes the
-// activation and no pre-activation, and the output layer restricted to col's
-// logit rows (identical accumulation chains to the dense output layer, so
-// the restricted logits are bit-equal to Session.Forward's for the same
-// activations). The degree cut moves no bit: a skipped unit reaches col's
-// logits only through masked weights, which are exactly zero. Only the
-// codes of columns < col are read; a wildcard column must hold its MASK
-// token there. Afterwards Dist serves only column col, until the next
-// Forward or ForwardSampling.
+// < col, summed densely), then the hidden layers, each computing only the
+// units of degree ≤ col (the rest are exactly 0) in one fused matmul pass
+// that writes the activation and no pre-activation, and the output layer
+// restricted to col's logit rows (identical accumulation chains to the
+// dense output layer, so the restricted logits are bit-equal to
+// Session.Forward's for the same activations). The degree cut moves no
+// bit: a skipped unit reaches col's logits only through masked weights,
+// which are exactly zero. Only the codes of columns < col are read; a
+// wildcard column must hold its MASK token there. Afterwards Dist serves
+// only column col, until the next Forward or ForwardSampling.
 //
 // The forward is row-pure: row r's logits depend only on rows[r], never on
 // the rest of the batch — the property the serving batcher and the
@@ -102,49 +102,29 @@ func (s *Session) ForwardSampling(rows [][]int, col int) {
 	// Column col's logits read only the hidden units of degree ≤ col, and
 	// those read only lower-layer units of degree ≤ col, so every other unit
 	// is skipped and left at exactly 0 (see DESIGN.md §12). The first layer
-	// sums bias and table rows straight into x[1] and applies its ReLU in
-	// place (it never has a residual connection: hasResidue starts at layer
-	// 1); every later layer is one fused matmul pass (forwardReLU).
+	// is dense all the same: bias and table rows are summed into x[1] with
+	// AddTo, ReLU is applied in place (the first layer never has a residual
+	// connection: hasResidue starts at layer 1), then the skipped units are
+	// zeroed. A kept unit's value is the one chain bias + t₀ + t₁ + … in
+	// column order either way, and a skipped unit ends at 0 either way, so
+	// the dense sum moves no bit. Every later layer is one fused matmul pass
+	// (forwardReLU).
 	l0 := n.layers[0]
 	h0 := l0.out
 	cur := vecmath.ViewInto(&s.xV[1], s.x[1], b)
-	keep, skip := n.cut(0, col)
+	_, skip := n.cut(0, col)
 	for r, row := range rows {
 		dst := cur.Row(r)
-		if keep == nil {
-			copy(dst, l0.b)
-		} else {
-			for _, o := range keep {
-				dst[o] = l0.b[o]
-			}
-		}
+		copy(dst, l0.b)
 		for c := 0; c < col; c++ {
 			code := row[c]
 			if code < 0 || code > n.Cards[c] {
 				//lint:ignore nopanic,noalloc per-row cold path; out-of-domain codes mean a corrupted encoder, not a recoverable input
 				panic(fmt.Sprintf("nn: column %d code %d out of [0,%d]", c, code, n.Cards[c]))
 			}
-			t := tab[s.tabOff[c]+code*h0 : s.tabOff[c]+(code+1)*h0]
-			if keep == nil {
-				t = t[:len(dst)]
-				for o := range dst {
-					dst[o] += t[o]
-				}
-				continue
-			}
-			for _, o := range keep {
-				dst[o] += t[o]
-			}
+			vecmath.AddTo(dst, tab[s.tabOff[c]+code*h0:s.tabOff[c]+(code+1)*h0])
 		}
-		if keep == nil {
-			for o, v := range dst {
-				dst[o] = vecmath.ReLU(v)
-			}
-			continue
-		}
-		for _, o := range keep {
-			dst[o] = vecmath.ReLU(dst[o])
-		}
+		vecmath.ReLUInPlace(dst)
 		for _, o := range skip {
 			dst[o] = 0
 		}
@@ -171,10 +151,7 @@ func (s *Session) ForwardSampling(rows [][]int, col int) {
 	vecmath.MatMulABT(&s.logitsPV, cur, wsub)
 	bias := n.outLayer.b[lo:hi]
 	for r := 0; r < b; r++ {
-		row := s.logitsPV.Row(r)
-		for i := range row {
-			row[i] += bias[i]
-		}
+		vecmath.AddTo(s.logitsPV.Row(r), bias)
 	}
 	s.samplingCol = col
 }

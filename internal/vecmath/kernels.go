@@ -13,12 +13,15 @@ import (
 // naive kernels for every block size, Parallelism setting and tile path —
 // the equivalence tests in kernels_test.go enforce this property on both.
 // Where the CPU has AVX2 (useAVX2), MatMulABT's dot products run on
-// dotTile2x4 and MatMul's and MatMulATB's column blocks on axpyTile16
-// (kernels_amd64.s); Go tiles cover their edges and every other CPU. Every
-// product in this package is written float64(x*y), and the AVX2 tiles
-// multiply and add in separate instructions: the Go spec lets a compiler
-// fuse x*y + z into one FMA, which rounds once, and arm64's does, so bits
-// would otherwise depend on GOARCH.
+// dotTile2x4 (dotTile2x4Out where it also stores the epilogue) and
+// MatMul's and MatMulATB's column blocks on axpyTile16 (kernels_amd64.s);
+// Go tiles cover their edges and every other CPU. Every product in this
+// package is written float64(x*y), and the AVX2 tiles multiply and add in
+// separate instructions: the Go spec lets a compiler fuse x*y + z into one
+// FMA, which rounds once, and arm64's does, so bits would otherwise depend
+// on GOARCH. The one intended fused multiply-add is expTile's (Softmax,
+// LogSumExp), a lane-wise copy of math.Exp's own FMA branch that runs only
+// where math.Exp takes that branch.
 
 // kBlock is the reduction-panel height of MatMul: up to kBlock rows of b are
 // reused across a whole row block of a before moving on, keeping the panel
@@ -50,11 +53,11 @@ func MatMul(dst, a, b *Matrix) {
 	fanOut(a.Rows, chunk, sem, func(lo, hi int) { matMulBlock(dst, a, b, lo, hi) })
 }
 
-// matMulBlock computes rows [lo, hi) of dst = a·b. With AVX2 (useAVX2) each
-// row's leading cols − cols%16 outputs run through axpyTile16 once per kBlock
-// panel, 16 at a time; the Go loop covers the rest, and every column on
-// other CPUs. Either way dst[i][j] is one chain over ascending k that skips
-// a[i][k] == ±0.
+// matMulBlock computes rows [lo, hi) of dst = a·b. With AVX2 (useAVX2) and
+// at least 16 columns, each row's outputs run through axpyTile16 once per
+// kBlock panel, 16 at a time, the cols%16 tail through axpyTail; the Go
+// loop covers narrower rows and every column on other CPUs. Either way
+// dst[i][j] is one chain over ascending k that skips a[i][k] == ±0.
 func matMulBlock(dst, a, b *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		drow := dst.Row(i)
@@ -62,10 +65,7 @@ func matMulBlock(dst, a, b *Matrix, lo, hi int) {
 			drow[j] = 0
 		}
 	}
-	n16 := 0
-	if useAVX2 {
-		n16 = dst.Cols - dst.Cols%16
-	}
+	tile := useAVX2 && dst.Cols >= 16
 	n4 := dst.Cols - dst.Cols%4
 	for k0 := 0; k0 < a.Cols; k0 += kBlock {
 		k1 := k0 + kBlock
@@ -75,10 +75,11 @@ func matMulBlock(dst, a, b *Matrix, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := a.Row(i)
 			drow := dst.Row(i)
-			for j := 0; j < n16; j += 16 {
-				axpyTile16(&drow[j], &arow[k0], 1, &b.Row(k0)[j], b.Cols, k1-k0)
-			}
-			if n16 == dst.Cols {
+			if tile {
+				for j := 0; j+16 <= dst.Cols; j += 16 {
+					axpyTile16(&drow[j], &arow[k0], 1, &b.Row(k0)[j], b.Cols, k1-k0)
+				}
+				axpyTail(drow, &arow[k0], 1, b.Row(k0), b.Cols, k1-k0)
 				continue
 			}
 			for k := k0; k < k1; k++ {
@@ -87,7 +88,7 @@ func matMulBlock(dst, a, b *Matrix, lo, hi int) {
 					continue
 				}
 				brow := b.Row(k)
-				for j := n16; j < n4; j += 4 {
+				for j := 0; j < n4; j += 4 {
 					drow[j] += float64(av * brow[j])
 					drow[j+1] += float64(av * brow[j+1])
 					drow[j+2] += float64(av * brow[j+2])
@@ -122,10 +123,11 @@ func MatMulATB(dst, a, b *Matrix) {
 
 // matMulATBBlock computes rows [lo, hi) of dst = aᵀ·b; row i of dst reduces
 // over column i of a, so splitting dst rows never splits a reduction. With
-// AVX2 (useAVX2) each row's leading cols − cols%16 outputs run through
-// axpyTile16 over all n, reading column i of a with stride a.Cols; the Go
-// loop covers the rest, and every column on other CPUs. Either way
-// dst[i][j] is one chain over ascending n that skips a[n][i] == ±0.
+// AVX2 (useAVX2) and at least 16 columns, each row's outputs run through
+// axpyTile16 over all n, 16 at a time, reading column i of a with stride
+// a.Cols, and the cols%16 tail through axpyTail; the Go loop covers
+// narrower rows and every column on other CPUs. Either way dst[i][j] is
+// one chain over ascending n that skips a[n][i] == ±0.
 func matMulATBBlock(dst, a, b *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		drow := dst.Row(i)
@@ -133,17 +135,14 @@ func matMulATBBlock(dst, a, b *Matrix, lo, hi int) {
 			drow[j] = 0
 		}
 	}
-	c16 := 0
-	if useAVX2 && a.Rows > 0 {
-		c16 = b.Cols - b.Cols%16
-	}
-	for i := lo; i < hi; i++ {
-		drow := dst.Row(i)
-		for j := 0; j < c16; j += 16 {
-			axpyTile16(&drow[j], &a.Data[i], a.Cols, &b.Data[j], b.Cols, a.Rows)
+	if useAVX2 && a.Rows > 0 && b.Cols >= 16 {
+		for i := lo; i < hi; i++ {
+			drow := dst.Row(i)
+			for j := 0; j+16 <= b.Cols; j += 16 {
+				axpyTile16(&drow[j], &a.Data[i], a.Cols, &b.Data[j], b.Cols, a.Rows)
+			}
+			axpyTail(drow, &a.Data[i], a.Cols, b.Data, b.Cols, a.Rows)
 		}
-	}
-	if c16 == b.Cols {
 		return
 	}
 	c4 := b.Cols - b.Cols%4
@@ -156,7 +155,7 @@ func matMulATBBlock(dst, a, b *Matrix, lo, hi int) {
 				continue
 			}
 			drow := dst.Row(i)
-			for j := c16; j < c4; j += 4 {
+			for j := 0; j < c4; j += 4 {
 				drow[j] += float64(av * brow[j])
 				drow[j+1] += float64(av * brow[j+1])
 				drow[j+2] += float64(av * brow[j+2])
@@ -167,6 +166,23 @@ func matMulATBBlock(dst, a, b *Matrix, lo, hi int) {
 			}
 		}
 	}
+}
+
+// axpyTail finishes the len(drow)%16 columns that drow's 16-wide
+// axpyTile16 blocks leave, len(drow) ≥ 16: one more tile over the last 16
+// columns, b's row starting at column 0 as brow, accumulated into a copy of
+// them, of which only the tail is written back. The copy's other lanes
+// already hold this step's sums and would take a's products twice.
+func axpyTail(drow []float64, a *float64, as int, brow []float64, bs, n int) {
+	r := len(drow) % 16
+	if r == 0 {
+		return
+	}
+	w := len(drow) - 16
+	var t [16]float64
+	copy(t[:], drow[w:])
+	axpyTile16(&t[0], a, as, &brow[w], bs, n)
+	copy(drow[len(drow)-r:], t[16-r:])
 }
 
 // MatMulABT computes dst = a·bᵀ, where a is n×c and b is m×c; dst is n×m.
@@ -261,6 +277,21 @@ func PosMask(v float64) uint64 {
 // iam:noalloc
 func ReLU(v float64) float64 { return math.Float64frombits(math.Float64bits(v) & PosMask(v)) }
 
+// ReLUInPlace sets every element of x to ReLU of it, four at a time on
+// AVX2 with the same bit mask.
+//
+// iam:noalloc
+func ReLUInPlace(x []float64) {
+	i := 0
+	if useAVX2 {
+		reluTile(x)
+		i = len(x) &^ 3
+	}
+	for ; i < len(x); i++ {
+		x[i] = ReLU(x[i])
+	}
+}
+
 // rowOut is one output row of matMulABTBlock: the destination row, and for
 // the fused store the epilogue's rows (nil when absent) and its bias.
 type rowOut struct {
@@ -316,7 +347,9 @@ func (o *rowOut) fused(j int, p float64) {
 // dotTile2x4, which keeps the 2 × 4 tile's eight four-lane chains in YMM
 // registers; the tail, the leftover row and the leftover columns stay in
 // Go. Otherwise every row runs matMulABTRow's Go tile. Every path stores
-// through rowOut.put, which applies ep's epilogue when it has one.
+// through rowOut.put, which applies ep's epilogue when it has one, except
+// a quad of contiguous columns (sel == nil) with no scalar tail (c % 4 ==
+// 0): dotTile2x4Out stores it, epilogue included, four lanes at a time.
 func matMulABTBlock(dst, a, b *Matrix, sel []int, ep Epilogue, lo, hi int) {
 	c := a.Cols
 	c4 := c - c%4
@@ -325,6 +358,7 @@ func matMulABTBlock(dst, a, b *Matrix, sel []int, ep Epilogue, lo, hi int) {
 		m = len(sel)
 	}
 	pairs := useAVX2 && c4 > 0
+	direct := sel == nil && c4 == c
 	var o0, o1 rowOut
 	for t0 := 0; t0 < m; t0 += jBlockABT {
 		t1 := min(t0+jBlockABT, m)
@@ -335,6 +369,10 @@ func matMulABTBlock(dst, a, b *Matrix, sel []int, ep Epilogue, lo, hi int) {
 			o1.aim(dst, &ep, i+1)
 			t := t0
 			for ; t+3 < t1; t += 4 {
+				if direct {
+					dotTile2x4Out(&a0[0], &a1[0], &b.Row(t)[0], &b.Row(t + 1)[0], &b.Row(t + 2)[0], &b.Row(t + 3)[0], c, t, &o0, &o1)
+					continue
+				}
 				js := [4]int{t, t + 1, t + 2, t + 3}
 				if sel != nil {
 					js = [4]int{sel[t], sel[t+1], sel[t+2], sel[t+3]}

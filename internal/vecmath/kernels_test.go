@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -247,7 +248,9 @@ func spreadMat(rows, cols int, rng *rand.Rand) *Matrix {
 // length, and c < 4, where the assembly is skipped), output counts m = 1…9
 // (quads plus leftover columns), odd and even row counts (the leftover
 // row), and column selections that are permuted or repeat a column, with
-// inputs spread over e^±9.
+// inputs spread over e^±9. MatMulABTReLU is checked at the same edges
+// (tileEpilogueEdges): its fused store runs inside the tile exactly where
+// sel is nil and c % 4 == 0.
 func TestAVX2TileEdges(t *testing.T) {
 	eachPath(t, func(t *testing.T) {
 		prev := Parallelism(1)
@@ -264,7 +267,8 @@ func TestAVX2TileEdges(t *testing.T) {
 						dup[i] = rng.Intn(m)
 					}
 					dup[m+2] = dup[0]
-					for _, sel := range [][]int{nil, rng.Perm(m), dup} {
+					sels := [][]int{nil, rng.Perm(m), dup}
+					for _, sel := range sels {
 						got := filledMat(n, m, -7)
 						MatMulABTRows(got, a, b, sel)
 						if sel == nil {
@@ -273,10 +277,42 @@ func TestAVX2TileEdges(t *testing.T) {
 						}
 						selectedBitEqual(t, "MatMulABTRows", got, want, sel, -7)
 					}
+					tileEpilogueEdges(t, a, b, sels, rng)
 				}
 			}
 		}
 	})
+}
+
+// tileEpilogueEdges checks MatMulABTReLU against naiveReLULayer on a and b
+// with −0, negative and NaN entries planted (and a −0/NaN-laden bias and
+// residual), with the residual and the pre-activation store each present
+// or absent, for every selection in sels.
+func tileEpilogueEdges(t *testing.T, a, b *Matrix, sels [][]int, rng *rand.Rand) {
+	t.Helper()
+	n, m := a.Rows, b.Rows
+	a = withSpecials(a.Clone(), true, rng)
+	b = withSpecials(b.Clone(), false, rng)
+	bias := withSpecials(spreadMat(1, m, rng), true, rng).Data
+	for _, res := range []*Matrix{nil, withSpecials(spreadMat(n, m, rng), true, rng)} {
+		want, wantPre := NewMatrix(n, m), NewMatrix(n, m)
+		naiveReLULayer(want, wantPre, a, b, bias, res)
+		for _, sel := range sels {
+			got, gotPre, noPre := filledMat(n, m, -7), filledMat(n, m, -7), filledMat(n, m, -7)
+			MatMulABTReLU(got, a, b, sel, Epilogue{Bias: bias, Res: res, Pre: gotPre})
+			MatMulABTReLU(noPre, a, b, sel, Epilogue{Bias: bias, Res: res})
+			name := fmt.Sprintf("MatMulABTReLU c=%d m=%d n=%d res=%v sel=%v", a.Cols, m, n, res != nil, sel)
+			if sel == nil {
+				bitEqual(t, name, got, want)
+				bitEqual(t, name+" pre", gotPre, wantPre)
+				bitEqual(t, name+" without pre", noPre, want)
+				continue
+			}
+			selectedBitEqual(t, name, got, want, sel, -7)
+			selectedBitEqual(t, name+" pre", gotPre, wantPre, sel, -7)
+			selectedBitEqual(t, name+" without pre", noPre, want, sel, -7)
+		}
+	}
 }
 
 // axpyOperands builds the operands of an r-output-row product reduced over
@@ -361,12 +397,14 @@ func TestAxpyTileEdges(t *testing.T) {
 	})
 }
 
-// TestCPUFeatures logs which matmul path this host takes. It fails when an
-// amd64 CPU whose /proc/cpuinfo lists avx2 was given the Go tile, which
-// would leave the AVX2 tile untested while every "avx2" subtest skips.
+// TestCPUFeatures logs which matmul and exp paths this host takes. It
+// fails when an amd64 CPU whose /proc/cpuinfo lists avx2 was given the Go
+// tile, or one that lists avx2 and fma was not given the exp tile, which
+// would leave that assembly untested while every "avx2" subtest skips or
+// falls back to math.Exp.
 func TestCPUFeatures(t *testing.T) {
-	t.Logf("GOARCH %s, AVX2 tile %v", runtime.GOARCH, useAVX2)
-	if runtime.GOARCH != "amd64" || useAVX2 {
+	t.Logf("GOARCH %s, AVX2 tile %v, exp tile %v", runtime.GOARCH, useAVX2, useExpTile())
+	if runtime.GOARCH != "amd64" || useExpTile() {
 		return
 	}
 	info, err := os.ReadFile("/proc/cpuinfo")
@@ -374,8 +412,15 @@ func TestCPUFeatures(t *testing.T) {
 		t.Skipf("cannot cross-check the CPU flags: %v", err)
 	}
 	for _, line := range strings.Split(string(info), "\n") {
-		if strings.HasPrefix(line, "flags") && slices.Contains(strings.Fields(line), "avx2") {
+		if !strings.HasPrefix(line, "flags") {
+			continue
+		}
+		flags := strings.Fields(line)
+		if slices.Contains(flags, "avx2") && !useAVX2 {
 			t.Fatal("/proc/cpuinfo lists avx2, but the dispatcher chose the Go tile")
+		}
+		if slices.Contains(flags, "avx2") && slices.Contains(flags, "fma") {
+			t.Fatal("/proc/cpuinfo lists avx2 and fma, but Softmax does not run the exp tile")
 		}
 	}
 }
@@ -626,8 +671,9 @@ func withSpecials(m *Matrix, nan bool, rng *rand.Rand) *Matrix {
 // naive product + bias pass + branchy ReLU (+ residual) bit for bit on every
 // tile path — odd row counts (the single-row tail), odd widths (the
 // single-column tail), shapes that fan out over helpers under Parallelism 4,
-// full and selected columns — while unselected columns of dst and pre keep
-// their sentinel.
+// full columns (where c % 4 == 0 the AVX2 tile stores the epilogue itself)
+// and selected ones (stored through rowOut.put) — while unselected columns
+// of dst and pre keep their sentinel.
 func TestMatMulABTReLUMatchesNaive(t *testing.T) {
 	eachPath(t, func(t *testing.T) {
 		for _, par := range []int{1, 4} {

@@ -138,10 +138,36 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Scale multiplies every element of x by alpha.
+// Scale multiplies every element of x by alpha, four at a time on AVX2.
+//
+// iam:noalloc
 func Scale(alpha float64, x []float64) {
-	for i := range x {
+	i := 0
+	if useAVX2 {
+		scaleTile(x, alpha)
+		i = len(x) &^ 3
+	}
+	for ; i < len(x); i++ {
 		x[i] *= alpha
+	}
+}
+
+// AddTo adds x into dst element by element, dst[i] += x[i], four at a time
+// on AVX2. Each element is one add either way, so the bits do not depend on
+// the path.
+//
+// iam:noalloc
+func AddTo(dst, x []float64) {
+	if len(dst) != len(x) {
+		panic("vecmath: addto length mismatch")
+	}
+	i := 0
+	if useAVX2 {
+		addTile(dst, x)
+		i = len(dst) &^ 3
+	}
+	for ; i < len(dst); i++ {
+		dst[i] += x[i]
 	}
 }
 
@@ -183,49 +209,101 @@ func ArgMax(x []float64) int {
 }
 
 // Softmax writes softmax(logits) into out (which may alias logits). It is
-// numerically stable under large logits.
+// numerically stable under large logits: out[i] = exp(min(logits[i] − m, 0))
+// / z with m the maximum and z the ascending sum of the exponentials. With
+// AVX2 and FMA the max, exp-sum and 1/z passes run four lanes at a time
+// (see expSum), bit-identical to the Go loops.
+//
+// iam:noalloc
 func Softmax(out, logits []float64) {
 	if len(out) != len(logits) {
 		panic("vecmath: softmax length mismatch")
 	}
-	m := Max(logits)
-	var z float64
-	for i, v := range logits {
-		d := v - m
-		if d > 0 {
-			d = 0 // v ≤ max(logits) by construction; pin the exponent range anyway
-		}
-		e := math.Exp(d)
-		out[i] = e
-		z += e
-	}
+	z := expSum(out, logits, shiftMax(logits))
 	if z <= 0 {
 		return // unreachable for finite logits: the max element contributes exp(0) = 1
 	}
-	inv := 1 / z
-	for i := range out {
-		out[i] *= inv
-	}
+	Scale(1/z, out)
 }
 
-// LogSumExp returns log(Σ exp(x_i)) computed stably.
+// LogSumExp returns log(Σ exp(x_i)) computed stably, summing through the
+// same exp tile as Softmax.
+//
+// iam:noalloc
 func LogSumExp(x []float64) float64 {
-	m := Max(x)
+	m := shiftMax(x)
 	if math.IsInf(m, -1) {
 		return math.Inf(-1)
 	}
-	var s float64
-	for _, v := range x {
-		d := v - m
-		if d > 0 {
-			d = 0 // v ≤ max(x) by construction; pin the exponent range anyway
-		}
-		s += math.Exp(d)
-	}
+	s := expSum(nil, x, m)
 	if s <= 0 {
 		return math.Inf(-1) // unreachable: the max element contributes exp(0) = 1
 	}
 	return m + math.Log(s)
+}
+
+// shiftMax is Max for the shift of Softmax and LogSumExp, on maxTile where
+// the exp tile runs. The lanes may return +0 where Max returns −0 or the
+// reverse; neither caller's output moves by it: v − (±0) differs only for
+// v = −0, where d is ±0 and exp(±0) = 1, and (±0) + log(s) differs only
+// for log(s) = −0, which math.Log never returns.
+//
+// iam:noalloc
+func shiftMax(x []float64) float64 {
+	n4 := len(x) &^ 3
+	if !useExpTile() || n4 == 0 {
+		return Max(x)
+	}
+	m := maxTile(x)
+	for _, v := range x[n4:] {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// useExpTile reports whether expSum runs expTile: AVX2 for its integer
+// lanes, and the FMA that math.Exp's own branch needs. expTile holds the
+// one intended fused multiply-add in this package, a copy of math.Exp's,
+// and runs only where math.Exp takes that branch too.
+func useExpTile() bool { return useAVX2 && hasFMA }
+
+// expSum returns z = Σ exp(min(x[i] − m, 0)) summed in ascending i, and
+// stores each term in out[i] unless out is nil. Every term is math.Exp's
+// value bit for bit: expTile runs the quads it can, and a quad it stops
+// at (a lane below −708, near where math.Exp's result turns subnormal, or
+// NaN) and the len(x) % 4 tail go through math.Exp one by one.
+//
+// iam:noalloc
+func expSum(out, x []float64, m float64) float64 {
+	var z float64
+	tile := useExpTile()
+	for i := 0; i < len(x); {
+		end := len(x)
+		if tile {
+			var dst []float64
+			if out != nil {
+				dst = out[i:]
+			}
+			var k int
+			k, z = expTile(dst, x[i:], m, z)
+			i += k
+			end = min(i+4, len(x)) // the quad expTile stopped at, or the tail
+		}
+		for ; i < end; i++ {
+			d := x[i] - m
+			if d > 0 {
+				d = 0 // x[i] ≤ m by construction; pin the exponent range anyway
+			}
+			e := math.Exp(d)
+			if out != nil {
+				out[i] = e
+			}
+			z += e
+		}
+	}
+	return z
 }
 
 // Normalize scales x in place so it sums to 1. If the sum is not positive it
