@@ -147,7 +147,7 @@ func (m *Model) InitMarginals(rows [][]int) error {
 		n := float64(len(rows))
 		bias := make([]float64, card)
 		for k := range bias {
-			bias[k] = math.Log((counts[k] + 0.5) / (n + 0.5*float64(card)))
+			bias[k] = math.Log((counts[k] + 0.5) / (n + float64(0.5*float64(card))))
 		}
 		if err := m.Net.SetOutputBias(c, bias); err != nil {
 			return err
@@ -273,7 +273,7 @@ func (m *Model) estimateBatchInto(sess *nn.Session, sc *EstimateScratch, consLis
 			var ss float64
 			for i := qi * numSamples; i < (qi+1)*numSamples; i++ {
 				d := probs[i] - mean
-				ss += d * d
+				ss += float64(d * d)
 			}
 			// The enclosing numSamples > 1 check keeps both denominators ≥ 1.
 			varOut[qi] = ss / float64(numSamples-1) / float64(numSamples)
@@ -407,7 +407,7 @@ func (m *Model) sampleQueryColumn(sess *nn.Session, sc *EstimateScratch, con Con
 			cdf := sc.memoCDF[slots*card : (slots+1)*card]
 			var mass float64
 			for k := 0; k < card; k++ {
-				d[k] *= wv[k]
+				d[k] = float64(d[k] * wv[k])
 				mass += d[k]
 				cdf[k] = mass
 			}

@@ -76,9 +76,9 @@ func (m *Model) EstimateExhaustive(cons []Constraint, limit int) (est float64, o
 				cons[c].Fill(rows[i], wv)
 				var mass float64
 				for k := 0; k < card; k++ {
-					mass += d[k] * wv[k]
+					mass += float64(d[k] * wv[k])
 				}
-				total += probs[i] * mass
+				total += float64(probs[i] * mass)
 			}
 			return vecmath.Clamp(total, 0, 1), true
 		}

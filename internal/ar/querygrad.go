@@ -47,7 +47,7 @@ func (m *Model) TrainQueryStep(sess *nn.Session, consList [][]Constraint, target
 		est := ests[bi]
 		truth := targets[bi]
 		le := math.Log(math.Max(est, floor)) - math.Log(math.Max(truth, floor))
-		lossSum += le * le
+		lossSum += float64(le * le)
 		if est <= 0 {
 			continue // every path died: no gradient signal for this query
 		}
@@ -68,7 +68,7 @@ func (m *Model) TrainQueryStep(sess *nn.Session, consList [][]Constraint, target
 				cons[c].Fill(rows[s], wv)
 				var mass float64
 				for k := 0; k < card; k++ {
-					mass += d[k] * wv[k]
+					mass += float64(d[k] * wv[k])
 				}
 				if mass <= 0 {
 					continue
@@ -77,7 +77,7 @@ func (m *Model) TrainQueryStep(sess *nn.Session, consList [][]Constraint, target
 				lo, _ := m.Net.LogitRange(c)
 				drow := dl.Row(ri)
 				for k := 0; k < card; k++ {
-					drow[lo+k] += gMass * d[k] * (wv[k] - mass)
+					drow[lo+k] += float64(gMass * d[k] * (wv[k] - mass))
 				}
 				anyGrad = true
 			}

@@ -83,7 +83,7 @@ func (m *Model) estimateAvg(q *query.Query, col string) (avg, sel float64, err e
 	w := m.getWorker(m.cfg.NumSamples)
 	defer m.putWorker(w)
 	ests, err := m.arm.EstimateBatchScratch(w.sess, w.scratch, [][]ar.Constraint{cons},
-		m.cfg.NumSamples, []int64{PositionSeed(m.cfg.Seed, 0)})
+		m.cfg.NumSamples, []int64{m.QuerySeed(q)})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -156,20 +156,6 @@ func (m *Model) integratedValue(sess *nn.Session, ci int, iv query.Interval, row
 		}
 		return vSum / wSum, wSum > 0
 	}, nil
-}
-
-// EstimateWithCI returns the selectivity estimate together with its
-// Monte-Carlo standard error across the progressive-sampling paths, letting
-// callers (e.g. an optimizer deciding whether to re-estimate with more
-// samples) judge how trustworthy a single estimate is. The estimate is
-// bitwise Estimate(q)'s, and a query answered by exact enumeration
-// (ExhaustiveLimit) reports standard error 0.
-func (m *Model) EstimateWithCI(q *query.Query) (est, stderr float64, err error) {
-	ests, vars, err := m.EstimateBatchVarSeeded([]*query.Query{q}, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	return ests[0], math.Sqrt(vars[0]), nil
 }
 
 // sampleValue turns a sampled AR row into a value estimate for a factored

@@ -664,20 +664,18 @@ func (m *Model) Estimate(q *query.Query) (float64, error) {
 // EstimateBatch estimates several queries in one stacked progressive-
 // sampling run (§5.3). It holds only the read lock, so any number of calls
 // proceed concurrently (each shard samples on a pooled worker session), and
-// shards the queries across min(cfg.Workers, pending) goroutines. Query i
-// draws from its own stream derived from (cfg.Seed, i), which makes the
-// returned estimates bit-identical under every Workers setting.
+// shards the queries across min(cfg.Workers, pending) goroutines. Each query
+// draws from its content stream QuerySeed(q), so an estimate is a pure
+// function of (model, query): the same under every Workers setting, at any
+// batch position and alone (Estimate).
 func (m *Model) EstimateBatch(qs []*query.Query) ([]float64, error) {
 	return m.EstimateBatchSeeded(qs, nil)
 }
 
 // EstimateBatchSeeded is EstimateBatch with caller-chosen sampling streams:
-// query i draws from qseeds[i] instead of the position-derived stream. A nil
-// qseeds reproduces EstimateBatch exactly. The serving layer uses this to
-// keep estimates a pure function of (model, query) even when the dynamic
-// batcher coalesces queries into batches of shifting composition — it passes
-// seeds derived from the query content, so an estimate never depends on
-// which other queries happened to share the batch.
+// query i draws from qseeds[i] instead of QuerySeed(qs[i]). A nil qseeds
+// reproduces EstimateBatch exactly. Explicit seeds draw independent estimates
+// of one query (the unbiasedness and coverage tests).
 func (m *Model) EstimateBatchSeeded(qs []*query.Query, qseeds []int64) ([]float64, error) {
 	return m.estimateBatch(qs, qseeds, nil)
 }
@@ -739,7 +737,7 @@ func (m *Model) estimateBatch(qs []*query.Query, qseeds []int64, vars []float64)
 		if qseeds != nil {
 			bs.seeds = append(bs.seeds, qseeds[i])
 		} else {
-			bs.seeds = append(bs.seeds, PositionSeed(m.cfg.Seed, i))
+			bs.seeds = append(bs.seeds, m.QuerySeed(q))
 		}
 		bs.slots = append(bs.slots, i)
 	}

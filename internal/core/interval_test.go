@@ -75,9 +75,9 @@ func TestCategoricalBoundsBeyondInt(t *testing.T) {
 // FuzzEstimate drives arbitrary single-column intervals through the full
 // estimate path (constraint build, mass weights or ordinal codes,
 // progressive sampling). Only a NaN endpoint may fail; every answer lies in
-// [0, 1], Estimate and EstimateWithCI agree bit for bit, and on a
-// categorical column the estimate is exactly 0 iff no code satisfies the
-// interval. The seed corpus (testdata/fuzz/FuzzEstimate) holds the bounds
+// [0, 1], Estimate and EstimateBatchVarSeeded agree bit for bit with a
+// finite, non-negative variance, and on a categorical column the estimate
+// is exactly 0 iff no code satisfies the interval. The seed corpus (testdata/fuzz/FuzzEstimate) holds the bounds
 // that once answered wrongly — ±Inf, 1e300 and 1e19 on subject_id, NaN on
 // either side — plus inverted intervals and ±MaxFloat64.
 func FuzzEstimate(f *testing.F) {
@@ -90,7 +90,7 @@ func FuzzEstimate(f *testing.F) {
 		nan := math.IsNaN(lo) || math.IsNaN(hi)
 
 		est, err := m.Estimate(q)
-		ciEst, _, ciErr := m.EstimateWithCI(q)
+		ciEsts, ciVars, ciErr := m.EstimateBatchVarSeeded([]*query.Query{q}, nil)
 		if nan {
 			if err == nil || ciErr == nil {
 				t.Fatalf("column %d %+v: NaN bound accepted (%v, %v)", ci, iv, err, ciErr)
@@ -103,8 +103,11 @@ func FuzzEstimate(f *testing.F) {
 		if !(est >= 0 && est <= 1) {
 			t.Fatalf("column %d %+v: estimate %v outside [0, 1]", ci, iv, est)
 		}
-		if math.Float64bits(est) != math.Float64bits(ciEst) {
-			t.Fatalf("column %d %+v: Estimate %v != EstimateWithCI %v", ci, iv, est, ciEst)
+		if math.Float64bits(est) != math.Float64bits(ciEsts[0]) {
+			t.Fatalf("column %d %+v: Estimate %v != EstimateBatchVarSeeded %v", ci, iv, est, ciEsts[0])
+		}
+		if !(ciVars[0] >= 0) || math.IsInf(ciVars[0], 0) {
+			t.Fatalf("column %d %+v: variance %v, want finite and >= 0", ci, iv, ciVars[0])
 		}
 		if c := tb.Columns[ci]; c.Kind == dataset.Categorical {
 			admits := false

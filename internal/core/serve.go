@@ -11,7 +11,7 @@ import (
 )
 
 // Concurrent serving path: the worker pool behind EstimateBatch's sharding,
-// the per-query RNG stream derivation, and the LRU cache of §5.2 range-mass
+// the per-query content seed, and the LRU cache of §5.2 range-mass
 // vectors. See DESIGN.md "Concurrent serving path" for the lock hierarchy.
 
 // estWorker pairs the session and scratch buffers one estimate shard runs
@@ -67,20 +67,6 @@ func (m *Model) putWorker(w *estWorker) {
 	m.poolMu.Lock()
 	m.workers = append(m.workers, w)
 	m.poolMu.Unlock()
-}
-
-// PositionSeed derives the deterministic sampling stream of query index qi
-// from the model seed with a splitmix64-style finalizer, so streams for
-// adjacent indices are statistically independent. Because the stream depends
-// only on (seed, qi), an estimate is a pure function of the model and the
-// query — not of worker count, shard boundaries, or what else shares the
-// batch. The sharded ensemble's early-stop path hands a shard the seeds its
-// model would derive here, so both must call this one function.
-func PositionSeed(seed int64, qi int) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*(uint64(qi)+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
 }
 
 // massKey identifies one cached §5.2 range-mass vector: the column and the
@@ -172,12 +158,11 @@ func (m *Model) purgeMassCache() {
 	m.cacheMu.Unlock()
 }
 
-// QuerySeed derives the deterministic sampling stream the serving layer
-// assigns to q: a content hash (column indices, bounds, bound kinds) mixed
-// with the model seed through the same finalizer as PositionSeed. Two
-// requests for the same query always draw the same stream regardless of
-// batch composition, so server-side batching preserves bit-identical
-// estimates.
+// QuerySeed derives the sampling stream every nil-seed estimate gives q: a
+// content hash (column indices, bounds, bound kinds) mixed with the model
+// seed through a splitmix64 finalizer. The same query always draws the same
+// stream, whatever else shares its batch, so an estimate is a pure function
+// of (model, query) in the library, the sharded ensemble and the server.
 func (m *Model) QuerySeed(q *query.Query) int64 {
 	h := uint64(m.cfg.Seed)
 	mix := func(v uint64) {

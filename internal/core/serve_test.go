@@ -1,67 +1,74 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"iam/internal/query"
 	"iam/internal/testutil"
 )
 
-// TestEstimateBatchSeededMatchesPositionSeeds pins that EstimateBatchSeeded
-// with explicitly supplied position-derived seeds reproduces EstimateBatch
-// bit for bit, and that a nil seed slice is the identity.
-func TestEstimateBatchSeededMatchesPositionSeeds(t *testing.T) {
-	cfg := fastCfg()
-	m, _ := trainTWI(t, cfg)
-	w := testutil.Workload(t, m.table, query.GenConfig{NumQueries: 12, Seed: 31})
-
-	base, err := m.EstimateBatch(w.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := make([]int64, len(w.Queries))
-	for i := range seeds {
-		seeds[i] = PositionSeed(cfg.Seed, i)
-	}
-	seeded, err := m.EstimateBatchSeeded(w.Queries, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range base {
-		if base[i] != seeded[i] {
-			t.Fatalf("query %d: explicit position seeds diverge: %v vs %v", i, base[i], seeded[i])
-		}
-	}
-	if _, err := m.EstimateBatchSeeded(w.Queries, seeds[:3]); err == nil {
-		t.Fatal("mismatched seed slice length not rejected")
-	}
-}
-
-// TestQuerySeedBatchInvariance pins the property the serving layer's dynamic
-// batcher depends on: with content-derived seeds, a query's estimate is the
-// same whether it is served alone or buried in a batch of other queries.
+// TestQuerySeedBatchInvariance pins the one seed scheme: a nil seed means
+// the content seed QuerySeed(q), so each query has one answer, bit for bit,
+// whether it is estimated alone (Estimate), at two different positions of
+// EstimateBatch, twice in one batch, through EstimateBatchSeeded with nil
+// seeds, or with its content seed passed explicitly.
 func TestQuerySeedBatchInvariance(t *testing.T) {
 	cfg := fastCfg()
 	m, _ := trainTWI(t, cfg)
 	w := testutil.Workload(t, m.table, query.GenConfig{NumQueries: 10, Seed: 32})
+	n := len(w.Queries)
 
-	// Batch of everything, content seeds.
-	seeds := make([]int64, len(w.Queries))
-	for i, q := range w.Queries {
-		seeds[i] = m.QuerySeed(q)
-	}
-	batched, err := m.EstimateBatchSeeded(w.Queries, seeds)
+	forward, err := m.EstimateBatch(w.Queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each query alone, same content seed.
+	// Reversed, so every query sits at another position (n is even), and
+	// each query twice in one batch.
+	reversed := make([]*query.Query, n)
 	for i, q := range w.Queries {
-		solo, err := m.EstimateBatchSeeded([]*query.Query{q}, []int64{m.QuerySeed(q)})
+		reversed[n-1-i] = q
+	}
+	backward, err := m.EstimateBatch(reversed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice, err := m.EstimateBatch(append(append([]*query.Query(nil), w.Queries...), w.Queries...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nilSeeded, err := m.EstimateBatchSeeded(w.Queries, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := make([]int64, n)
+	for i, q := range w.Queries {
+		seeds[i] = m.QuerySeed(q)
+	}
+	for i, q := range w.Queries {
+		alone, err := m.Estimate(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if solo[0] != batched[i] {
-			t.Fatalf("query %d: solo %v != batched %v — estimate depends on batch composition", i, solo[0], batched[i])
+		explicit, err := m.EstimateBatchSeeded([]*query.Query{q}, []int64{seeds[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := math.Float64bits(alone)
+		for _, got := range []struct {
+			how string
+			v   float64
+		}{
+			{"EstimateBatch", forward[i]},
+			{"EstimateBatch reversed", backward[n-1-i]},
+			{"first copy in one batch", twice[i]},
+			{"second copy in one batch", twice[n+i]},
+			{"EstimateBatchSeeded(nil)", nilSeeded[i]},
+			{"explicit content seed", explicit[0]},
+		} {
+			if math.Float64bits(got.v) != want {
+				t.Fatalf("query %d: %s gives %v, Estimate %v", i, got.how, got.v, alone)
+			}
 		}
 	}
 	// Seeds must differ across (non-identical) queries.
@@ -71,6 +78,9 @@ func TestQuerySeedBatchInvariance(t *testing.T) {
 	}
 	if len(distinct) < 2 {
 		t.Fatalf("content seeds collapsed: %v", seeds)
+	}
+	if _, err := m.EstimateBatchSeeded(w.Queries, seeds[:3]); err == nil {
+		t.Fatal("mismatched seed slice length not rejected")
 	}
 }
 

@@ -150,3 +150,57 @@ func TestEstimateUnbiasedAgainstEnumeration(t *testing.T) {
 		t.Fatal("uncorrected estimates passed the unbiasedness check; it cannot detect a missing §5.2 correction")
 	}
 }
+
+// TestStderrCoverage checks that the sampling variance EstimateBatchVarSeeded
+// reports — the only variance the library publishes, and what the sharded
+// early stop reads — gives calibrated error bars at the default S: over
+// unbiasedFixture's queries, each estimated with unbiasedSeeds explicit
+// seeds, the nominal 95 % interval est ± 1.96·√var covers the exact
+// (enumerated) answer at least as often as a one-sided α = 1e-3 binomial
+// test of 95 % coverage allows (normal approximation). Only pairs with
+// sampling spread count: a standard error below 1e-12 of the estimate is
+// the rounding of the variance pass over equal path probabilities, and
+// such an answer carries no interval. At S = 64 the same check fails on
+// this fixture (1111 of 1200 pairs against a floor of 1117); ROADMAP item 1
+// holds that case.
+func TestStderrCoverage(t *testing.T) {
+	m, qs := unbiasedFixture(t)
+	exact := exactAnswers(t, m, qs)
+	var def Config
+	def.fillDefaults()
+	m.cfg.NumSamples = def.NumSamples
+
+	const nominal, alpha = 0.95, 1e-3
+	seeds := make([]int64, len(qs))
+	pairs, covered := 0, 0
+	for k := 0; k < unbiasedSeeds; k++ {
+		for i := range seeds {
+			seeds[i] = int64(1_000_003*k + i + 1)
+		}
+		ests, vars, err := m.EstimateBatchVarSeeded(qs, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vars {
+			se := math.Sqrt(v)
+			if se <= 1e-12*ests[i] {
+				continue
+			}
+			pairs++
+			if math.Abs(ests[i]-exact[i]) <= 1.96*se {
+				covered++
+			}
+		}
+	}
+	if pairs < len(qs)/2*unbiasedSeeds {
+		t.Fatalf("only %d (query, seed) pairs have sampling spread; the check is near-vacuous", pairs)
+	}
+	n := float64(pairs)
+	z := math.Sqrt2 * math.Erfcinv(2*alpha)
+	floor := math.Ceil(n*nominal - z*math.Sqrt(n*nominal*(1-nominal)))
+	t.Logf("S=%d: %d of %d intervals cover the exact answer (floor %v)", def.NumSamples, covered, pairs, floor)
+	if float64(covered) < floor {
+		t.Fatalf("S=%d: est ± 1.96·√var covers the exact answer in %d of %d pairs, below the α=%v floor %v for %v coverage",
+			def.NumSamples, covered, pairs, alpha, floor, nominal)
+	}
+}

@@ -59,10 +59,11 @@ func mustClose(tb testing.TB, s *Server) {
 	}
 }
 
-// TestServerCoalescesAndStaysDeterministic is the tentpole's core contract:
+// TestServerCoalescesAndStaysDeterministic is the server's core contract:
 // concurrent single-query requests are merged into batches, yet every
-// answer is bit-identical to a direct content-seeded estimate — batching is
-// invisible to the client.
+// answer is bit-identical to the library's answer for that query — the
+// explicit content-seeded estimate, Estimate(q) and its slot in one
+// EstimateBatch — so batching is invisible to the client.
 func TestServerCoalescesAndStaysDeterministic(t *testing.T) {
 	m, tbl := testModel(t)
 	w := testutil.Workload(t, tbl, query.GenConfig{NumQueries: 12, Seed: 91})
@@ -91,14 +92,23 @@ func TestServerCoalescesAndStaysDeterministic(t *testing.T) {
 	if st.Batches >= uint64(len(w.Queries)) {
 		t.Fatalf("no coalescing: %d batches for %d queries", st.Batches, len(w.Queries))
 	}
+	batch, err := m.EstimateBatch(w.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, q := range w.Queries {
 		want, err := m.EstimateBatchSeeded([]*query.Query{q}, []int64{m.QuerySeed(q)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if results[i].Selectivity != want[0] {
-			t.Fatalf("query %d: served %v != direct %v — batching leaked into the estimate",
-				i, results[i].Selectivity, want[0])
+		alone, err := m.Estimate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := math.Float64bits(results[i].Selectivity)
+		if got != math.Float64bits(want[0]) || got != math.Float64bits(alone) || got != math.Float64bits(batch[i]) {
+			t.Fatalf("query %d: served %v, content-seeded %v, Estimate %v, EstimateBatch %v — batching leaked into the estimate",
+				i, results[i].Selectivity, want[0], alone, batch[i])
 		}
 		if results[i].Source != SourceBatch || results[i].Version != 1 {
 			t.Fatalf("query %d: unexpected provenance %q v%d", i, results[i].Source, results[i].Version)

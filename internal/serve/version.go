@@ -10,20 +10,17 @@ import (
 	"iam/internal/estimator"
 	"iam/internal/guard"
 	"iam/internal/pghist"
-	"iam/internal/query"
 	"iam/internal/sampling"
 )
 
 // served is the model surface a version serves. Both *core.Model and
 // *shard.Ensemble satisfy it, so the whole serving stack — dynamic batching,
 // guard cascades, hot swap, rollback, shutdown persistence — works unchanged
-// over a single model or a sharded ensemble.
+// over a single model or a sharded ensemble. Both seed every query by its
+// content, so an estimate is a pure function of (model, query), never of
+// what else the dynamic batcher put in its batch.
 type served interface {
 	estimator.Estimator
-	// QuerySeed derives the content-addressed sampling seed for q.
-	QuerySeed(q *query.Query) int64
-	// EstimateBatchSeeded estimates with caller-pinned per-query seeds.
-	EstimateBatchSeeded(qs []*query.Query, qseeds []int64) ([]float64, error)
 	ReleaseWorkers()
 	Save(w io.Writer) error
 }
@@ -48,30 +45,6 @@ type version struct {
 	inflight atomic.Int64
 }
 
-// seededModel adapts a served model so batched estimates draw
-// content-derived sampling streams (QuerySeed) instead of batch-position
-// streams. This is what makes server-side dynamic batching invisible: an
-// estimate is a pure function of (model, query), never of batch composition.
-type seededModel struct{ m served }
-
-func (s *seededModel) Name() string { return s.m.Name() }
-
-func (s *seededModel) Estimate(q *query.Query) (float64, error) {
-	res, err := s.m.EstimateBatchSeeded([]*query.Query{q}, []int64{s.m.QuerySeed(q)})
-	if err != nil {
-		return 0, err
-	}
-	return res[0], nil
-}
-
-func (s *seededModel) EstimateBatch(qs []*query.Query) ([]float64, error) {
-	seeds := make([]int64, len(qs))
-	for i, q := range qs {
-		seeds[i] = s.m.QuerySeed(q)
-	}
-	return s.m.EstimateBatchSeeded(qs, seeds)
-}
-
 // newVersion builds the standard production cascade pair around m.
 func newVersion(id int, t *dataset.Table, m served, seed int64, timeout time.Duration) (*version, error) {
 	samp, err := sampling.New(t, fallbackSampleSize, seed+5)
@@ -82,7 +55,7 @@ func newVersion(id int, t *dataset.Table, m served, seed int64, timeout time.Dur
 	if err != nil {
 		return nil, fmt.Errorf("serve: version %d histogram tier: %w", id, err)
 	}
-	full, err := guard.New(guard.Config{Timeout: timeout}, &seededModel{m}, samp, hist)
+	full, err := guard.New(guard.Config{Timeout: timeout}, m, samp, hist)
 	if err != nil {
 		return nil, fmt.Errorf("serve: version %d cascade: %w", id, err)
 	}

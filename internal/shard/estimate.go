@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"iam/internal/core"
 	"iam/internal/guard"
 	"iam/internal/query"
 	"iam/internal/vecmath"
@@ -12,13 +11,15 @@ import (
 
 // mergeScratch owns the per-call buffers of one batched ensemble estimate:
 // the rebound sub-batch (query values re-aimed at a shard's sub-table, with
-// Ranges shared), the per-shard seed table and variance buffer, the queries
-// still visiting shards, and the per-query merge accumulators. Scratches are
-// pooled on the ensemble and reused, so a warm estimate allocates only what
-// the per-shard model calls allocate.
+// Ranges shared), the content seeds of a nil-seed batch, the per-shard seed
+// table and variance buffer, the queries still visiting shards, and the
+// per-query merge accumulators. Scratches are pooled on the ensemble and
+// reused, so a warm estimate allocates only what the per-shard model calls
+// allocate.
 type mergeScratch struct {
 	qvals  []query.Query  // rebound query storage, one slot per batch query
 	qptrs  []*query.Query // sub-batch view: qptrs[j] = &qvals[j]
+	base   []int64        // per-batch-query content seeds (nil-seed calls)
 	seeds  []int64        // per-sub-batch-position sampling seeds
 	vars   []float64      // per-sub-batch-position sampling variances
 	active []int          // batch indices still visiting shards
@@ -31,6 +32,7 @@ func (ms *mergeScratch) prep(nq int) {
 	if cap(ms.qvals) < nq {
 		ms.qvals = make([]query.Query, nq)
 		ms.qptrs = make([]*query.Query, nq)
+		ms.base = make([]int64, nq)
 		ms.seeds = make([]int64, nq)
 		ms.vars = make([]float64, nq)
 		ms.active = make([]int, 0, nq)
@@ -40,6 +42,7 @@ func (ms *mergeScratch) prep(nq int) {
 	}
 	ms.qvals = ms.qvals[:nq]
 	ms.qptrs = ms.qptrs[:nq]
+	ms.base = ms.base[:nq]
 	ms.seeds = ms.seeds[:nq]
 	ms.vars = ms.vars[:nq]
 	ms.active = ms.active[:0]
@@ -101,10 +104,12 @@ func (e *Ensemble) EstimateBatch(qs []*query.Query) ([]float64, error) {
 }
 
 // EstimateBatchSeeded is EstimateBatch with caller-chosen per-query sampling
-// seeds (nil reproduces EstimateBatch). Shard s derives its stream for query
-// i from qseeds[i] via shardQuerySeed, so estimates stay pure functions of
-// (ensemble, query, seed) — independent of batch composition and of how many
-// shards train or estimate concurrently.
+// seeds. A nil qseeds means the content seeds QuerySeed(q), read from the
+// same state snapshot the visit loop uses, which reproduces EstimateBatch.
+// Shard s derives its stream for query i from the base seed via
+// shardQuerySeed, so estimates stay pure functions of (ensemble, query,
+// seed) — independent of batch composition and of how many shards train or
+// estimate concurrently.
 //
 // There is one visit loop. Shards are visited in the state's weight-
 // descending order; each visit folds weight·estimate and weight²·variance
@@ -122,9 +127,9 @@ func (e *Ensemble) EstimateBatch(qs []*query.Query) ([]float64, error) {
 // exhaustive answer is bit for bit Σ_s w_s·est_s in slot order, and for one
 // shard the plain model's answer. Every decision here is a pure function of
 // (shard models, queries, seeds): the visit order is fixed by the weights,
-// per-(query, shard) streams come from shardQuerySeed or core.PositionSeed
-// regardless of sub-batch composition, and the threshold comparison reads
-// only deterministic estimates and variances.
+// per-(query, shard) streams come from shardQuerySeed regardless of
+// sub-batch composition, and the threshold comparison reads only
+// deterministic estimates and variances.
 func (e *Ensemble) EstimateBatchSeeded(qs []*query.Query, qseeds []int64) ([]float64, error) {
 	if qseeds != nil && len(qseeds) != len(qs) {
 		return nil, fmt.Errorf("shard: %d seeds for %d queries", len(qseeds), len(qs))
@@ -135,6 +140,12 @@ func (e *Ensemble) EstimateBatchSeeded(qs []*query.Query, qseeds []int64) ([]flo
 	ms := e.getScratch()
 	defer e.putScratch(ms)
 	ms.prep(len(qs))
+	if qseeds == nil {
+		for i, q := range qs {
+			ms.base[i] = st.slots[0].model.QuerySeed(q)
+		}
+		qseeds = ms.base
+	}
 
 	active := ms.active[:0]
 	for i := range qs {
@@ -182,20 +193,13 @@ func (e *Ensemble) EstimateBatchSeeded(qs []*query.Query, qseeds []int64) ([]flo
 
 // rebind aims the scratch sub-batch at slot's sub-table: position j carries
 // batch query active[j] with Ranges shared and Table swapped, and its stream
-// seed is derived from the query's *original* batch position (or caller
-// seed), so shrinking the active set never moves a query onto a different
-// stream. A nil-seed query gets core.PositionSeed(slot seed, position) — the
-// seed the shard model derives for itself when it answers the full batch.
+// seed is derived from that query's base seed, so shrinking the active set
+// never moves a query onto a different stream.
 func (ms *mergeScratch) rebind(slot *shardSlot, qs []*query.Query, qseeds []int64, active []int) ([]*query.Query, []int64) {
-	si := slot.index
 	for j, qi := range active {
 		ms.qvals[j] = query.Query{Table: slot.table, Ranges: qs[qi].Ranges}
 		ms.qptrs[j] = &ms.qvals[j]
-		if qseeds != nil {
-			ms.seeds[j] = shardQuerySeed(qseeds[qi], si)
-		} else {
-			ms.seeds[j] = core.PositionSeed(slot.modelSeed, qi)
-		}
+		ms.seeds[j] = shardQuerySeed(qseeds[qi], slot.index)
 	}
 	return ms.qptrs[:len(active)], ms.seeds[:len(active)]
 }

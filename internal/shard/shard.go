@@ -84,13 +84,12 @@ const (
 // guard-cascade fallback. Slots are immutable after publication — a hot swap
 // builds a new slot and a new state around it.
 type shardSlot struct {
-	index     int // shard position in the partition, fixed for the ensemble's life
-	model     *core.Model
-	modelSeed int64          // Config.Seed + index; derives nil-seed streams
-	table     *dataset.Table // aliased sub-table (or the parent when K == 1)
-	lo, hi    int            // parent row range [lo, hi)
-	weight    float64        // (hi - lo) / parent rows
-	fallback  *guard.Guarded // nil unless Config.Fallback
+	index    int // shard position in the partition, fixed for the ensemble's life
+	model    *core.Model
+	table    *dataset.Table // aliased sub-table (or the parent when K == 1)
+	lo, hi   int            // parent row range [lo, hi)
+	weight   float64        // (hi - lo) / parent rows
+	fallback *guard.Guarded // nil unless Config.Fallback
 }
 
 // state is one immutable generation of the ensemble: the slot list plus the
@@ -103,8 +102,8 @@ type state struct {
 
 // Ensemble is a row-sharded IAM estimator. It implements
 // estimator.Estimator, estimator.BatchEstimator and estimator.Sizer, and
-// mirrors the core.Model serving surface (QuerySeed, EstimateBatchSeeded,
-// ReleaseWorkers, Save) so the serving layer can install an ensemble
+// mirrors the core.Model surface (QuerySeed, EstimateBatchSeeded,
+// ReleaseWorkers, Save), so the serving layer can install an ensemble
 // wherever a single model fits.
 type Ensemble struct {
 	table *dataset.Table
@@ -238,13 +237,12 @@ func assemble(t *dataset.Table, cfg Config, parts []*dataset.Table, models []*co
 			lo, hi = 0, n
 		}
 		slot := &shardSlot{
-			index:     si,
-			model:     models[si],
-			modelSeed: cfg.Seed + int64(si),
-			table:     parts[si],
-			lo:        lo,
-			hi:        hi,
-			weight:    float64(hi-lo) / float64(n),
+			index:  si,
+			model:  models[si],
+			table:  parts[si],
+			lo:     lo,
+			hi:     hi,
+			weight: float64(hi-lo) / float64(n),
 		}
 		if cfg.Fallback {
 			fb, err := buildFallback(parts[si], cfg, si)
@@ -336,7 +334,7 @@ func (e *Ensemble) ReplaceShard(si int, m *core.Model) error {
 		slots := make([]*shardSlot, len(old.slots))
 		copy(slots, old.slots)
 		slots[si] = &shardSlot{
-			index: prev.index, model: m, modelSeed: prev.modelSeed,
+			index: prev.index, model: m,
 			table: prev.table, lo: prev.lo, hi: prev.hi,
 			weight: prev.weight, fallback: prev.fallback,
 		}
@@ -357,10 +355,9 @@ func (e *Ensemble) ShardModel(si int) *core.Model {
 	return st.slots[si].model
 }
 
-// QuerySeed derives the content-hashed sampling seed the serving layer
-// assigns to q — delegated to shard 0's model, whose seed is the ensemble's
-// base seed, so a one-shard ensemble hands out exactly the seeds the plain
-// model would.
+// QuerySeed derives the content-hashed sampling seed of q — delegated to
+// shard 0's model, whose seed is the ensemble's base seed, so a one-shard
+// ensemble hands out exactly the seeds the plain model would.
 func (e *Ensemble) QuerySeed(q *query.Query) int64 {
 	return e.st.Load().slots[0].model.QuerySeed(q)
 }

@@ -102,8 +102,9 @@ func TestMergeExactness(t *testing.T) {
 }
 
 // TestEnsembleK1BitIdentical pins the acceptance criterion: a one-shard
-// ensemble answers bit-identically to the plain core.Model path, on both the
-// position-seeded and the content-seeded (serving) entry points.
+// ensemble answers bit-identically to the plain core.Model path, with nil
+// seeds (EstimateBatch, EstimateBatchSeeded(nil), Estimate alone — all the
+// content seeds) and with explicit content seeds.
 func TestEnsembleK1BitIdentical(t *testing.T) {
 	tb := dataset.SynthTWI(2400, 11)
 	cfg := testCfg(1)
@@ -122,9 +123,24 @@ func TestEnsembleK1BitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-			t.Fatalf("query %d: ensemble %v != plain %v", i, got[i], want[i])
+	nilSeeded, err := e.EstimateBatchSeeded(w.Queries, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range w.Queries {
+		alone, err := plain.Estimate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ensAlone, err := e.Estimate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []float64{got[i], nilSeeded[i], alone, ensAlone} {
+			if math.Float64bits(want[i]) != math.Float64bits(v) {
+				t.Fatalf("query %d: ensemble batch %v, ensemble nil-seeded %v, plain alone %v, ensemble alone %v; plain batch %v",
+					i, got[i], nilSeeded[i], alone, ensAlone, want[i])
+			}
 		}
 	}
 
@@ -195,10 +211,12 @@ func TestMergeMatchesManualWeightedSum(t *testing.T) {
 	for si := 0; si < k; si++ {
 		part := e.ShardTable(si)
 		sub := make([]*query.Query, len(w.Queries))
+		seeds := make([]int64, len(w.Queries))
 		for i, q := range w.Queries {
 			sub[i] = &query.Query{Table: part, Ranges: q.Ranges}
+			seeds[i] = shardQuerySeed(e.QuerySeed(q), si)
 		}
-		ests, err := e.ShardModel(si).EstimateBatchSeeded(sub, nil)
+		ests, err := e.ShardModel(si).EstimateBatchSeeded(sub, seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,8 +299,8 @@ func TestEarlyStopOffIsExhaustive(t *testing.T) {
 // TestUnequalShardsVisitAllInWeightOrder: 2401 rows in 3 shards give the
 // last shard one row more, so the visit order is [2, 0, 1]. With early stop
 // off every query still visits all 3 shards, and each answer is bit for bit
-// Σ w_s·est_s / Σ w_s accumulated in that order — under position seeds and
-// under caller seeds.
+// Σ w_s·est_s / Σ w_s accumulated in that order — with nil seeds and with
+// the same content seeds passed explicitly.
 func TestUnequalShardsVisitAllInWeightOrder(t *testing.T) {
 	tb := dataset.SynthTWI(2401, 11)
 	const k = 3
@@ -309,12 +327,10 @@ func TestUnequalShardsVisitAllInWeightOrder(t *testing.T) {
 		for _, si := range []int{2, 0, 1} {
 			part := e.ShardTable(si)
 			sub := make([]*query.Query, len(w.Queries))
-			var subSeeds []int64
+			subSeeds := make([]int64, len(w.Queries))
 			for i, q := range w.Queries {
 				sub[i] = &query.Query{Table: part, Ranges: q.Ranges}
-				if qseeds != nil {
-					subSeeds = append(subSeeds, shardQuerySeed(qseeds[i], si))
-				}
+				subSeeds[i] = shardQuerySeed(seeds[i], si)
 			}
 			ests, err := e.ShardModel(si).EstimateBatchSeeded(sub, subSeeds)
 			if err != nil {
