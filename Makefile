@@ -7,7 +7,7 @@ GO ?= go
 # Extra `go test` flags for bench-json; CI's short-scale run uses
 # BENCHFLAGS='-short -benchtime=1x'.
 BENCHFLAGS ?=
-BENCH_PATTERN = ^(BenchmarkEstimateBatch|BenchmarkResMADEForward256|BenchmarkMatMul|BenchmarkMatMulATB|BenchmarkMatMulABT|BenchmarkForwardSampling|BenchmarkSoftmax|BenchmarkShardedEstimate)$$
+BENCH_PATTERN = ^(BenchmarkEstimateBatch|BenchmarkNewRangeSampler|BenchmarkRangeMassMC|BenchmarkResMADEForward256|BenchmarkMatMul|BenchmarkMatMulATB|BenchmarkMatMulABT|BenchmarkForwardSampling|BenchmarkSoftmax|BenchmarkShardedEstimate)$$
 TRAIN_BENCH_PATTERN = ^(BenchmarkTrainJoint|BenchmarkShardedTrain)$$
 SERVE_BENCH_PATTERN = ^BenchmarkServeLatency$$
 
@@ -40,8 +40,9 @@ noalloc-check:
 # also be run on its own (bench-json-estimate | -train | -serve), so
 # iterating on one layer doesn't pay for re-benchmarking the others:
 #   bench-json-estimate — estimation benchmarks (EstimateBatch worker
-#     scaling, ResMADE forward, matmul kernels, sharded-ensemble estimate
-#     with/without early termination) into BENCH_estimate.json
+#     scaling, the §5.2 sample-set build and range-mass lookup, ResMADE
+#     forward, matmul kernels, sharded-ensemble estimate with/without early
+#     termination) into BENCH_estimate.json
 #   bench-json-train    — training benchmarks (TrainJoint worker scaling,
 #     sharded-ensemble training vs shard count) into BENCH_train.json
 #   bench-json-serve    — end-to-end server latency (ServeLatency
@@ -52,7 +53,7 @@ bench-json: bench-json-estimate bench-json-train bench-json-serve
 
 bench-json-estimate:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem $(BENCHFLAGS) \
-		./internal/core ./internal/nn ./internal/vecmath ./internal/shard > .bench.out
+		./internal/core ./internal/gmm ./internal/nn ./internal/vecmath ./internal/shard > .bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_estimate.json < .bench.out
 	rm -f .bench.out
 

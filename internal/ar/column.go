@@ -3,6 +3,7 @@ package ar
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"iam/internal/dataset"
 	"iam/internal/query"
@@ -25,10 +26,12 @@ type Column struct {
 	Factor           dataset.FactorSpec // valid when Count > 1
 	MinCode, MaxCode int                // codes outside are never admitted (e.g. NULL codes)
 
-	// Weights maps an effective closed interval [lo, hi] to the per-code
-	// admission weights. The returned vector must stay unmodified: the
-	// constraint keeps reading it, and it may be shared across queries.
-	Weights func(lo, hi float64) []float64
+	// Weights fills out (Card entries, one per code) with the per-code
+	// admission weights of the effective closed interval [lo, hi]. out comes
+	// from the constraint arena, so building a batch's weights allocates
+	// nothing once the arena is warm.
+	Weights func(lo, hi float64, out []float64)
+	Card    int // codes of a weighted column: the length of its weight vector
 }
 
 // NewCodedColumn returns the codec of an ordinally encoded column whose first
@@ -101,7 +104,11 @@ func (c *Column) Constrain(iv query.Interval, dst []Constraint, a *Arena) error 
 		return nil
 	}
 	if c.Weights != nil {
-		dst[c.First] = a.weight(c.Weights(ClosedBounds(iv)))
+		lo, hi := ClosedBounds(iv)
+		//lint:ignore noalloc the arena's amortized growth, inlined from floats; zero once its capacity is warm
+		w := a.floats(c.Card)
+		c.Weights(lo, hi, w)
+		dst[c.First] = a.weight(w)
 		return nil
 	}
 	lo, hi, ok, err := c.Codes(iv)
@@ -135,6 +142,7 @@ type Arena struct {
 	rcs []RangeConstraint
 	wcs []WeightConstraint
 	fcs []FactoredConstraint
+	ws  []float64 // backing of the weight vectors the WeightConstraints read
 }
 
 // Reset empties the arena for reuse. Constraints boxed before the reset
@@ -143,6 +151,18 @@ func (a *Arena) Reset() {
 	a.rcs = a.rcs[:0]
 	a.wcs = a.wcs[:0]
 	a.fcs = a.fcs[:0]
+	a.ws = a.ws[:0]
+}
+
+// floats returns n weight slots from the arena, capped so that a later
+// append cannot write into them.
+//
+// iam:noalloc
+func (a *Arena) floats(n int) []float64 {
+	lo := len(a.ws)
+	//lint:ignore noalloc amortized growth of the pooled arena; zero once its capacity is warm
+	a.ws = slices.Grow(a.ws, n)[:lo+n]
+	return a.ws[lo : lo+n : lo+n]
 }
 
 // iam:noalloc

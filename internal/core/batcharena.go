@@ -9,9 +9,9 @@ import (
 
 // batchScratch is the pooled constraint scratch of the batched estimate
 // path: one constraint backing for the whole batch, the pending-query
-// bookkeeping, and the ar.Arena every constraint is boxed out of. In steady
-// state (warm capacities, warm mass cache) a whole batch builds with zero
-// heap allocations.
+// bookkeeping, and the ar.Arena every constraint and §5.2 weight vector is
+// boxed out of. In steady state (warm capacities) a whole batch builds with
+// zero heap allocations.
 type batchScratch struct {
 	cons    []ar.Constraint   // nq*nCols backing, re-aimed per query
 	pending [][]ar.Constraint // queries that need sampling this call

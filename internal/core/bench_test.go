@@ -49,14 +49,13 @@ func BenchmarkIAMEstimate(b *testing.B) {
 }
 
 // BenchmarkEstimateBatch is the headline serving benchmark: one 64-query
-// batch per iteration in the serving configuration (mass cache on, worker
-// pool warmed by a discarded first batch). workers=1 is the committed
+// batch per iteration in the serving configuration (worker pool warmed by a
+// discarded first batch). workers=1 is the committed
 // single-threaded baseline; workers=max resolves Workers=-1 to GOMAXPROCS.
 // `make bench-json` records both entries in BENCH_estimate.json together
 // with their throughput ratio.
 func BenchmarkEstimateBatch(b *testing.B) {
 	m, _, w := benchModel(b)
-	m.cfg.MassCacheSize = 256
 	for _, bc := range []struct {
 		name    string
 		workers int

@@ -137,93 +137,67 @@ type errOutOfRange struct{}
 
 func (errOutOfRange) Error() string { return "estimate out of [0, 1] or NaN" }
 
-// TestMassCacheHitsAndInvalidation: a second identical batch must be served
-// from the cache (same constraint weight slices), and invalidateMasses must
-// purge it.
-func TestMassCacheHitsAndInvalidation(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Epochs = 2
-	cfg.MassCacheSize = 8
-	m, tb := trainTWI(t, cfg)
-	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 4, Seed: 51})
-
-	first, err := m.EstimateBatch(w.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.cacheMu.Lock()
-	if m.massCache == nil || m.massCache.order.Len() == 0 {
-		m.cacheMu.Unlock()
-		t.Fatal("mass cache empty after estimating GMM-column queries")
-	}
-	entries := m.massCache.order.Len()
-	m.cacheMu.Unlock()
-
-	second, err := m.EstimateBatch(w.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range first {
-		if math.Float64bits(first[i]) != math.Float64bits(second[i]) {
-			t.Fatalf("query %d: repeat estimate %v != first %v (same seed stream + cached masses)", i, second[i], first[i])
+// TestMassesFollowGMMAfterMoreTraining: the §5.2 masses are read off the
+// mixture's current parameters, so after further training moves them the
+// masses move with them, with nothing to invalidate. A GMM column's masses
+// of one interval are taken inside OnEpoch after the first epoch and again
+// after the last: they differ, and the last ones are the final mixture's
+// (bitwise under MassExact, within Monte-Carlo error under the default).
+func TestMassesFollowGMMAfterMoreTraining(t *testing.T) {
+	for _, mode := range []RangeMassMode{MassMonteCarlo, MassExact} {
+		cfg := fastCfg()
+		cfg.Epochs = 3
+		cfg.MassMode = mode
+		const lo, hi = 30.0, 45.0 // latitude band inside the data
+		masses := func(m *Model) []float64 {
+			m.rlockFresh()
+			defer m.mu.RUnlock()
+			out := make([]float64, m.cols[0].Card)
+			m.cols[0].Weights(lo, hi, out)
+			return out
 		}
-	}
-	m.cacheMu.Lock()
-	if got := m.massCache.order.Len(); got != entries {
-		m.cacheMu.Unlock()
-		t.Fatalf("repeat batch grew the cache to %d entries (was %d): keys miss", got, entries)
-	}
-	m.cacheMu.Unlock()
-
-	m.invalidateMasses()
-	if _, err := m.EstimateBatch(w.Queries[:1]); err != nil {
-		t.Fatal(err)
-	}
-	m.cacheMu.Lock()
-	defer m.cacheMu.Unlock()
-	if m.massCache == nil {
-		t.Fatal("cache not rebuilt after refresh")
-	}
-	if got := m.massCache.order.Len(); got == 0 || got > 2 {
-		t.Fatalf("post-purge cache holds %d entries, want the 1-2 from the single query", got)
-	}
-}
-
-// TestMassCacheLRUEviction exercises the eviction path directly.
-func TestMassCacheLRUEviction(t *testing.T) {
-	c := newMassCache(2)
-	k1 := massKey{col: 0, lo: 0, hi: 1}
-	k2 := massKey{col: 0, lo: 0, hi: 2}
-	k3 := massKey{col: 1, lo: 0, hi: 1}
-	c.put(k1, []float64{1})
-	c.put(k2, []float64{2})
-	if _, ok := c.get(k1); !ok { // touch k1 → k2 becomes LRU
-		t.Fatal("k1 missing")
-	}
-	c.put(k3, []float64{3}) // evicts k2
-	if _, ok := c.get(k2); ok {
-		t.Fatal("k2 survived eviction")
-	}
-	if _, ok := c.get(k1); !ok {
-		t.Fatal("k1 evicted despite being MRU")
-	}
-	if v, ok := c.get(k3); !ok || len(v) != 1 || math.Float64bits(v[0]) != math.Float64bits(3) {
-		t.Fatalf("k3 lookup = %v, %v", v, ok)
+		var first []float64
+		cfg.OnEpoch = func(epoch int, m *Model, _, _ float64) bool {
+			if epoch == 0 {
+				first = masses(m)
+			}
+			return true
+		}
+		m, _ := trainTWI(t, cfg)
+		if m.cols[0].kind != kindGMM {
+			t.Fatalf("column 0 is kind %d, want a GMM column", m.cols[0].kind)
+		}
+		last := masses(m)
+		exact := make([]float64, len(last))
+		m.cols[0].gm.RangeMassExact(lo, hi, exact)
+		moved := false
+		for k := range last {
+			moved = moved || last[k] != first[k]
+			tol := 0.0
+			if mode == MassMonteCarlo {
+				tol = 4 / math.Sqrt(float64(cfg.GMMSamples)) // 8 binomial σ at p = 1/2
+			}
+			if math.Abs(last[k]-exact[k]) > tol {
+				t.Fatalf("mode %d component %d: mass %v after training, final mixture's %v", mode, k, last[k], exact[k])
+			}
+		}
+		if !moved {
+			t.Fatalf("mode %d: masses after epoch 0 and after training are identical", mode)
+		}
 	}
 }
 
 // TestEstimateBatchAllocBudget is the CI-gated allocation budget for the
-// serving hot path: after warm-up (pooled worker, pooled constraint arenas,
-// warm mass cache), one EstimateBatch over the benchmark workload must stay
-// within a small fixed number of heap allocations — the returned estimate
-// slice plus change — instead of the ~175/op the boxing-per-constraint path
-// used to cost.
+// serving hot path: after warm-up (pooled worker, pooled constraint arenas
+// holding the §5.2 weight vectors), one EstimateBatch over the benchmark
+// workload must stay within a small fixed number of heap allocations — the
+// returned estimate slice plus change — instead of the ~175/op the
+// boxing-per-constraint path used to cost.
 func TestEstimateBatchAllocBudget(t *testing.T) {
 	prev := vecmath.Parallelism(1)
 	defer vecmath.Parallelism(prev)
 
 	cfg := fastCfg()
-	cfg.MassCacheSize = 256
 	cfg.Workers = 1
 	m, _ := trainTWI(t, cfg)
 	w := testutil.Workload(t, m.table, query.GenConfig{NumQueries: 32, Seed: 43})

@@ -30,8 +30,9 @@ import (
 type RangeMassMode int
 
 const (
-	// MassMonteCarlo is the paper's method: S samples per Gaussian
-	// component, drawn once as preprocessing.
+	// MassMonteCarlo is the paper's method: each component's mass is the
+	// fraction of S Monte-Carlo draws inside the range, read off one sorted
+	// standard-normal set per column drawn when the column is built.
 	MassMonteCarlo RangeMassMode = iota
 	// MassExact evaluates the Gaussian CDF directly (deterministic
 	// alternative; ablation).
@@ -73,8 +74,9 @@ type Config struct {
 	// of §4.3; ablation).
 	SeparateTraining bool
 
-	// GMMSamples is S, the Monte-Carlo samples drawn per component for
-	// P̂_GMM (paper default 10000).
+	// GMMSamples is S, the Monte-Carlo samples behind each component's
+	// P̂_GMM (paper default 10000): one set of S standard-normal draws per
+	// GMM column, shifted and scaled to every component.
 	GMMSamples int
 	// NumSamples is S_p, the progressive-sampling paths per query
 	// (paper uses 8000; default here 800 for CPU scale).
@@ -94,10 +96,10 @@ type Config struct {
 	// (Seed, query index), so estimates are bit-identical under every
 	// Workers setting and batch composition.
 	Workers int
-	// MassCacheSize bounds the LRU cache of §5.2 per-component range-mass
-	// vectors keyed by (column, interval): repeated predicates skip the
-	// Monte-Carlo/CDF mass computation entirely. 0 (the default) disables
-	// caching.
+	// MassCacheSize is ignored: it sized a cache of §5.2 range-mass vectors
+	// that no longer exists, since a mass vector is K binary searches into
+	// one sorted array. It is still validated, saved and loaded, so old
+	// model files and configs that set it keep working.
 	MassCacheSize int
 	// TrainWorkers caps how many goroutines one joint-training mini-batch
 	// fans its shards across (each shard runs forward/backward on its own
@@ -213,8 +215,8 @@ func (c *Config) fillDefaults() {
 // so every model that trains also loads.
 const (
 	MaxNumSamples    = 1 << 16 // S_p, progressive-sampling paths per query
-	MaxGMMSamples    = 1 << 20 // S, Monte-Carlo samples per GMM component
-	MaxMassCacheSize = 1 << 20 // entries of the §5.2 range-mass cache
+	MaxGMMSamples    = 1 << 20 // S, Monte-Carlo samples per GMM column
+	MaxMassCacheSize = 1 << 20 // Config.MassCacheSize, which is ignored
 )
 
 // checkSampleSizes rejects sampling sizes above the caps above, or below one
@@ -224,7 +226,7 @@ func checkSampleSizes(numSamples, gmmSamples, massCacheSize int) error {
 		return fmt.Errorf("%d samples per query, want 1 to %d", numSamples, MaxNumSamples)
 	}
 	if gmmSamples < 1 || gmmSamples > MaxGMMSamples {
-		return fmt.Errorf("%d samples per GMM component, want 1 to %d", gmmSamples, MaxGMMSamples)
+		return fmt.Errorf("%d samples per GMM column, want 1 to %d", gmmSamples, MaxGMMSamples)
 	}
 	if massCacheSize > MaxMassCacheSize {
 		return fmt.Errorf("mass cache of %d entries, want at most %d", massCacheSize, MaxMassCacheSize)
@@ -246,7 +248,7 @@ const (
 type colInfo struct {
 	// Column is the AR span and interval codec. Coded (passthrough and
 	// factored) columns are complete once built; GMM and reducer columns
-	// get their Weights from refreshMassEstimatorsLocked.
+	// get their Weights from initMasses.
 	ar.Column
 	kind colKind
 
@@ -259,8 +261,11 @@ type colInfo struct {
 	dataLo, dataHi float64
 
 	// mass fills the §5.2 per-component masses of the closed interval
-	// [lo, hi] (GMM and reducer columns), under the configured MassMode. It
-	// carries the MC samples or empirical partition built at refresh.
+	// [lo, hi] (GMM and reducer columns), under the configured MassMode.
+	// MassMonteCarlo and MassExact read the mixture's current parameters,
+	// so they are set once by initMasses; MassEmpirical carries a partition
+	// of the training data that refreshMassEstimatorsLocked rebuilds after
+	// training moves the mixture.
 	mass func(lo, hi float64, out []float64)
 }
 
@@ -278,11 +283,11 @@ type Model struct {
 	// mu is the model's reader/writer lock. Estimation paths hold the read
 	// side: any number of EstimateBatch calls proceed concurrently, each on
 	// pooled per-worker sessions. Writers — training mini-batch steps, the
-	// §5.2 mass-preprocessing refresh and Save — hold the write side.
-	// Lock order: mu before poolMu/cacheMu; never the reverse.
-	mu        sync.RWMutex
-	massRNG   *rand.Rand // guarded by mu
-	massDirty bool       // guarded by mu
+	// MassEmpirical refresh and Save — hold the write side.
+	// Lock order: mu before poolMu; never the reverse.
+	mu         sync.RWMutex
+	massDirty  bool // guarded by mu; only MassEmpirical ever sets it
+	massBuilds int  // guarded by mu; sample sets and partitions built, see MassBuilds
 
 	// poolMu guards the pool of reusable estimate workers (session + scratch
 	// pairs) and the pool of constraint-building scratches. Workers are
@@ -291,11 +296,6 @@ type Model struct {
 	poolMu   sync.Mutex
 	workers  []*estWorker    // guarded by poolMu
 	bscratch []*batchScratch // guarded by poolMu
-
-	// cacheMu guards the LRU cache of per-interval GMM range-mass vectors
-	// (§5.2 bias-correction weights), keyed by column and query interval.
-	cacheMu   sync.Mutex
-	massCache *massCache // guarded by cacheMu
 }
 
 // Train fits IAM on table t.
@@ -383,8 +383,7 @@ func TrainContext(ctx context.Context, t *dataset.Table, cfg Config) (*Model, er
 
 	// Inference state is initialized before training so OnEpoch callbacks
 	// can estimate with the in-progress model.
-	m.massRNG = rand.New(rand.NewSource(cfg.Seed + 7))
-	m.massDirty = true
+	m.initMasses()
 
 	var trainErr error
 	if cfg.SeparateTraining || cfg.ReducerFactory != nil {
@@ -581,23 +580,15 @@ func logitDim(arm *ar.Model) int {
 	return d
 }
 
-// invalidateMasses marks the GMM mass preprocessing stale after training has
-// moved the mixture parameters. Training runs on one goroutine while OnEpoch
-// callbacks may estimate concurrently, so the flag flip takes the lock.
-func (m *Model) invalidateMasses() {
-	m.mu.Lock()
-	m.massDirty = true
-	m.mu.Unlock()
-}
-
-// refreshMassEstimatorsLocked (re)builds the per-GMM range-mass
-// preprocessing — the one-time sampling step of §5.2 — after training has
-// moved GMM parameters, and picks each weighted column's mass function and
-// weights. Callers hold m.mu (the Locked suffix names that contract).
-func (m *Model) refreshMassEstimatorsLocked() {
-	if !m.massDirty {
-		return
-	}
+// initMasses gives every GMM and reducer column its §5.2 mass function and
+// weights, once, when the model is built (TrainContext and Load). Under the
+// default MassMonteCarlo that draws the column's one sorted set of
+// GMMSamples standard-normal samples, seeded by (Seed, column) alone, so a
+// trained model and its saved copy hold the same set and answer alike. The
+// set and the Gaussian CDF read the mixture's current parameters, so
+// neither is rebuilt when training moves them; only MassEmpirical is left
+// dirty for refreshMassEstimatorsLocked to partition.
+func (m *Model) initMasses() {
 	for ci := range m.cols {
 		info := &m.cols[ci]
 		switch {
@@ -606,47 +597,71 @@ func (m *Model) refreshMassEstimatorsLocked() {
 		case info.kind != kindGMM:
 			continue
 		case m.cfg.MassMode == MassMonteCarlo:
-			info.mass = gmm.NewRangeSampler(info.gm, m.cfg.GMMSamples, m.massRNG).Mass
+			rs := gmm.NewRangeSampler(m.cfg.GMMSamples, rand.New(rand.NewSource(m.cfg.Seed+7+int64(ci)<<32)))
+			m.massBuilds++
+			gm := info.gm
+			info.mass = func(lo, hi float64, out []float64) { rs.Mass(gm, lo, hi, out) }
 		case m.cfg.MassMode == MassExact:
 			info.mass = info.gm.RangeMassExact
-		case m.cfg.MassMode == MassEmpirical:
-			info.mass = gmm.NewEmpirical(info.gm, m.table.Columns[ci].Floats).Mass
 		}
+		info.Card = m.arm.Cards[info.First]
 		info.Weights = m.weightsFunc(ci)
 	}
-	// Cached mass vectors were computed from the old mixture parameters.
-	m.purgeMassCache()
+	m.massDirty = m.cfg.MassMode == MassEmpirical
+}
+
+// MassBuilds returns how many §5.2 Monte-Carlo sample sets and empirical
+// partitions the model has built over its life, like nn.Session's
+// TableBuilds: tests read it to show that this work happens when a model
+// is trained or loaded, not at its first estimate.
+func (m *Model) MassBuilds() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.massBuilds
+}
+
+// invalidateMasses marks the MassEmpirical partitions stale after training
+// has moved the mixture parameters; the other modes read the parameters
+// directly and stay current. Training runs on one goroutine while OnEpoch
+// callbacks may estimate concurrently, so the flag flip takes the lock.
+func (m *Model) invalidateMasses() {
+	if m.cfg.MassMode != MassEmpirical {
+		return
+	}
+	m.mu.Lock()
+	m.massDirty = true
+	m.mu.Unlock()
+}
+
+// refreshMassEstimatorsLocked rebuilds the MassEmpirical partition of every
+// GMM column from the current component assignments. Callers hold m.mu (the
+// Locked suffix names that contract).
+func (m *Model) refreshMassEstimatorsLocked() {
+	if !m.massDirty {
+		return
+	}
+	for ci := range m.cols {
+		if info := &m.cols[ci]; info.kind == kindGMM {
+			info.mass = gmm.NewEmpirical(info.gm, m.table.Columns[ci].Floats).Mass
+			m.massBuilds++
+		}
+	}
 	m.massDirty = false
 }
 
 // weightsFunc returns the §5.2 weight function of weighted column ci: its
-// mass function behind the mass cache or, under Uncorrected, one shared
-// all-ones vector that admits every component.
-func (m *Model) weightsFunc(ci int) func(lo, hi float64) []float64 {
+// current mass function or, under Uncorrected, all ones, admitting every
+// component.
+func (m *Model) weightsFunc(ci int) func(lo, hi float64, out []float64) {
 	if m.cfg.Uncorrected {
-		ones := make([]float64, m.arm.Cards[m.cols[ci].First])
-		for j := range ones {
-			ones[j] = 1
+		return func(_, _ float64, out []float64) {
+			for j := range out {
+				out[j] = 1
+			}
 		}
-		return func(float64, float64) []float64 { return ones }
 	}
-	return func(lo, hi float64) []float64 { return m.weights(ci, lo, hi) }
-}
-
-// weights returns the per-component masses of the closed interval [lo, hi]
-// on weighted column ci, from the mass cache when it holds them.
-//
-// iam:noalloc
-func (m *Model) weights(ci int, lo, hi float64) []float64 {
-	key := massKey{col: ci, lo: lo, hi: hi}
-	if wts, ok := m.massCacheGet(key); ok {
-		return wts
-	}
-	//lint:ignore noalloc one-time per distinct interval; the vector is cached below
-	wts := make([]float64, m.arm.Cards[m.cols[ci].First])
-	m.cols[ci].mass(lo, hi, wts)
-	m.massCachePut(key, wts)
-	return wts
+	info := &m.cols[ci]
+	return func(lo, hi float64, out []float64) { info.mass(lo, hi, out) }
 }
 
 // Name implements estimator.Estimator.
@@ -750,11 +765,12 @@ func (m *Model) estimateBatch(qs []*query.Query, qseeds []int64, vars []float64)
 	return out, nil
 }
 
-// rlockFresh takes the read lock with the §5.2 mass preprocessing current:
-// when training left it stale, it upgrades to the write lock for the
-// one-time refresh, then downgrades. refreshMassEstimatorsLocked re-checks
-// the flag under the write lock, so racing upgraders refresh exactly once.
-// Callers release with m.mu.RUnlock.
+// rlockFresh takes the read lock with the §5.2 masses current: when training
+// left a MassEmpirical partition stale, it upgrades to the write lock for
+// the one-time refresh, then downgrades. refreshMassEstimatorsLocked
+// re-checks the flag under the write lock, so racing upgraders refresh
+// exactly once. In the other modes the flag is never set and this is a
+// plain RLock. Callers release with m.mu.RUnlock.
 func (m *Model) rlockFresh() {
 	m.mu.RLock()
 	if m.massDirty {

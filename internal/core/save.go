@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"math/rand"
 	"slices"
 
 	"iam/internal/ar"
@@ -169,8 +168,9 @@ func Load(r io.Reader, t *dataset.Table) (*Model, error) {
 		}
 		m.cols = append(m.cols, info)
 	}
-	m.massRNG = rand.New(rand.NewSource(m.cfg.Seed + 7))
-	m.massDirty = true
+	// The §5.2 sample sets are drawn here, not at the first estimate, so a
+	// loaded model is ready to answer when it is published.
+	m.initMasses()
 	return m, nil
 }
 

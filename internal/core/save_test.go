@@ -15,15 +15,55 @@ import (
 	"iam/internal/testutil"
 )
 
+// TestSaveLoadRoundTrip: a model loaded from its saved bytes answers bit for
+// bit as the trained one, in the default MassMonteCarlo mode (the §5.2
+// sample sets are seeded by model seed and column, not drawn from a stream
+// that estimates advance) and under MassExact.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	tb := dataset.SynthWISDM(3000, 41)
-	cfg := fastCfg()
-	cfg.MassMode = MassExact // deterministic masses → exact estimate match
-	m, err := Train(tb, cfg)
-	if err != nil {
-		t.Fatal(err)
+	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 20, Seed: 42, SkipExec: true})
+	for _, mode := range []RangeMassMode{MassMonteCarlo, MassExact} {
+		cfg := fastCfg()
+		cfg.MassMode = mode
+		m, err := Train(tb, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded := saveLoad(t, m, tb)
+		if loaded.SizeBytes() != m.SizeBytes() {
+			t.Fatalf("mode %d: size mismatch after load: %d vs %d", mode, loaded.SizeBytes(), m.SizeBytes())
+		}
+		requireSameAnswers(t, fmt.Sprintf("mode %d", mode), m, loaded, w.Queries)
 	}
+}
 
+// TestTrainedAndLoadedAgreeAfterOnEpochEstimates: estimating inside OnEpoch
+// must not change what the trained model answers afterwards, so it and
+// Load(Save(m)) agree bitwise with and without such estimates.
+func TestTrainedAndLoadedAgreeAfterOnEpochEstimates(t *testing.T) {
+	tb := dataset.SynthTWI(3000, 44)
+	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 20, Seed: 45, SkipExec: true})
+	for _, estimate := range []bool{false, true} {
+		cfg := fastCfg()
+		cfg.Epochs = 3
+		if estimate {
+			cfg.OnEpoch = func(_ int, m *Model, _, _ float64) bool {
+				if _, err := m.EstimateBatch(w.Queries); err != nil {
+					t.Error(err)
+				}
+				return true
+			}
+		}
+		m, err := Train(tb, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameAnswers(t, fmt.Sprintf("OnEpoch estimates %v", estimate), m, saveLoad(t, m, tb), w.Queries)
+	}
+}
+
+func saveLoad(t *testing.T, m *Model, tb *dataset.Table) *Model {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -32,24 +72,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return loaded
+}
 
-	if loaded.SizeBytes() != m.SizeBytes() {
-		t.Fatalf("size mismatch after load: %d vs %d", loaded.SizeBytes(), m.SizeBytes())
+// requireSameAnswers fails unless a and b give bit-identical estimates of qs.
+func requireSameAnswers(t *testing.T, what string, a, b *Model, qs []*query.Query) {
+	t.Helper()
+	ea, err := a.EstimateBatch(qs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 20, Seed: 42, SkipExec: true})
-	for i, q := range w.Queries {
-		a, err := m.Estimate(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := loaded.Estimate(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Same seeds, same deterministic masses → estimates agree up to MC
-		// sampling with identical RNG streams.
-		if math.Abs(a-b) > 0.05+0.2*a {
-			t.Fatalf("query %d: original %v vs loaded %v", i, a, b)
+	eb, err := b.EstimateBatch(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ea {
+		if math.Float64bits(ea[i]) != math.Float64bits(eb[i]) {
+			t.Fatalf("%s: query %d: trained %v, loaded %v", what, i, ea[i], eb[i])
 		}
 	}
 }
@@ -447,4 +486,22 @@ func FuzzCoreLoadCheckpoint(f *testing.F) {
 		}
 		checkFullDomainAnswers(t, m, tb)
 	})
+}
+
+// TestLoadDrawsSampleSetsFirstEstimateBuildsNothing: Load draws one §5.2
+// sample set per GMM column, so the first estimate of a loaded model builds
+// nothing.
+func TestLoadDrawsSampleSetsFirstEstimateBuildsNothing(t *testing.T) {
+	m, tb := trainTWI(t, fastCfg())
+	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 8, Seed: 46, SkipExec: true})
+	loaded := saveLoad(t, m, tb)
+	if got := loaded.MassBuilds(); got != 2 {
+		t.Fatalf("Load built %d sample sets, want 2 (one per GMM column)", got)
+	}
+	if _, err := loaded.EstimateBatch(w.Queries); err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.MassBuilds(); got != 2 {
+		t.Fatalf("first estimate after Load built %d sample sets, want 0", got-2)
+	}
 }

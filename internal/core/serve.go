@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"math"
 	"runtime"
 
@@ -10,9 +9,9 @@ import (
 	"iam/internal/query"
 )
 
-// Concurrent serving path: the worker pool behind EstimateBatch's sharding,
-// the per-query content seed, and the LRU cache of §5.2 range-mass
-// vectors. See DESIGN.md "Concurrent serving path" for the lock hierarchy.
+// Concurrent serving path: the worker pool behind EstimateBatch's sharding
+// and the per-query content seed. See DESIGN.md "Concurrent serving path"
+// for the lock hierarchy.
 
 // estWorker pairs the session and scratch buffers one estimate shard runs
 // on. Workers are pooled on the model and reused across calls, so in steady
@@ -67,95 +66,6 @@ func (m *Model) putWorker(w *estWorker) {
 	m.poolMu.Lock()
 	m.workers = append(m.workers, w)
 	m.poolMu.Unlock()
-}
-
-// massKey identifies one cached §5.2 range-mass vector: the column and the
-// effective closed interval (open endpoints already moved inward), which is
-// all the mass functions read.
-type massKey struct {
-	col    int
-	lo, hi float64
-}
-
-type massEntry struct {
-	key massKey
-	wts []float64
-}
-
-// massCache is a fixed-capacity LRU of bias-correction weight vectors.
-// Entries are immutable once inserted (constraints only read them), so a
-// cached slice may be shared by any number of in-flight queries.
-type massCache struct {
-	capacity int
-	order    *list.List // front = most recently used; values are *massEntry
-	items    map[massKey]*list.Element
-}
-
-func newMassCache(capacity int) *massCache {
-	return &massCache{
-		capacity: capacity,
-		order:    list.New(),
-		items:    make(map[massKey]*list.Element, capacity),
-	}
-}
-
-func (c *massCache) get(k massKey) ([]float64, bool) {
-	el, ok := c.items[k]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*massEntry).wts, true
-}
-
-func (c *massCache) put(k massKey, wts []float64) {
-	if el, ok := c.items[k]; ok {
-		c.order.MoveToFront(el)
-		el.Value.(*massEntry).wts = wts
-		return
-	}
-	for c.order.Len() >= c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*massEntry).key)
-	}
-	c.items[k] = c.order.PushFront(&massEntry{key: k, wts: wts})
-}
-
-// massCacheGet returns the cached mass vector for k, if caching is enabled
-// and the interval has been seen since the last refresh.
-func (m *Model) massCacheGet(k massKey) ([]float64, bool) {
-	if m.cfg.MassCacheSize <= 0 {
-		return nil, false
-	}
-	m.cacheMu.Lock()
-	defer m.cacheMu.Unlock()
-	if m.massCache == nil {
-		return nil, false
-	}
-	return m.massCache.get(k)
-}
-
-// massCachePut inserts a freshly computed mass vector. wts must not be
-// mutated afterwards.
-func (m *Model) massCachePut(k massKey, wts []float64) {
-	if m.cfg.MassCacheSize <= 0 {
-		return
-	}
-	m.cacheMu.Lock()
-	defer m.cacheMu.Unlock()
-	if m.massCache == nil {
-		m.massCache = newMassCache(m.cfg.MassCacheSize)
-	}
-	m.massCache.put(k, wts)
-}
-
-// purgeMassCache drops every cached vector — required whenever the mixture
-// parameters move (training), since the vectors are functions of them.
-func (m *Model) purgeMassCache() {
-	m.cacheMu.Lock()
-	m.massCache = nil
-	m.cacheMu.Unlock()
 }
 
 // QuerySeed derives the sampling stream every nil-seed estimate gives q: a

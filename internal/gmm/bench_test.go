@@ -43,11 +43,22 @@ func BenchmarkRangeMassMC(b *testing.B) {
 	xs := benchData(10000)
 	rng := rand.New(rand.NewSource(5))
 	m, _, _ := FitEM(xs, 30, 10, rng)
-	rs := NewRangeSampler(m, 10000, rng)
+	rs := NewRangeSampler(10000, rng)
 	out := make([]float64, 30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs.Mass(-3, 3, out)
+		rs.Mass(m, -3, 3, out)
+	}
+}
+
+// BenchmarkNewRangeSampler is the §5.2 preprocessing of one GMM column at
+// the paper's S = 10,000: one sorted standard-normal set serves all K = 30
+// components.
+func BenchmarkNewRangeSampler(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewRangeSampler(10000, rng)
 	}
 }
 

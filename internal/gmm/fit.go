@@ -109,14 +109,16 @@ func InitKMeansPP(values []float64, k int, rng *rand.Rand) (*Model, error) {
 	counts := make([]int, k)
 	for i, v := range values {
 		d := v - centers[assign[i]]
-		varSums[assign[i]] += d * d
+		varSums[assign[i]] += float64(d * d)
 		counts[assign[i]]++
 	}
 	for j := 0; j < k; j++ {
 		m.Weights[j] = (float64(counts[j]) + 1) / (float64(len(values)) + float64(k))
 		s := math.Sqrt(varSums[j] / math.Max(float64(counts[j]), 1))
 		if s < floor {
-			s = floor + spread/float64(k)/6 // empty/degenerate cluster: generic width
+			// Empty/degenerate cluster: generic width. float64(floor) keeps
+			// arm64 from fusing floor's product into this sum.
+			s = float64(floor) + spread/float64(k)/6
 		}
 		m.Sigmas[j] = s
 	}
@@ -165,7 +167,7 @@ func emRefine(m *Model, values []float64, iters int, alpha0 float64, rng *rand.R
 			for j := 0; j < k; j++ {
 				r := resp[j]
 				wSum[j] += r
-				muSum[j] += r * v
+				muSum[j] += float64(r * v)
 			}
 		}
 		for j := 0; j < k; j++ {
@@ -177,7 +179,7 @@ func emRefine(m *Model, values []float64, iters int, alpha0 float64, rng *rand.R
 			m.Responsibilities(v, resp)
 			for j := 0; j < k; j++ {
 				d := v - m.Means[j]
-				varSum[j] += resp[j] * d * d
+				varSum[j] += float64(resp[j] * d * d)
 			}
 		}
 		for j := 0; j < k; j++ {
@@ -270,7 +272,7 @@ func SelectK(values []float64, kMax, sampleSize int, rng *rand.Rand) int {
 		}
 		emRefine(m, sample, 30, 0, rng)
 		params := float64(3*k - 1) // k means + k sigmas + (k−1) free weights
-		bic := 2*n*m.NLL(sample) + params*math.Log(n)
+		bic := float64(2*n*m.NLL(sample)) + float64(params*math.Log(n))
 		if bic < bestBIC {
 			bestK, bestBIC = k, bic
 			worse = 0
@@ -378,7 +380,7 @@ func (t *SGDTrainer) Step(batch []float64) float64 {
 			// ∂NLL/∂μ_j = −r_j (x−μ)/σ²
 			gMu[j] -= r * d / sig
 			// ∂NLL/∂logσ_j = −r_j (d² − 1)
-			gSig[j] -= r * (d*d - 1)
+			gSig[j] -= float64(r * (float64(d*d) - 1))
 		}
 	}
 	inv := 1 / float64(len(batch))
@@ -417,8 +419,8 @@ func adam(params, g, m, v []float64, lr float64, step int) {
 		return // step ≥ 1 keeps both corrections ≥ 1−β > 0; a zero step would divide by zero
 	}
 	for i := range params {
-		m[i] = beta1*m[i] + (1-beta1)*g[i]
-		v[i] = beta2*v[i] + (1-beta2)*g[i]*g[i]
+		m[i] = float64(beta1*m[i]) + float64((1-beta1)*g[i])
+		v[i] = float64(beta2*v[i]) + float64((1-beta2)*g[i]*g[i])
 		vv := v[i] / bc2
 		if vv < 0 {
 			vv = 0 // v is an EWMA of g² ≥ 0 terms; the pin keeps Sqrt off a negative operand

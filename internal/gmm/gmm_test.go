@@ -231,15 +231,45 @@ func TestRangeMassExactVsMonteCarlo(t *testing.T) {
 		Means:   []float64{0, 10},
 		Sigmas:  []float64{1, 2},
 	}
-	rs := NewRangeSampler(m, 20000, rng)
+	rs := NewRangeSampler(20000, rng)
 	exact := make([]float64, 2)
 	mc := make([]float64, 2)
 	for _, r := range [][2]float64{{-1, 1}, {8, 12}, {-100, 100}, {5, 5.5}} {
 		m.RangeMassExact(r[0], r[1], exact)
-		rs.Mass(r[0], r[1], mc)
+		rs.Mass(m, r[0], r[1], mc)
 		for k := 0; k < 2; k++ {
 			if math.Abs(exact[k]-mc[k]) > 0.02 {
 				t.Fatalf("range [%v,%v] comp %d: exact %v vs MC %v", r[0], r[1], k, exact[k], mc[k])
+			}
+		}
+	}
+}
+
+// TestRangeSamplerCountsStandardizedDraws: one shared set serves every
+// component, and component k's mass is the fraction of draws z inside the
+// standardized interval [(lo−μ_k)/σ_k, (hi−μ_k)/σ_k], counted here by brute
+// force against the sampler's binary searches.
+func TestRangeSamplerCountsStandardizedDraws(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	m := &Model{
+		Weights: []float64{0.2, 0.3, 0.5},
+		Means:   []float64{-4, 0, 7.5},
+		Sigmas:  []float64{0.5, 1, 3},
+	}
+	rs := NewRangeSampler(5000, rng)
+	out := make([]float64, m.K())
+	for _, r := range [][2]float64{{-5, -3}, {-1, 1}, {0, 0}, {2, 1}, {math.Inf(-1), 0}, {6, math.Inf(1)}, {math.Inf(-1), math.Inf(1)}} {
+		rs.Mass(m, r[0], r[1], out)
+		for k := range out {
+			zlo, zhi := (r[0]-m.Means[k])/m.Sigmas[k], (r[1]-m.Means[k])/m.Sigmas[k]
+			n := 0
+			for _, z := range rs.z {
+				if z >= zlo && z <= zhi {
+					n++
+				}
+			}
+			if want := float64(n) / float64(len(rs.z)); out[k] != want {
+				t.Fatalf("range %v comp %d: mass %v, brute-force count %v", r, k, out[k], want)
 			}
 		}
 	}

@@ -65,7 +65,7 @@ func CheckComponents(weights, means, sigmas []float64) error {
 func (m *Model) PDF(x float64) float64 {
 	var p float64
 	for k := range m.Weights {
-		p += m.Weights[k] * vecmath.NormalPDF(x, m.Means[k], m.Sigmas[k])
+		p += float64(m.Weights[k] * vecmath.NormalPDF(x, m.Means[k], m.Sigmas[k]))
 	}
 	return p
 }
@@ -184,7 +184,7 @@ func (m *Model) Sample(rng *rand.Rand) float64 {
 			break
 		}
 	}
-	return m.Means[k] + rng.NormFloat64()*m.Sigmas[k]
+	return m.Means[k] + float64(rng.NormFloat64()*m.Sigmas[k])
 }
 
 // RangeMassExact fills out[k] = P(lo ≤ X ≤ hi) for X ~ N(μ_k, σ_k²), the
@@ -209,39 +209,44 @@ func (m *Model) Clone() *Model {
 	}
 }
 
-// RangeSampler is the paper's Monte-Carlo range-mass estimator: S samples are
-// drawn from every Gaussian component once (a one-time preprocessing step,
-// §5.2) and kept sorted, so each query range costs two binary searches per
-// component.
+// RangeSampler is the paper's Monte-Carlo range-mass estimator (§5.2) on one
+// shared set of S standard-normal draws, kept sorted. Every component is a
+// location-scale shift of N(0, 1), so component k's mass of [lo, hi] is the
+// fraction of draws z with lo ≤ μ_k + σ_k·z ≤ hi, read with two binary
+// searches at the standardized bounds. Each component's mass is an S-draw
+// Monte-Carlo fraction with the law §5.2 asks for; only the correlation
+// across components differs from drawing a set per component. The set
+// depends on neither μ nor σ, so it is drawn once, when the column is built,
+// and Mass reads the mixture's current parameters.
 type RangeSampler struct {
-	samples [][]float64 // per component, ascending
+	z []float64 // S standard-normal draws, ascending
 }
 
-// NewRangeSampler draws S samples per component.
-func NewRangeSampler(m *Model, s int, rng *rand.Rand) *RangeSampler {
-	rs := &RangeSampler{samples: make([][]float64, m.K())}
-	for k := 0; k < m.K(); k++ {
-		xs := make([]float64, s)
-		for i := range xs {
-			xs[i] = m.Means[k] + rng.NormFloat64()*m.Sigmas[k]
-		}
-		sort.Float64s(xs)
-		rs.samples[k] = xs
+// NewRangeSampler draws S standard-normal samples from rng and sorts them.
+func NewRangeSampler(s int, rng *rand.Rand) *RangeSampler {
+	z := make([]float64, s)
+	for i := range z {
+		z[i] = rng.NormFloat64()
 	}
-	return rs
+	sort.Float64s(z)
+	return &RangeSampler{z: z}
 }
 
-// Mass fills out[k] = S_k/S, the fraction of component k's samples in
-// [lo, hi].
-func (rs *RangeSampler) Mass(lo, hi float64, out []float64) {
-	for k, xs := range rs.samples {
-		if hi < lo || len(xs) == 0 {
-			out[k] = 0
-			continue
-		}
-		a := sort.SearchFloat64s(xs, lo)
-		b := sort.SearchFloat64s(xs, math.Nextafter(hi, math.Inf(1)))
-		out[k] = float64(b-a) / float64(len(xs))
+// Mass fills out[k] = S_k/S, the fraction of draws that component k of m
+// maps into [lo, hi]. len(out) == m.K().
+//
+// iam:noalloc
+func (rs *RangeSampler) Mass(m *Model, lo, hi float64, out []float64) {
+	n := len(rs.z)
+	if hi < lo || n == 0 {
+		clear(out)
+		return
+	}
+	for k := range out {
+		mu, sd := m.Means[k], m.Sigmas[k]
+		a := sort.SearchFloat64s(rs.z, (lo-mu)/sd)
+		b := sort.SearchFloat64s(rs.z, math.Nextafter((hi-mu)/sd, math.Inf(1)))
+		out[k] = float64(b-a) / float64(n)
 	}
 }
 

@@ -82,7 +82,7 @@ func (m *MultiModel) EstimateBox(lo, hi []float64) float64 {
 	m.BoxMass(lo, hi, mass)
 	var p float64
 	for k, w := range m.Weights {
-		p += w * mass[k]
+		p += float64(w * mass[k])
 	}
 	return vecmath.Clamp(p, 0, 1)
 }
@@ -130,7 +130,7 @@ func FitMulti(rows [][]float64, k, iters int, rng *rand.Rand) (*MultiModel, erro
 				r := math.Exp(resp[j] - lse)
 				wSum[j] += r
 				for dd, v := range x {
-					muSum[j][dd] += r * v
+					muSum[j][dd] += float64(r * v)
 				}
 			}
 		}
@@ -148,7 +148,7 @@ func FitMulti(rows [][]float64, k, iters int, rng *rand.Rand) (*MultiModel, erro
 				r := math.Exp(resp[j] - lse)
 				for dd, v := range x {
 					dv := v - m.Means[j][dd]
-					varSum[j][dd] += r * dv * dv
+					varSum[j][dd] += float64(r * dv * dv)
 				}
 			}
 		}
@@ -199,7 +199,7 @@ func initMultiKMeans(rows [][]float64, k, d int, rng *rand.Rand) *MultiModel {
 		var s float64
 		for i := range a {
 			dv := a[i] - b[i]
-			s += dv * dv
+			s += float64(dv * dv)
 		}
 		return s
 	}

@@ -187,7 +187,7 @@ func trainARJoin(s *Schema, cfg ARJoinConfig, name string) (*ARJoin, error) {
 			if err != nil {
 				return nil, fmt.Errorf("join: column %s: %w", c.Name, err)
 			}
-			sampler := gmm.NewRangeSampler(gm, cfg.GMMSamples, rng)
+			sampler := gmm.NewRangeSampler(cfg.GMMSamples, rng)
 			k := gm.K()
 			card := k
 			if hasSentinel {
@@ -195,10 +195,9 @@ func trainARJoin(s *Schema, cfg ARJoinConfig, name string) (*ARJoin, error) {
 				card = k + 1
 			}
 			col.gm = gm
-			col.Column = ar.Column{First: len(cards), Count: 1, Weights: func(lo, hi float64) []float64 {
-				w := make([]float64, card)
-				sampler.Mass(lo, hi, w[:k]) // NULL code keeps weight 0
-				return w
+			col.Column = ar.Column{First: len(cards), Count: 1, Card: card, Weights: func(lo, hi float64, out []float64) {
+				sampler.Mass(gm, lo, hi, out[:k])
+				clear(out[k:]) // the NULL code gets weight 0
 			}}
 			cards = append(cards, card)
 		default:

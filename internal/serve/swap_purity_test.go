@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"sync"
@@ -135,5 +136,41 @@ func TestSwapVersionPurity(t *testing.T) {
 			t.Fatalf("version %d query %d: answer %v != model baseline %v — a batch mixed versions or perturbed a draw",
 				o.version, o.qi, o.sel, base[o.qi])
 		}
+	}
+}
+
+// TestSwapFirstEstimateBuildsNothing: a model loaded from saved bytes is
+// published by Swap with its §5.2 sample sets already drawn, so the first
+// request it answers builds none.
+func TestSwapFirstEstimateBuildsNothing(t *testing.T) {
+	m, tbl := testModel(t)
+	w := testutil.Workload(t, tbl, query.GenConfig{NumQueries: 1, Seed: 181, SkipExec: true})
+	s, err := New(Config{BatchWindow: time.Millisecond, MaxBatch: 4, MaxInFlight: 1}, tbl, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, s)
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.Load(&buf, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.Swap(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := loaded.MassBuilds()
+	res, err := s.Estimate(context.Background(), w.Queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Source != SourceBatch || res.Version != id {
+		t.Fatalf("answer from %q v%d, want batch v%d", res.Source, res.Version, id)
+	}
+	if got := loaded.MassBuilds() - before; got != 0 {
+		t.Fatalf("first estimate after Swap built %d sample sets, want 0", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"iam/internal/core"
 	"iam/internal/dataset"
 	"iam/internal/query"
 	"iam/internal/testutil"
@@ -181,4 +182,34 @@ func FuzzShardLoad(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReplaceShardFirstEstimateBuildsNothing: a shard model loaded from its
+// saved bytes carries its §5.2 sample sets, so the first estimate after
+// ReplaceShard builds none.
+func TestReplaceShardFirstEstimateBuildsNothing(t *testing.T) {
+	tbl, raw := tinySavedEnsemble(t)
+	e, err := Load(bytes.NewReader(raw), tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := testutil.Workload(t, tbl, query.GenConfig{NumQueries: 8, Seed: 53, SkipExec: true})
+	var buf bytes.Buffer
+	if err := e.ShardModel(1).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.Load(&buf, e.ShardTable(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ReplaceShard(1, m); err != nil {
+		t.Fatal(err)
+	}
+	before := m.MassBuilds()
+	if _, err := e.EstimateBatch(w.Queries); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.MassBuilds() - before; got != 0 {
+		t.Fatalf("first estimate after ReplaceShard built %d sample sets, want 0", got)
+	}
 }
