@@ -228,7 +228,8 @@ func usage() {
 func startProfiles(cpu, block string) func(mem string) {
 	var cpuFile *os.File
 	if cpu != "" {
-		//lint:ignore atomicwrite pprof streams into the file for the whole run; profiles are scratch diagnostics
+		// pprof streams into the file for the whole run; profiles are scratch
+		// diagnostics, so they skip the atomic write.
 		f, err := os.Create(cpu)
 		die(err)
 		die(pprof.StartCPUProfile(f))
@@ -243,14 +244,14 @@ func startProfiles(cpu, block string) func(mem string) {
 			die(cpuFile.Close())
 		}
 		if block != "" {
-			//lint:ignore atomicwrite profiles are scratch diagnostics, not persisted state
+			// Profiles are scratch diagnostics, not persisted state.
 			f, err := os.Create(block)
 			die(err)
 			die(pprof.Lookup("block").WriteTo(f, 0))
 			die(f.Close())
 		}
 		if mem != "" {
-			//lint:ignore atomicwrite profiles are scratch diagnostics, not persisted state
+			// Profiles are scratch diagnostics, not persisted state.
 			f, err := os.Create(mem)
 			die(err)
 			runtime.GC() // heap profile of live objects, not transient garbage

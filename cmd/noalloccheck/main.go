@@ -11,7 +11,8 @@
 //
 // noalloccheck joins the two. It parses the module with go/parser alone,
 // records each annotated function's line extent and each line a
-// `//lint:ignore noalloc <reason>` (or `all`) directive covers, rebuilds every
+// `//lint:ignore noalloc <reason>` (or `all`) directive covers, rejects a
+// directive that names any other check, rebuilds every
 // package containing an annotated function with -m=2, and fails on any
 // "escapes to heap" / "moved to heap" note inside an annotated function that
 // no directive covers. The AllocsPerRun tests measure the same paths at run
@@ -21,7 +22,8 @@
 //
 //	noalloccheck [-v]
 //
-// Exit codes: 0 clean, 1 unsuppressed escape notes, 2 parse or build failure.
+// Exit codes: 0 clean, 1 unsuppressed escape notes or a directive naming
+// another check, 2 parse or build failure.
 package main
 
 import (
@@ -56,12 +58,14 @@ type region struct {
 	start, end int    // lines of the func keyword and the closing brace
 }
 
-// module is what the parse pass learns: the annotated regions, and the
-// lines a noalloc suppression covers, keyed by absolute file path.
+// module is what the parse pass learns: the annotated regions, the lines a
+// noalloc suppression covers, keyed by absolute file path, and the
+// directives that name a check other than noalloc or all.
 type module struct {
 	root       string
 	regions    []region
 	suppressed map[string]map[int]bool
+	unknown    []string
 }
 
 // noteRE matches one compiler diagnostic line: "file.go:line:col: message".
@@ -74,6 +78,13 @@ func run(dir string, verbose bool, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "noalloccheck: %v\n", err)
 		return 2
+	}
+	if len(m.unknown) > 0 {
+		for _, u := range m.unknown {
+			fmt.Fprintln(stdout, u)
+		}
+		fmt.Fprintf(stderr, "noalloccheck: %d //lint:ignore directive(s) name a check other than noalloc or all\n", len(m.unknown))
+		return 1
 	}
 	if len(m.regions) == 0 {
 		fmt.Fprintln(stderr, "noalloccheck: no iam:noalloc functions in module")
@@ -228,7 +239,7 @@ func parseModule(dir string) (*module, error) {
 // addFile records one parsed file's iam:noalloc regions and the lines its
 // noalloc suppressions cover: the directive's own line and the next line
 // holding code, so doc comments and blank lines in between do not break the
-// association (the same rule iamlint applies to its own checks).
+// association. A directive without a reason covers nothing.
 func (m *module) addFile(fset *token.FileSet, f *ast.File, src []byte, pkg string) {
 	path := fset.File(f.Pos()).Name()
 	for _, decl := range f.Decls {
@@ -261,10 +272,19 @@ func (m *module) addFile(fset *token.FileSet, f *ast.File, src []byte, pkg strin
 		for _, c := range cg.List {
 			rest, ok := strings.CutPrefix(c.Text, "//lint:ignore ")
 			fields := strings.Fields(rest)
-			if !ok || len(fields) < 2 || !namesNoAlloc(fields[0]) {
+			if !ok || len(fields) == 0 {
 				continue
 			}
 			line := fset.Position(c.Pos()).Line
+			if bad := otherCheck(fields[0]); bad != "" {
+				rel, _ := filepath.Rel(m.root, path)
+				m.unknown = append(m.unknown, fmt.Sprintf("./%s:%d: //lint:ignore names %q; noalloc and all are the only checks",
+					filepath.ToSlash(rel), line, bad))
+				continue
+			}
+			if len(fields) < 2 {
+				continue
+			}
 			lines := m.suppressed[path]
 			if lines == nil {
 				lines = map[int]bool{}
@@ -292,15 +312,15 @@ func hasNoAlloc(doc *ast.CommentGroup) bool {
 	return false
 }
 
-// namesNoAlloc reports whether a directive's comma-separated check list
-// covers noalloc.
-func namesNoAlloc(checks string) bool {
+// otherCheck returns the first name in a directive's comma-separated check
+// list that is neither noalloc nor all, or "" when there is none.
+func otherCheck(checks string) string {
 	for _, c := range strings.Split(checks, ",") {
-		if c == "noalloc" || c == "all" {
-			return true
+		if c != "noalloc" && c != "all" {
+			return c
 		}
 	}
-	return false
+	return ""
 }
 
 // modulePath extracts the module path from a go.mod file.

@@ -48,24 +48,27 @@ func TestFixtureEscapes(t *testing.T) {
 }
 
 // TestFixtureSuppressions: a reasoned suppression over the same escape
-// passes, and a directive without a reason does not suppress.
+// passes, a directive without a reason does not suppress, and a directive
+// naming any check but noalloc or all fails the run.
 func TestFixtureSuppressions(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		directive string
 		want      int
+		stdout    string // a line of stdout must contain it
 	}{
-		{"reasoned", "\t//lint:ignore noalloc fixture allocation, accepted\n", 0},
-		{"multi_check", "\t//lint:ignore nopanic,noalloc fixture allocation, accepted\n", 0},
-		{"no_reason", "\t//lint:ignore noalloc\n", 1},
+		{"reasoned", "\t//lint:ignore noalloc fixture allocation, accepted\n", 0, ""},
+		{"multi_check", "\t//lint:ignore all,noalloc fixture allocation, accepted\n", 0, ""},
+		{"no_reason", "\t//lint:ignore noalloc\n", 1, "escapes to heap"},
+		{"other_check", "\t//lint:ignore nopanic,noalloc fixture allocation, accepted\n", 1, `./fixture.go:12: //lint:ignore names "nopanic"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			root := copyFixture(t, func(src string) string {
 				return strings.Replace(src, "func Leak() *buf {\n", "func Leak() *buf {\n"+tc.directive, 1)
 			})
 			var stdout, stderr bytes.Buffer
-			if code := run(root, false, &stdout, &stderr); code != tc.want {
-				t.Errorf("exit code = %d, want %d\nstdout:\n%sstderr:\n%s", code, tc.want, &stdout, &stderr)
+			if code := run(root, false, &stdout, &stderr); code != tc.want || !strings.Contains(stdout.String(), tc.stdout) {
+				t.Errorf("exit code = %d, want %d with %q on stdout\nstdout:\n%sstderr:\n%s", code, tc.want, tc.stdout, &stdout, &stderr)
 			}
 		})
 	}

@@ -267,16 +267,24 @@ func (m *Model) estimateBatchInto(sess *nn.Session, sc *EstimateScratch, consLis
 		// Sample variance of the mean estimator, Var(paths)/S — the standard
 		// error progressive sampling carries for free. Read-only second pass
 		// over the path probabilities, so the estimate above is bit-identical
-		// whether or not a caller ever looks at Variances().
+		// whether or not a caller ever looks at Variances(). Paths that all
+		// share one probability have variance exactly 0; p − mean would
+		// carry mean's rounding into ss.
 		varOut[qi] = 0
 		if numSamples > 1 {
 			var ss float64
+			p0, spread := probs[qi*numSamples], false
 			for i := qi * numSamples; i < (qi+1)*numSamples; i++ {
 				d := probs[i] - mean
 				ss += float64(d * d)
+				if probs[i] != p0 {
+					spread = true
+				}
 			}
-			// The enclosing numSamples > 1 check keeps both denominators ≥ 1.
-			varOut[qi] = ss / float64(numSamples-1) / float64(numSamples)
+			if spread {
+				// The enclosing numSamples > 1 check keeps both denominators ≥ 1.
+				varOut[qi] = ss / float64(numSamples-1) / float64(numSamples)
+			}
 		}
 	}
 	return out

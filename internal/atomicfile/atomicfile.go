@@ -33,7 +33,7 @@ func WriteFile(path string, write func(w io.Writer) error) (err error) {
 	}
 	defer func() {
 		if err != nil {
-			_ = f.Close() //lint:ignore closecheck already failing; the write error wins
+			_ = f.Close() // already failing; the write error wins
 			os.Remove(tmp)
 		}
 	}()

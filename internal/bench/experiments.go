@@ -339,7 +339,7 @@ func (s *Suite) Figure6() (*Report, error) {
 		}
 		curves[name] = maxErrs
 	}
-	//lint:ignore ctxtrain formats already-computed per-epoch rows; no training happens in this loop
+	// Formats the per-epoch rows computed above; no training happens here.
 	for e := 0; e < s.Cfg.Epochs; e++ {
 		row := []interface{}{e + 1}
 		for _, name := range SingleTableDatasets() {

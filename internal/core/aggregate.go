@@ -20,8 +20,9 @@ import (
 //	AVG ≈ Σ_s p_s·v_s / Σ_s p_s,   SUM ≈ AVG · sel(q) · |T|,
 //
 // where v_s is the target's conditional mean over its admitted codes for GMM
-// and passthrough columns, or the value of the sampled code for factored
-// and alternative-reducer columns.
+// and passthrough columns, the value of the sampled code for factored
+// columns, or the midpoint of the sampled code's range for
+// alternative-reducer columns.
 
 // EstimateAvg estimates AVG(col) over the rows matching q. The estimate is
 // Rao-Blackwellized: the conditioning columns are progressively sampled,
@@ -165,8 +166,10 @@ func (m *Model) sampleValue(info *colInfo, row []int, iv query.Interval) (float6
 		return info.Enc.DecodeFloat(info.Factor.Join(row[info.First : info.First+info.Count])), true
 	}
 	// Alternative reducers expose no component moments; approximate with
-	// the midpoint of the interval clipped to the observed values.
-	lo, hi := max(iv.Lo, info.dataLo), min(iv.Hi, info.dataHi)
+	// the midpoint of the sampled code's range clipped to the interval and
+	// to the observed values.
+	clo, chi := info.reducer.Range(row[info.First])
+	lo, hi := max(iv.Lo, info.dataLo, clo), min(iv.Hi, info.dataHi, chi)
 	if lo > hi {
 		return 0, false
 	}

@@ -158,13 +158,15 @@ const AutoComponents = -1
 // Reducer is an alternative domain-reduction method swapped in for the GMM
 // (paper §6.6, Tables 9-11: equi-depth histograms, spline histograms,
 // uniform mixture models). A Reducer maps a continuous value to one of K
-// component indices and reports per-component range masses for the §5.2
-// bias correction.
+// component indices and reports per-component ranges and range masses for
+// the §5.2 bias correction.
 type Reducer interface {
 	// K returns the number of components.
 	K() int
 	// Assign returns the component index of a value.
 	Assign(v float64) int
+	// Range returns the interval [lo, hi] component k spans.
+	Range(k int) (lo, hi float64)
 	// RangeMass fills out[k] with the fraction of component k's mass
 	// inside [lo, hi]. len(out) == K().
 	RangeMass(lo, hi float64, out []float64)

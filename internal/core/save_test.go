@@ -128,9 +128,10 @@ func TestSaveRejectsReducerModels(t *testing.T) {
 // fakeReducer is a trivial Reducer for the rejection test.
 type fakeReducer struct{ k int }
 
-func (f fakeReducer) K() int             { return f.k }
-func (f fakeReducer) Assign(float64) int { return 0 }
-func (f fakeReducer) SizeBytes() int     { return 8 }
+func (f fakeReducer) K() int                     { return f.k }
+func (f fakeReducer) Assign(float64) int         { return 0 }
+func (f fakeReducer) Range(int) (lo, hi float64) { return math.Inf(-1), math.Inf(1) }
+func (f fakeReducer) SizeBytes() int             { return 8 }
 func (f fakeReducer) RangeMass(lo, hi float64, out []float64) {
 	for i := range out {
 		out[i] = 1

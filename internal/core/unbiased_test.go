@@ -158,10 +158,11 @@ func TestEstimateUnbiasedAgainstEnumeration(t *testing.T) {
 // seeds, the nominal 95 % interval est ± 1.96·√var covers the exact
 // (enumerated) answer at least as often as a one-sided α = 1e-3 binomial
 // test of 95 % coverage allows (normal approximation). Only pairs with
-// sampling spread count: a standard error below 1e-12 of the estimate is
-// the rounding of the variance pass over equal path probabilities, and
-// such an answer carries no interval. At S = 64 the same check fails on
-// this fixture (1111 of 1200 pairs against a floor of 1117); ROADMAP item 1
+// sampling spread count toward coverage. A pair whose standard error is
+// below 1e-12 of the estimate must be one whose paths all share one
+// probability: its variance must be exactly 0 and its estimate must match
+// enumeration to 1e-12 relative. At S = 64 the coverage check fails on
+// this fixture (1111 of 1200 pairs against a floor of 1117); ROADMAP item 2
 // holds that case.
 func TestStderrCoverage(t *testing.T) {
 	m, qs := unbiasedFixture(t)
@@ -172,7 +173,7 @@ func TestStderrCoverage(t *testing.T) {
 
 	const nominal, alpha = 0.95, 1e-3
 	seeds := make([]int64, len(qs))
-	pairs, covered := 0, 0
+	pairs, covered, zero := 0, 0, 0
 	for k := 0; k < unbiasedSeeds; k++ {
 		for i := range seeds {
 			seeds[i] = int64(1_000_003*k + i + 1)
@@ -184,6 +185,11 @@ func TestStderrCoverage(t *testing.T) {
 		for i, v := range vars {
 			se := math.Sqrt(v)
 			if se <= 1e-12*ests[i] {
+				if v != 0 || math.Abs(ests[i]-exact[i]) > 1e-12*exact[i] {
+					t.Fatalf("query %d seed %d: stderr %v ≤ 1e-12·est: want variance exactly 0 and est %v within 1e-12 of the exact %v",
+						i, seeds[i], se, ests[i], exact[i])
+				}
+				zero++
 				continue
 			}
 			pairs++
@@ -198,7 +204,8 @@ func TestStderrCoverage(t *testing.T) {
 	n := float64(pairs)
 	z := math.Sqrt2 * math.Erfcinv(2*alpha)
 	floor := math.Ceil(n*nominal - z*math.Sqrt(n*nominal*(1-nominal)))
-	t.Logf("S=%d: %d of %d intervals cover the exact answer (floor %v)", def.NumSamples, covered, pairs, floor)
+	t.Logf("S=%d: %d of %d intervals cover the exact answer (floor %v); %d zero-variance pairs match it",
+		def.NumSamples, covered, pairs, floor, zero)
 	if float64(covered) < floor {
 		t.Fatalf("S=%d: est ± 1.96·√var covers the exact answer in %d of %d pairs, below the α=%v floor %v for %v coverage",
 			def.NumSamples, covered, pairs, alpha, floor, nominal)

@@ -49,6 +49,9 @@ func (e *EquiDepth) Assign(v float64) int {
 	return bucketOf(e.bounds, v)
 }
 
+// Range implements core.Reducer: bucket k's bounds.
+func (e *EquiDepth) Range(k int) (lo, hi float64) { return e.bounds[k], e.bounds[k+1] }
+
 // RangeMass implements core.Reducer with uniform-within-bucket overlap.
 func (e *EquiDepth) RangeMass(lo, hi float64, out []float64) {
 	rangeMassUniform(e.bounds, lo, hi, out)
@@ -151,6 +154,9 @@ func (s *Spline) K() int { return len(s.bounds) - 1 }
 
 // Assign implements core.Reducer.
 func (s *Spline) Assign(v float64) int { return bucketOf(s.bounds, v) }
+
+// Range implements core.Reducer: segment k's knots.
+func (s *Spline) Range(k int) (lo, hi float64) { return s.bounds[k], s.bounds[k+1] }
 
 // RangeMass implements core.Reducer.
 func (s *Spline) RangeMass(lo, hi float64, out []float64) {
@@ -271,6 +277,9 @@ func (u *UMM) Assign(v float64) int {
 	}
 	return bj
 }
+
+// Range implements core.Reducer: component k's support [a_k, b_k].
+func (u *UMM) Range(k int) (lo, hi float64) { return u.a[k], u.b[k] }
 
 // RangeMass implements core.Reducer.
 func (u *UMM) RangeMass(lo, hi float64, out []float64) {

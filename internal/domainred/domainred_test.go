@@ -1,9 +1,9 @@
 package domainred
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"iam/internal/core"
@@ -170,44 +170,59 @@ func TestSameSeedBitIdentical(t *testing.T) {
 }
 
 // TestAggregatesOnReducerColumns: AVG and SUM of a reducer-reduced column
-// answer when the query leaves a side of it unbounded. The value estimate
-// is the midpoint of the interval clipped to the column's observed range.
+// answer when the query leaves a side of it unbounded, and AVG reads the
+// model: each sampled path contributes the midpoint of its code's range
+// clipped to the query and to the observed values, so the answer lands
+// within 5 % of the exact table average.
 func TestAggregatesOnReducerColumns(t *testing.T) {
 	tb := dataset.SynthTWI(2000, 10)
-	lat := tb.Columns[tb.ColumnIndex("latitude")].Floats
-	lo, hi := slices.Min(lat), slices.Max(lat)
 	for name, factory := range map[string]func([]float64, int, int64) core.Reducer{
 		"hist": EquiDepthFactory(), "spline": SplineFactory(), "umm": UMMFactory(),
 	} {
 		m, err := core.Train(tb, core.Config{
 			GMMThreshold: 50, Components: 8, Hidden: []int{16, 16}, EmbedDim: 8,
-			Epochs: 1, BatchSize: 128, NumSamples: 64, Seed: 11, ReducerFactory: factory,
+			Epochs: 4, BatchSize: 128, NumSamples: 400, Seed: 11, ReducerFactory: factory,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tc := range []struct {
-			sql    string
-			lo, hi float64
-		}{
-			{"latitude >= 40", 40, hi},
-			{"latitude <= 35", lo, 35},
-			{"longitude <= -100", lo, hi},
-		} {
-			q, err := query.Parse(tb, tc.sql)
+		for _, sql := range []string{"latitude >= 40", "latitude <= 35", "longitude <= -100"} {
+			q, err := query.Parse(tb, sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, err := exactAvg(q, "latitude")
 			if err != nil {
 				t.Fatal(err)
 			}
 			avg, err := m.EstimateAvg(q, "latitude")
 			if err != nil {
-				t.Fatalf("%s: AVG(latitude | %s): %v", name, tc.sql, err)
+				t.Fatalf("%s: AVG(latitude | %s): %v", name, sql, err)
 			}
-			if want := (tc.lo + tc.hi) / 2; math.Abs(avg-want) > 1e-9*math.Abs(want) {
-				t.Errorf("%s: AVG(latitude | %s) = %v, want the clipped midpoint %v", name, tc.sql, avg, want)
+			t.Logf("%s: AVG(latitude | %s) = %.4f, exact %.4f", name, sql, avg, exact)
+			if math.Abs(avg-exact) > 0.05*math.Abs(exact) {
+				t.Errorf("%s: AVG(latitude | %s) = %v, want within 5%% of the exact %v", name, sql, avg, exact)
 			}
 			if _, err := m.EstimateSum(q, "latitude"); err != nil {
-				t.Fatalf("%s: SUM(latitude | %s): %v", name, tc.sql, err)
+				t.Fatalf("%s: SUM(latitude | %s): %v", name, sql, err)
 			}
 		}
 	}
+}
+
+// exactAvg is AVG(col) over the rows of q's table that satisfy q.
+func exactAvg(q *query.Query, col string) (float64, error) {
+	vals := q.Table.Columns[q.Table.ColumnIndex(col)].Floats
+	var sum float64
+	var n int
+	for ri, v := range vals {
+		if q.Matches(ri) {
+			sum += v
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, fmt.Errorf("no row matches")
+	}
+	return sum / float64(n), nil
 }

@@ -94,7 +94,8 @@ func (p *PanicEstimator) Name() string {
 func (p *PanicEstimator) Estimate(q *query.Query) (float64, error) {
 	p.calls++
 	if p.calls > p.Healthy {
-		//lint:ignore nopanic this estimator exists to inject panics so guard recovery paths can be tested
+		// This estimator exists to inject panics so guard recovery paths can
+		// be tested.
 		panic(fmt.Sprintf("%s: injected panic on call %d", p.Name(), p.calls))
 	}
 	return p.Value, nil
@@ -280,7 +281,8 @@ func (c *ChaosEstimator) act() (float64, error) {
 	i := c.calls.Add(1) - 1
 	switch c.Mode(i) {
 	case ChaosPanic:
-		//lint:ignore nopanic this estimator exists to inject panics so guard recovery paths can be tested
+		// This estimator exists to inject panics so guard recovery paths can
+		// be tested.
 		panic(fmt.Sprintf("%s: injected chaos panic on call %d", c.Name(), i))
 	case ChaosNaN:
 		return math.NaN(), nil

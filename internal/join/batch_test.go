@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"iam/internal/pghist"
 	"iam/internal/query"
 	"iam/internal/spn"
 	"iam/internal/testutil"
@@ -128,20 +129,21 @@ func TestUAEQJoinTrains(t *testing.T) {
 // TestSameSeedBitIdentical: workload generation, join sampling, GMM
 // initialization, query training and the per-query sampling seeds of the
 // AR join model, and MSCN's sample and weights, all derive from their
-// configured seeds alone.
+// configured seeds alone, and PGJoin and MSCNJoin answer a multi-child
+// query with one bit pattern on every call.
 func TestSameSeedBitIdentical(t *testing.T) {
 	s := testSchema(t)
-	gen := func(seed int64) *JoinWorkload {
-		w, err := s.GenerateWorkload(GenJoinConfig{NumQueries: 12, Seed: seed})
+	gen := func(seed int64, n int) *JoinWorkload {
+		w, err := s.GenerateWorkload(GenJoinConfig{NumQueries: n, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return w
 	}
 	t.Run("workload", func(t *testing.T) {
-		testutil.SameSeedTwice(t, func() []float64 { return gen(40).Cards })
+		testutil.SameSeedTwice(t, func() []float64 { return gen(40, 12).Cards })
 	})
-	train, test := gen(41), gen(42)
+	train, test := gen(41, 12), gen(42, 12)
 	t.Run("IAM", func(t *testing.T) {
 		testutil.SameSeedTwice(t, func() []float64 {
 			m, err := TrainIAMJoin(s, ARJoinConfig{
@@ -160,6 +162,45 @@ func TestSameSeedBitIdentical(t *testing.T) {
 			}
 			return ests
 		})
+	})
+	t.Run("repeat", func(t *testing.T) {
+		// PGJoin multiplies per-child factors into one product and MSCNJoin
+		// sums per-predicate features into one pool; float arithmetic is
+		// not associative, so either one walking a query's children in map
+		// order would answer repeated calls with different last bits.
+		pg, err := NewPGJoin(s, pghist.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mscn, err := NewMSCNJoin(s, train, MSCNJoinConfig{Hidden: 16, PoolDim: 8, Samples: 40, Epochs: 1, BatchSize: 4, Seed: 44})
+		if err != nil {
+			t.Fatal(err)
+		}
+		multi := 0
+		for _, jq := range gen(45, 80).Queries {
+			if len(jq.Children) < 2 {
+				continue
+			}
+			multi++
+			for _, m := range []CardEstimator{pg, mscn} {
+				first, err := m.EstimateCard(jq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for rep := 0; rep < 50; rep++ {
+					got, err := m.EstimateCard(jq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got) != math.Float64bits(first) {
+						t.Fatalf("%s on %v: call %d gave %v, the first call %v", m.Name(), jq.Tables(s), rep+1, got, first)
+					}
+				}
+			}
+		}
+		if multi < 10 {
+			t.Fatalf("only %d queries join two or more children", multi)
+		}
 	})
 	t.Run("MSCN", func(t *testing.T) {
 		testutil.SameSeedTwice(t, func() []float64 {

@@ -94,7 +94,8 @@ func (m *MLP) NewState(maxBatch int) *MLPState {
 // Forward runs the batch in (B×InDim) through the network.
 func (m *MLP) Forward(st *MLPState, in *vecmath.Matrix) {
 	if in.Rows > st.maxBatch {
-		//lint:ignore nopanic per-batch hot path; an oversized batch is a programmer error and an error return would poison every training inner loop
+		// Per-batch hot path: an oversized batch is a programmer error, and an
+		// error return would poison every training inner loop.
 		panic(fmt.Sprintf("nn: MLP batch %d exceeds state max %d", in.Rows, st.maxBatch))
 	}
 	st.B = in.Rows

@@ -490,7 +490,7 @@ func (n *ResMADE) NewSession(maxBatch int) *Session {
 func (s *Session) Forward(rows [][]int) {
 	n := s.net
 	if len(rows) > s.maxBatch {
-		//lint:ignore nopanic,noalloc per-batch cold path; an oversized batch is a programmer error and an error return would poison every sampling inner loop
+		//lint:ignore noalloc per-batch cold path; an oversized batch is a programmer error and an error return would poison every sampling inner loop
 		panic(fmt.Sprintf("nn: batch %d exceeds session max %d", len(rows), s.maxBatch))
 	}
 	s.B = len(rows)
@@ -510,7 +510,7 @@ func (s *Session) Forward(rows [][]int) {
 		dst := x0.Row(r)
 		for c, code := range row {
 			if code < 0 || code > n.Cards[c] {
-				//lint:ignore nopanic,noalloc per-row cold path; out-of-domain codes mean a corrupted encoder, not a recoverable input
+				//lint:ignore noalloc per-row cold path; out-of-domain codes mean a corrupted encoder, not a recoverable input
 				panic(fmt.Sprintf("nn: column %d code %d out of [0,%d]", c, code, n.Cards[c]))
 			}
 			copy(dst[n.embedOff[c]:n.embedOff[c]+n.EmbedDims[c]], n.embeds[c].Row(code))

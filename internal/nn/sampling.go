@@ -91,7 +91,7 @@ func (s *Session) sampleTable() []float64 {
 func (s *Session) ForwardSampling(rows [][]int, col int) {
 	n := s.net
 	if len(rows) > s.maxBatch {
-		//lint:ignore nopanic,noalloc per-batch cold path; an oversized batch is a programmer error and an error return would poison every sampling inner loop
+		//lint:ignore noalloc per-batch cold path; an oversized batch is a programmer error and an error return would poison every sampling inner loop
 		panic(fmt.Sprintf("nn: batch %d exceeds session max %d", len(rows), s.maxBatch))
 	}
 	s.B = len(rows)
@@ -119,7 +119,7 @@ func (s *Session) ForwardSampling(rows [][]int, col int) {
 		for c := 0; c < col; c++ {
 			code := row[c]
 			if code < 0 || code > n.Cards[c] {
-				//lint:ignore nopanic,noalloc per-row cold path; out-of-domain codes mean a corrupted encoder, not a recoverable input
+				//lint:ignore noalloc per-row cold path; out-of-domain codes mean a corrupted encoder, not a recoverable input
 				panic(fmt.Sprintf("nn: column %d code %d out of [0,%d]", c, code, n.Cards[c]))
 			}
 			vecmath.AddTo(dst, tab[s.tabOff[c]+code*h0:s.tabOff[c]+(code+1)*h0])

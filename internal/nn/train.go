@@ -275,7 +275,8 @@ func (n *ResMADE) Fit(data [][]int, cfg TrainConfig) ([]float64, error) {
 func (s *Session) Dist(r, col int, out []float64) {
 	if s.samplingCol >= 0 {
 		if col != s.samplingCol {
-			//lint:ignore nopanic cold path; asking for another column after a restricted forward is a programmer error
+			// Cold path: asking for another column after a restricted forward is a
+			// programmer error.
 			panic(fmt.Sprintf("nn: Dist(col=%d) after ForwardSampling(col=%d)", col, s.samplingCol))
 		}
 		vecmath.Softmax(out, s.logitsPV.Row(r))

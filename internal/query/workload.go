@@ -134,7 +134,7 @@ func Generate(t *dataset.Table, cfg GenConfig) (*Workload, error) {
 				p = Predicate{
 					Col:   c.Name,
 					Op:    []Op{Le, Ge}[rng.Intn(2)],
-					Value: b[j].lo + rng.Float64()*(b[j].hi-b[j].lo),
+					Value: b[j].lo + float64(rng.Float64()*(b[j].hi-b[j].lo)),
 				}
 			}
 			if err := q.AddPredicate(p); err != nil {

@@ -479,7 +479,7 @@ func (s *Server) observeLatency(d time.Duration) {
 		s.ewma = d.Seconds()
 	} else {
 		const alpha = 0.3
-		s.ewma = alpha*d.Seconds() + (1-alpha)*s.ewma
+		s.ewma = float64(alpha*d.Seconds()) + float64((1-alpha)*s.ewma)
 	}
 	cur := s.ewma
 	s.latMu.Unlock()

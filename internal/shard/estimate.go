@@ -164,8 +164,8 @@ func (e *Ensemble) EstimateBatchSeeded(qs []*query.Query, qseeds []int64) ([]flo
 		}
 		w := slot.weight
 		for j, qi := range active {
-			ms.acc[qi] += w * ests[j]
-			ms.varAcc[qi] += w * w * vars[j]
+			ms.acc[qi] += float64(w * ests[j])
+			ms.varAcc[qi] += float64(w * w * vars[j])
 			ms.wSum[qi] += w
 		}
 		e.visited.Add(uint64(len(active)))

@@ -165,3 +165,42 @@ func TestSameSeedBitIdentical(t *testing.T) {
 		return testutil.Estimates(t, e, w.Queries)
 	})
 }
+
+// TestSameSeedProductBitIdentical: a product node multiplies its children's
+// probabilities in the order of their scopes, and a product of three or
+// more floats depends on that order. Four independent columns give a
+// four-way product root, which the dependence grouping must order the same
+// way on every build: eight builds from one seed answer bit for bit alike.
+func TestSameSeedProductBitIdentical(t *testing.T) {
+	n := 5000
+	cols := make([]*dataset.Column, 4)
+	for c, mul := range []int{13, 31, 7, 17} {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64((i * mul) % (101 - 4*c))
+		}
+		cols[c] = &dataset.Column{Name: string(rune('a' + c)), Kind: dataset.Continuous, Floats: vals}
+	}
+	tb := &dataset.Table{Name: "ind4", Columns: cols}
+	w := testutil.Workload(t, tb, query.GenConfig{NumQueries: 40, Seed: 13})
+	var first []float64
+	for build := 0; build < 8; build++ {
+		e, err := New(tb, Config{Seed: 14})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.root.isProd || len(e.root.children) < 3 {
+			t.Fatalf("root is not a product of three or more children (product %v, %d children)", e.root.isProd, len(e.root.children))
+		}
+		ests := testutil.Estimates(t, e, w.Queries)
+		if first == nil {
+			first = ests
+			continue
+		}
+		for i := range ests {
+			if math.Float64bits(ests[i]) != math.Float64bits(first[i]) {
+				t.Fatalf("build %d, query %d: %v, the first build %v", build, i, ests[i], first[i])
+			}
+		}
+	}
+}

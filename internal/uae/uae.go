@@ -39,9 +39,17 @@ type Config struct {
 	// steps (default 128 — smaller than inference width to keep training
 	// affordable).
 	TrainSamples int
-	// Ctx optionally carries a cancellation context into the query-training
-	// loop (mirrors nn.TrainConfig.Ctx); nil means context.Background().
+	// Ctx optionally carries a cancellation context into data and query
+	// training (mirrors nn.TrainConfig.Ctx); nil means context.Background().
 	Ctx context.Context
+}
+
+// context returns Ctx, or context.Background() when it is nil.
+func (c *Config) context() context.Context {
+	if c.Ctx != nil {
+		return c.Ctx
+	}
+	return context.Background()
 }
 
 func (c *Config) fillDefaults() {
@@ -70,10 +78,10 @@ type Model struct {
 func (m *Model) Name() string { return m.name }
 
 // TrainUAE trains from both data and queries: standard data training first,
-// then query-driven fine-tuning.
+// then query-driven fine-tuning. Cancelling cfg.Ctx stops either phase.
 func TrainUAE(t *dataset.Table, train *query.Workload, cfg Config) (*Model, error) {
 	cfg.fillDefaults()
-	base, err := naru.Train(t, cfg.Base)
+	base, err := naru.TrainContext(cfg.context(), t, cfg.Base)
 	if err != nil {
 		return nil, err
 	}
@@ -106,10 +114,7 @@ func (m *Model) queryTrain(train *query.Workload, cfg Config) error {
 	if len(train.Queries) == 0 || len(train.Queries) != len(train.TrueSel) {
 		return fmt.Errorf("uae: needs a labelled training workload")
 	}
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	ctx := cfg.context()
 	arm := m.AR()
 	rng := rand.New(rand.NewSource(cfg.Base.Seed + 101))
 	sess := arm.Net.NewSession(cfg.QueryBatch * cfg.TrainSamples)
